@@ -1,5 +1,5 @@
 // This file is the benchmark harness: one testing.B target per
-// reproduction experiment (DESIGN.md §3 / EXPERIMENTS.md), each reporting
+// reproduction experiment (the expt.Registry entries), each reporting
 // its domain metrics (model rounds, recursion depth, space) alongside
 // wall-clock, plus micro-benchmarks of the hot substrate paths.
 //

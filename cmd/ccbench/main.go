@@ -1,5 +1,6 @@
-// ccbench regenerates the reproduction experiment tables (DESIGN.md §3,
-// EXPERIMENTS.md) and doubles as a load generator for cmd/ccserve.
+// ccbench regenerates the reproduction experiment tables (one per
+// expt.Registry entry, whose Claim field names the paper claim it tests)
+// and doubles as a load generator for cmd/ccserve.
 //
 // Usage:
 //

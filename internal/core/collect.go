@@ -39,7 +39,7 @@ func (s *solver) collectAndColor(calls []*call) error {
 		ds := s.trace.depth(c.depth)
 		ds.Collected++
 		if c.role == roleG0 {
-			ds.G0Size += s.instSize(c)
+			ds.G0Size += c.size
 		}
 	}
 	if len(active) == 0 {

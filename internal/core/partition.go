@@ -19,160 +19,29 @@ import (
 //     in-call neighbors (one round).
 //  3. Build the B−1 parallel color-bin children (palettes restricted by
 //     h₂), the gated bin-B child, and the bad-node graph G0.
-//
-// The hash evaluations behind the classification are shared, not repeated:
-// for each candidate pair the derand Prepare hook tabulates h₁ over the
-// call's live nodes and h₂ over the union of their palettes (as packed
-// color-bin masks over the dense domain), so evaluating Definition 3.1 for
-// one node costs table lookups and one popcount-AND instead of
-// O(d(v) + p(v)) polynomial evaluations.
 func (s *solver) partition(x *call) error {
-	b := s.p.bins(x.ell)
 	nX := len(x.nodes)
 	ds := s.trace.depth(x.depth)
 	ds.Partitions++
 
-	wsp := s.wsp
-	dx := graph.Grow(wsp.dx, s.bign)
-	wsp.dx = dx
-	for _, v := range x.nodes {
-		dx[v] = int32(s.degreeIn(v, x.id))
-	}
-	if err := s.auditCall(x, dx); err != nil {
+	if err := s.auditCall(x, s.dx); err != nil {
 		return err
 	}
-
-	f1, err := hashing.NewFamily(s.p.Independence, int64(s.bign), int64(b), 24)
+	bs, err := s.newBatchScorer(x)
 	if err != nil {
-		return fmt.Errorf("node hash family: %w", err)
+		return err
 	}
-	f2, err := hashing.NewFamily(s.p.Independence, s.colorDomain, int64(b-1), 24)
-	if err != nil {
-		return fmt.Errorf("color hash family: %w", err)
-	}
-
-	// Table geometry: packed mode masks span (b-1) color bins × W words.
-	packed := !s.p.CompactPalettes
-	w := 0
-	if packed {
-		w = s.dom.words
-	}
-	maskStride := (b - 1) * w
-
-	// The union of live palettes bounds the colors any mask needs; h₂ is
-	// evaluated once per distinct live color per candidate instead of once
-	// per (node, palette entry). That trade only pays when palettes overlap
-	// (range instances: |union| ≪ Σp(v)); on list instances with mostly
-	// disjoint palettes the union is nearly as large as Σp(v) and the table
-	// build costs more than direct counting, so the masks are skipped and
-	// isBad falls back to per-node palCountBin. Either strategy computes the
-	// same counts — this is a cost choice, not a behavior change.
-	var union graph.PaletteSet
-	if packed {
-		if cap(wsp.palUnion) < w {
-			wsp.palUnion = make([]uint64, w)
-		}
-		union = graph.PaletteSet(wsp.palUnion[:w])
-		union.Clear()
-		sumPal := 0
-		for _, v := range x.nodes {
-			if s.color[v] == graph.NoColor {
-				s.pal[v].unionInto(union)
-				sumPal += s.pal[v].size
-			}
-		}
-		if 2*union.Len() > sumPal {
-			maskStride = 0
-		}
-	}
-
-	// fillTab tabulates one candidate pair: node → h₁ bin for the call's
-	// live nodes, and (in packed mode) per-bin color masks under h₂.
-	fillTab := func(p derand.Pair, bins []int32, masks []uint64) {
-		for _, v := range x.nodes {
-			if s.color[v] == graph.NoColor {
-				bins[v] = int32(p.H1.Eval(int64(v)))
-			}
-		}
-		if masks == nil {
-			return
-		}
-		clear(masks)
-		dom := s.dom.colors
-		union.ForEach(func(i int) bool {
-			bin := int(p.H2.Eval(dom[i]))
-			graph.PaletteSet(masks[bin*w : (bin+1)*w]).Add(i)
-			return true
-		})
-	}
-	// Candidates fill disjoint table slots from immutable inputs (palettes,
-	// colors, hash coefficients), so the batch tabulates in parallel — the
-	// same cores the per-node evaluations used to occupy inside the round
-	// callbacks this tabulation replaced.
-	prepare := func(cands []derand.Pair) {
-		wsp.candBase = cands[0].Index
-		wsp.candBins = graph.Grow(wsp.candBins, len(cands)*s.bign)
-		wsp.candMasks = graph.Grow(wsp.candMasks, len(cands)*maskStride)
-		if wsp.pool == nil {
-			wsp.pool = fabric.NewWorkPool(0)
-		}
-		wsp.pool.RunHeavy(len(cands), func(i int) {
-			var masks []uint64
-			if maskStride > 0 {
-				masks = wsp.candMasks[i*maskStride : (i+1)*maskStride]
-			}
-			fillTab(cands[i], wsp.candBins[i*s.bign:(i+1)*s.bign], masks)
-		})
-	}
-
-	degSlack := s.p.degSlack(x.ell)
-	palSlack := s.p.palSlack(x.ell)
-	// isBad evaluates Definition 3.1 for one node against a candidate's
-	// tables. h2 is only consulted on the compact-palette path (masks nil).
-	isBad := func(v int32, bins []int32, masks []uint64, h2 hashing.Hash) (int64, bool) {
-		myBin := bins[v]
-		dPrime := 0
-		for _, u := range s.g.Neighbors(v) {
-			if s.callOf[u] == int32(x.id) && s.color[u] == graph.NoColor && bins[u] == myBin {
-				dPrime++
-			}
-		}
-		bad := math.Abs(float64(dPrime)-float64(dx[v])/float64(b)) > degSlack
-		if !bad && int(myBin) < b-1 {
-			var pPrime int
-			if masks != nil {
-				pPrime = s.palCountMask(v, masks[int(myBin)*w:(int(myBin)+1)*w])
-			} else {
-				pPrime = s.palCountBin(v, h2, int64(myBin))
-			}
-			// Palette goodness (Def. 3.1): p′(v) ≥ p(v)/B + ℓ^0.7. The
-			// slack is capped at half the splitting gap
-			// p(v)·(1/(B−1) − 1/B); with B = ⌊ℓ^0.1⌋ and p(v) > ℓ the gap
-			// is ≥ ℓ^0.8 ≫ ℓ^0.7, so in the paper's regime the cap is
-			// inactive and the condition is the paper's verbatim. Outside
-			// it (small ℓ, forced wide bins) the capped condition is the
-			// one the Lemma 3.6 argument actually supports.
-			p := float64(s.palSize(v))
-			slack := palSlack
-			if gap := p / (2 * float64(b) * float64(b-1)); gap < slack {
-				slack = gap
-			}
-			if float64(pPrime) < p/float64(b)+slack {
-				bad = true
-			}
-		}
-		return int64(myBin), bad
-	}
+	b, id := bs.b, bs.id
 
 	sel := &derand.VecSelector{
-		F1:         f1,
-		F2:         f2,
-		PerCand:    1 + b,
+		F1:         bs.f1,
+		F2:         bs.f2,
+		PerCand:    bs.perCand(),
 		BatchWidth: s.p.BatchWidth,
 		MaxBatches: s.p.MaxBatches,
 		Salt:       uint64(x.id) * 0x9e3779b9,
 		WS:         &s.wsp.sel,
-		Prepare:    prepare,
+		Prepare:    bs.prepare,
 	}
 	binThresh := 2*float64(nX)/float64(b) + math.Pow(float64(s.bign), s.p.BinSizeSlackExp)
 	score := func(totals []int64) int64 {
@@ -190,21 +59,9 @@ func (s *solver) partition(x *call) error {
 		target = 1<<62 - 1 // ablation A1: candidate 0 always wins
 	}
 	s.fab.Ledger().SetPhase("partition:select")
-	res, err := sel.Select(s.fab, s.pw, target, func(wk int, p derand.Pair, vec []int64) {
-		v := int32(wk)
-		if s.callOf[v] != int32(x.id) || s.color[v] != graph.NoColor {
-			return
-		}
-		slot := int(p.Index - wsp.candBase)
-		bins := wsp.candBins[slot*s.bign : (slot+1)*s.bign]
-		var masks []uint64
-		if maskStride > 0 {
-			masks = wsp.candMasks[slot*maskStride : (slot+1)*maskStride]
-		}
-		myBin, bad := isBad(v, bins, masks, p.H2)
-		vec[1+myBin] = 1
-		if bad {
-			vec[0] = 1
+	res, err := sel.Select(s.fab, s.pw, target, func(wk int, cands []derand.Pair, out []int64) {
+		if s.callOf[wk] == id {
+			bs.classify(int32(wk), cands, out)
 		}
 	}, score)
 	if err != nil {
@@ -218,26 +75,25 @@ func (s *solver) partition(x *call) error {
 		}
 	}
 
-	// Final classification with the selected pair, through the same tables
-	// (rebuilt once for the winner; the batch slots are stale by now).
+	// Final classification with the selected pair: the same kernel on a
+	// one-candidate batch (the batch tables are stale by now). The table
+	// then holds every node's winning bin as candidate 0.
 	h2 := res.Pair.H2
-	wsp.winBins = graph.Grow(wsp.winBins, s.bign)
-	wsp.winMasks = graph.Grow(wsp.winMasks, maskStride)
-	var winMasks []uint64
-	if maskStride > 0 {
-		winMasks = wsp.winMasks[:maskStride]
-	}
-	fillTab(res.Pair, wsp.winBins, winMasks)
+	winner := []derand.Pair{res.Pair}
+	bs.prepare(winner)
+	vec := make([]int64, bs.perCand())
 	binNodes := make([][]int32, b) // bins 0..b-2 are color bins; b-1 is bin B
 	var g0Nodes []int32
 	for _, v := range x.nodes {
-		if s.color[v] != graph.NoColor {
+		if s.callOf[v] != id {
 			continue
 		}
-		myBin, bad := isBad(v, wsp.winBins, winMasks, h2)
-		if bad {
+		clear(vec)
+		bs.classify(v, winner, vec)
+		if vec[0] != 0 {
 			g0Nodes = append(g0Nodes, v)
 		} else {
+			myBin := bs.tab.bin(v, 0)
 			binNodes[myBin] = append(binNodes[myBin], v)
 		}
 	}
@@ -252,15 +108,15 @@ func (s *solver) partition(x *call) error {
 	}
 	if _, err := fabric.RoundFrames(s.fab, func(wk int, sb *fabric.SendBuf) {
 		v := int32(wk)
-		if s.callOf[v] != int32(x.id) || s.color[v] != graph.NoColor {
+		if s.callOf[v] != id {
 			return
 		}
-		word := uint64(wsp.winBins[v])
+		word := uint64(bs.tab.bin(v, 0))
 		if _, hit := badSet[v]; hit {
 			word |= 1 << 32
 		}
 		for _, u := range s.g.Neighbors(v) {
-			if s.callOf[u] == int32(x.id) && s.color[u] == graph.NoColor {
+			if s.callOf[u] == id {
 				sb.Put(int(u), word)
 			}
 		}
@@ -278,10 +134,7 @@ func (s *solver) partition(x *call) error {
 	// restriction *before* materializing it, then restrict survivors.
 	x.phase1Left = 0
 	for bin := 0; bin < b-1; bin++ {
-		var mask graph.PaletteSet
-		if maskStride > 0 {
-			mask = graph.PaletteSet(winMasks[bin*w : (bin+1)*w])
-		}
+		mask := bs.mask(0, bin)
 		nodes := s.demoteForRestriction(x, binNodes[bin], h2, int64(bin), mask)
 		if len(nodes) == 0 {
 			continue
@@ -306,6 +159,167 @@ func (s *solver) partition(x *call) error {
 		s.launchBinB(x)
 	}
 	return nil
+}
+
+// batchScorer evaluates Definition 3.1 for one Partition call against
+// batches of candidate pairs. The hash evaluations behind it are shared, not
+// repeated: prepare tabulates h₁ over the call's nodes into a node-major
+// seedTable (every candidate's bin side by side in one row) and h₂ over the
+// union of the live palettes (as packed color-bin masks over the dense
+// domain). classify then scores a node under the whole batch with one
+// branch-free walk over its neighbours, plus table lookups and one
+// popcount-AND per candidate, instead of O(d(v) + p(v)) polynomial
+// evaluations per candidate.
+type batchScorer struct {
+	s      *solver
+	nodes  []int32
+	id     int32
+	b      int
+	f1, f2 hashing.Family
+	tab    seedTable
+
+	degSlack, palSlack float64 // ℓ^0.6 and ℓ^0.7 of Definition 3.1
+
+	// Packed mode masks: each candidate's (b−1) color-bin masks, w words
+	// each, built over the live palette union. maskStride is 0 when there
+	// are no masks (compact mode, or the near-disjoint gate below), and
+	// classify counts p′(v) through h₂ instead.
+	union      graph.PaletteSet
+	w          int
+	maskStride int
+}
+
+func (s *solver) newBatchScorer(x *call) (*batchScorer, error) {
+	b := s.p.bins(x.ell)
+	f1, err := hashing.NewFamily(s.p.Independence, int64(s.bign), int64(b), 24)
+	if err != nil {
+		return nil, fmt.Errorf("node hash family: %w", err)
+	}
+	f2, err := hashing.NewFamily(s.p.Independence, s.colorDomain, int64(b-1), 24)
+	if err != nil {
+		return nil, fmt.Errorf("color hash family: %w", err)
+	}
+	bs := &batchScorer{
+		s: s, nodes: x.nodes, id: int32(x.id), b: b, f1: f1, f2: f2, tab: newSeedTable(b),
+		degSlack: s.p.degSlack(x.ell), palSlack: s.p.palSlack(x.ell),
+	}
+	if s.p.CompactPalettes {
+		return bs, nil
+	}
+
+	// The union of live palettes bounds the colors any mask needs; h₂ is
+	// evaluated once per distinct live color per candidate instead of once
+	// per (node, palette entry). That trade only pays when palettes overlap
+	// (range instances: |union| ≪ Σp(v)); on list instances with mostly
+	// disjoint palettes the union is nearly as large as Σp(v) and the table
+	// build costs more than direct counting, so the masks are skipped and
+	// classify falls back to per-node palCountBin. Either strategy computes
+	// the same counts — this is a cost choice, not a behavior change.
+	wsp := s.wsp
+	w := s.dom.words
+	if cap(wsp.palUnion) < w {
+		wsp.palUnion = make([]uint64, w)
+	}
+	bs.union = graph.PaletteSet(wsp.palUnion[:w])
+	bs.union.Clear()
+	sumPal := 0
+	for _, v := range x.nodes {
+		if s.callOf[v] == bs.id {
+			s.pal[v].unionInto(bs.union)
+			sumPal += s.pal[v].size
+		}
+	}
+	if 2*bs.union.Len() <= sumPal {
+		bs.w, bs.maskStride = w, (b-1)*w
+	}
+	return bs, nil
+}
+
+// perCand is the length of one candidate's vector: [bad, one-hot bin…].
+func (bs *batchScorer) perCand() int { return 1 + bs.b }
+
+// prepare tabulates a batch: node rows in parallel over the call's nodes
+// (each row is one task's), then the per-candidate color masks in parallel
+// over candidates (each mask slot is one task's). Both read only immutable
+// inputs: palettes, stamps, hash coefficients.
+func (bs *batchScorer) prepare(cands []derand.Pair) {
+	wsp := bs.s.wsp
+	if wsp.pool == nil {
+		wsp.pool = fabric.NewWorkPool(0)
+	}
+	bs.tab.reset(&wsp.candTab, bs.s.bign, len(cands))
+	wsp.pool.Run(len(bs.nodes), func(j int) { bs.tab.fillRow(bs.nodes[j], cands) })
+	if bs.maskStride == 0 {
+		return
+	}
+	wsp.candMasks = graph.Grow(wsp.candMasks, len(cands)*bs.maskStride)
+	dom := bs.s.dom.colors
+	wsp.pool.RunHeavy(len(cands), func(i int) {
+		masks := wsp.candMasks[i*bs.maskStride : (i+1)*bs.maskStride]
+		clear(masks)
+		h2 := cands[i].H2
+		bs.union.ForEach(func(c int) bool {
+			bin := int(h2.Eval(dom[c]))
+			graph.PaletteSet(masks[bin*bs.w : (bin+1)*bs.w]).Add(c)
+			return true
+		})
+	})
+}
+
+// mask returns candidate i's packed color mask for a color bin, or nil
+// when the batch has no masks.
+func (bs *batchScorer) mask(i, bin int) graph.PaletteSet {
+	if bs.maskStride == 0 {
+		return nil
+	}
+	off := i*bs.maskStride + bin*bs.w
+	return graph.PaletteSet(bs.s.wsp.candMasks[off : off+bs.w])
+}
+
+// classify evaluates Definition 3.1 for live node v under every candidate
+// of the prepared batch, writing candidate i's [bad, one-hot bin…] into
+// out[i·perCand : (i+1)·perCand], which arrives zeroed. It runs
+// concurrently for distinct nodes and writes nothing shared.
+func (bs *batchScorer) classify(v int32, cands []derand.Pair, out []int64) {
+	s, b := bs.s, bs.b
+	perCand := bs.perCand()
+	// The neighbour walk leaves each candidate's d′(v) in its bad slot,
+	// which the verdict then overwrites.
+	bs.tab.addSameBin(v, s.g.Neighbors(v), s.callOf, bs.id, out, perCand)
+	for i := range cands {
+		vec := out[i*perCand : (i+1)*perCand]
+		myBin := bs.tab.bin(v, i)
+		dPrime := vec[0]
+		bad := math.Abs(float64(dPrime)-float64(s.dx[v])/float64(b)) > bs.degSlack
+		if !bad && myBin < b-1 {
+			var pPrime int
+			if mask := bs.mask(i, myBin); mask != nil {
+				pPrime = s.palCountMask(v, mask)
+			} else {
+				pPrime = s.palCountBin(v, cands[i].H2, int64(myBin))
+			}
+			// Palette goodness (Def. 3.1): p′(v) ≥ p(v)/B + ℓ^0.7. The
+			// slack is capped at half the splitting gap
+			// p(v)·(1/(B−1) − 1/B); with B = ⌊ℓ^0.1⌋ and p(v) > ℓ the gap
+			// is ≥ ℓ^0.8 ≫ ℓ^0.7, so in the paper's regime the cap is
+			// inactive and the condition is the paper's verbatim. Outside
+			// it (small ℓ, forced wide bins) the capped condition is the
+			// one the Lemma 3.6 argument actually supports.
+			p := float64(s.palSize(v))
+			slack := bs.palSlack
+			if gap := p / (2 * float64(b) * float64(b-1)); gap < slack {
+				slack = gap
+			}
+			if float64(pPrime) < p/float64(b)+slack {
+				bad = true
+			}
+		}
+		vec[0] = 0
+		if bad {
+			vec[0] = 1
+		}
+		vec[1+myBin] = 1
+	}
 }
 
 // newCallAllowEmpty registers a call even with no nodes (used for G0

@@ -27,6 +27,7 @@ type call struct {
 	nodes []int32 // global node IDs
 	ell   float64
 	depth int
+	size  int // n_G + 2·m_G, measured when the call was scheduled
 
 	parent *call
 
@@ -81,18 +82,16 @@ type Workspace struct {
 	tmplIdx      []int32
 	tmplIdxValid bool
 
-	// Partition scratch: the per-candidate hash tables (node → h₁ bin,
-	// color-bin masks under h₂) the derand Prepare hook fills per batch,
-	// their winner-pair twins for final classification, the live palette
-	// union the mask builder iterates, and the in-call degree table.
-	candBins  []int32
+	// Partition scratch: the batch tables the derand Prepare hook fills
+	// (the node-major h₁ seedTable words and the per-candidate color-bin
+	// masks under h₂; the winner reuses them as a one-candidate batch), the
+	// live palette union the mask builder iterates, and the in-call degree
+	// table each scheduled call fills once.
+	candTab   []uint64
 	candMasks []uint64
-	candBase  uint64 // candidate index of table slot 0
-	winBins   []int32
-	winMasks  []uint64
 	palUnion  []uint64
 	dx        []int32
-	pool      *fabric.WorkPool // parallel per-candidate table fills (lazy)
+	pool      *fabric.WorkPool // parallel table fills (lazy)
 
 	sel     derand.Workspace  // partition seed selection
 	agg     fabric.VecScratch // wave-barrier aggregation
@@ -164,6 +163,7 @@ func (ws *Workspace) Release() {
 func (ws *Workspace) ensure(n int) {
 	ws.pal = graph.Grow(ws.pal, n)
 	ws.callOf = graph.Grow(ws.callOf, n)
+	ws.dx = graph.Grow(ws.dx, n)
 	ws.barrier = graph.Grow(ws.barrier, n)
 	if ws.calls == nil {
 		ws.calls = make(map[int]*call)
@@ -184,6 +184,7 @@ type solver struct {
 	pal    []palState
 	dom    *palDomain // dense color domain for packed palettes
 	callOf []int32    // call id per node; -1 once colored
+	dx     []int32    // in-call degree per node, filled per scheduled call
 
 	colorDomain int64 // exclusive upper bound on color values
 
@@ -210,9 +211,27 @@ func Solve(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params) (grap
 // are byte-identical to a cold Solve on the same (fabric, instance,
 // params).
 func SolveWS(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, ws *Workspace) (graph.Coloring, *Trace, error) {
+	s, err := newSolver(f, pairWords, inst, p, ws)
+	if err != nil {
+		return nil, nil, err
+	}
+	for s.colored < s.bign {
+		if err := s.wave(); err != nil {
+			return nil, s.trace, err
+		}
+		if s.trace.Waves > 4*s.bign+64 {
+			return nil, s.trace, fmt.Errorf("core: wave budget exhausted at %d/%d colored", s.colored, s.bign)
+		}
+	}
+	return s.color, s.trace, nil
+}
+
+// newSolver validates the instance, initializes the run state in ws (nil
+// for a transient workspace) and schedules the root call.
+func newSolver(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, ws *Workspace) (*solver, error) {
 	n := inst.G.N()
 	if f.Workers() != n {
-		return nil, nil, fmt.Errorf("core: fabric has %d workers for %d nodes", f.Workers(), n)
+		return nil, fmt.Errorf("core: fabric has %d workers for %d nodes", f.Workers(), n)
 	}
 	// ColorReduce solves (Δ+1)-list coloring: every palette must exceed Δ
 	// (Corollary 3.3(i) with the initial ℓ = Δ). (deg+1)-list instances
@@ -220,7 +239,7 @@ func SolveWS(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, ws 
 	delta := inst.G.MaxDegree()
 	for v := 0; v < n; v++ {
 		if len(inst.Palettes[v]) <= delta {
-			return nil, nil, fmt.Errorf(
+			return nil, fmt.Errorf(
 				"core: node %d has palette %d ≤ Δ=%d; ColorReduce requires a (Δ+1)-list instance (use internal/lowspace for (deg+1)-list)",
 				v, len(inst.Palettes[v]), delta)
 		}
@@ -238,6 +257,7 @@ func SolveWS(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, ws 
 		color:  graph.NewColoring(n),
 		pal:    ws.pal[:n],
 		callOf: ws.callOf[:n],
+		dx:     ws.dx[:n],
 		calls:  ws.calls,
 		wsp:    ws,
 		trace:  &Trace{InputN: n, InputDelta: inst.G.MaxDegree()},
@@ -248,7 +268,7 @@ func SolveWS(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, ws 
 		for v := 0; v < n; v++ {
 			hi, err := rangeTop(inst.Palettes[v])
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: compact palettes: %w", err)
+				return nil, fmt.Errorf("core: compact palettes: %w", err)
 			}
 			s.pal[v] = palState{compact: true, rangeHi: hi, sizeCache: -1}
 			if hi > maxColor {
@@ -260,21 +280,10 @@ func SolveWS(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, ws 
 	}
 	s.colorDomain = maxColor + 1
 
-	root := s.newCall(rolePhase1, allNodes(n), float64(inst.G.MaxDegree()), 0, nil)
-	if root == nil { // n == 0
-		return s.color, s.trace, nil
+	if root := s.newCall(rolePhase1, allNodes(n), float64(delta), 0, nil); root != nil { // nil when n == 0
+		s.runnable = append(s.runnable, root)
 	}
-	s.runnable = append(s.runnable, root)
-
-	for s.colored < n {
-		if err := s.wave(); err != nil {
-			return nil, s.trace, err
-		}
-		if s.trace.Waves > 4*n+64 {
-			return nil, s.trace, fmt.Errorf("core: wave budget exhausted at %d/%d colored", s.colored, n)
-		}
-	}
-	return s.color, s.trace, nil
+	return s, nil
 }
 
 // tmplCacheMaxWords bounds the packed-palette template cache: a template is
@@ -404,13 +413,13 @@ func (s *solver) buildSparseIdx(nPals int, warm bool) {
 // its Report. The packed palette slab and its warm template dominate; the
 // remaining slabs are folded in at their word-equivalent sizes.
 func (ws *Workspace) MemoryWords() int64 {
-	words := int64(cap(ws.setSlab) + cap(ws.tmpl) + cap(ws.candMasks) + cap(ws.winMasks) + cap(ws.palUnion))
+	words := int64(cap(ws.setSlab) + cap(ws.tmpl) + cap(ws.candTab) + cap(ws.candMasks) + cap(ws.palUnion))
 	words += int64(cap(ws.barrier)) // int64 slab
 	words += int64(cap(ws.tmplPals))
 	// int32 slabs: two entries per word.
 	i32 := cap(ws.callOf) + cap(ws.tmplOff) + cap(ws.tmplSize) +
 		cap(ws.idxSlab) + cap(ws.idxOff) + cap(ws.tmplIdx) +
-		cap(ws.candBins) + cap(ws.winBins) + cap(ws.dx) + cap(ws.targetOf) + cap(ws.liveNodes)
+		cap(ws.dx) + cap(ws.targetOf) + cap(ws.liveNodes)
 	words += int64(i32) / 2
 	return words
 }
@@ -511,7 +520,8 @@ func (s *solver) wave() error {
 
 	var toCollect, toPartition []*call
 	for _, c := range work {
-		size := s.instSize(c)
+		size, maxDeg := s.callDegrees(c)
+		c.size = size
 		ds := s.trace.depth(c.depth)
 		ds.Calls++
 		if len(c.nodes) > ds.MaxNodes {
@@ -523,8 +533,8 @@ func (s *solver) wave() error {
 		if size > ds.MaxSize {
 			ds.MaxSize = size
 		}
-		if d := s.maxDegreeIn(c); d > ds.MaxDegree {
-			ds.MaxDegree = d
+		if maxDeg > ds.MaxDegree {
+			ds.MaxDegree = maxDeg
 		}
 		if c.role == roleG0 || s.p.shouldCollect(size, s.bign, c.ell) {
 			toCollect = append(toCollect, c)
@@ -559,30 +569,28 @@ func (s *solver) wave() error {
 	return nil
 }
 
-// instSize returns n_G + 2·m_G for the call's induced subgraph.
-func (s *solver) instSize(c *call) int {
-	size := len(c.nodes)
+// callDegrees fills dx with every member's in-call degree d(v), once per
+// scheduled call, and returns the call's size n_G + 2·m_G and its maximum
+// degree. The wave's collect-or-partition decision, the trace, the
+// partition audit and Definition 3.1 all read these.
+func (s *solver) callDegrees(c *call) (size, maxDeg int) {
+	size = len(c.nodes)
 	for _, v := range c.nodes {
-		size += s.degreeIn(v, c.id)
+		d := s.degreeIn(v, int32(c.id))
+		s.dx[v] = d
+		size += int(d)
+		maxDeg = max(maxDeg, int(d))
 	}
-	return size
+	return size, maxDeg
 }
 
-func (s *solver) maxDegreeIn(c *call) int {
-	d := 0
-	for _, v := range c.nodes {
-		if dv := s.degreeIn(v, c.id); dv > d {
-			d = dv
-		}
-	}
-	return d
-}
-
-// degreeIn returns d(v) within call id.
-func (s *solver) degreeIn(v int32, id int) int {
-	d := 0
+// degreeIn returns d(v) within call id. Colored nodes carry callOf −1, so
+// the stamp alone decides membership, and the single comparison compiles
+// to a conditional move: the count has no data-dependent branch.
+func (s *solver) degreeIn(v int32, id int32) int32 {
+	d := int32(0)
 	for _, u := range s.g.Neighbors(v) {
-		if s.callOf[u] == int32(id) && s.color[u] == graph.NoColor {
+		if s.callOf[u] == id {
 			d++
 		}
 	}
@@ -666,7 +674,7 @@ func (s *solver) demoteUnderpaletted(c *call, g0 *call) {
 			if s.color[v] != graph.NoColor {
 				continue
 			}
-			if s.palSize(v) <= s.degreeIn(v, c.id) {
+			if s.palSize(v) <= int(s.degreeIn(v, int32(c.id))) {
 				demote = append(demote, v)
 			}
 		}

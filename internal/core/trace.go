@@ -21,7 +21,7 @@ type DepthStats struct {
 	ExtraBad       int     // nodes demoted to G0 by the runtime p>d safety check
 	BadBins        int     // must stay 0 (Lemma 3.9)
 	G0Size         int     // total size of bad-node graphs (Cor. 3.10)
-	SeedCandidates int     // candidate seeds evaluated
+	SeedCandidates int     // candidate seeds up to each selected one (derand.Stats.Candidates)
 	SeedBatches    int     // aggregation batches
 }
 

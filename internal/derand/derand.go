@@ -16,7 +16,7 @@
 // below-target candidate is the same probabilistic-method fact, the
 // communication pattern per batch is the same O(1)-round aggregation, and
 // the selected seed satisfies the same guarantee — which the engine
-// additionally *verifies* rather than assumes. See DESIGN.md §2.
+// additionally *verifies* rather than assumes.
 package derand
 
 import (
@@ -35,8 +35,12 @@ type Pair struct {
 
 // Stats reports the cost of one selection.
 type Stats struct {
-	Batches    int   // aggregation batches executed (rounds ≈ 2 per batch)
-	Candidates int   // candidate pairs evaluated
+	Batches int // aggregation batches executed (rounds ≈ 2 per batch)
+	// Candidates counts candidates in enumeration order up to and
+	// including the selected one; SelectBest and an exhausted search count
+	// every candidate. It is not the number evaluated: the fabric selectors
+	// score each batch's full width, Batches × width candidates in all.
+	Candidates int
 	Cost       int64 // realized cost of the selected pair
 }
 

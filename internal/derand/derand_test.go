@@ -118,8 +118,14 @@ func TestSelectVec(t *testing.T) {
 	f1, f2 := testFamilies(t)
 	nw := cclique.New(10)
 	sel := &VecSelector{F1: f1, F2: f2, PerCand: 3, BatchWidth: 4}
-	res, err := sel.Select(nw, 4, 10, func(w int, p Pair, out []int64) {
-		out[0], out[1], out[2] = 1, int64(w), 0
+	res, err := sel.Select(nw, 4, 10, func(w int, cands []Pair, out []int64) {
+		if len(out) != len(cands)*3 {
+			t.Errorf("worker %d: out holds %d values for %d candidates", w, len(out), len(cands))
+			return
+		}
+		for i := range cands {
+			out[3*i], out[3*i+1], out[3*i+2] = 1, int64(w), 0
+		}
 	}, func(totals []int64) int64 {
 		return totals[0] // = #workers = 10 ≤ target
 	})

@@ -119,10 +119,13 @@ func TestVecTotalsMatchReference(t *testing.T) {
 	run := func(ws *Workspace) []int64 {
 		nw := cclique.New(workers)
 		sel := &VecSelector{F1: f1, F2: f2, PerCand: perCand, BatchWidth: 4, Salt: 5, WS: ws}
-		res, err := sel.Select(nw, 4, 1<<40, func(w int, p Pair, out []int64) {
-			out[0] = 1
-			out[1] = int64(w) * p.H1.Eval(int64(w)) % 7
-			out[2] = p.H2.Eval(int64(w)) % 3
+		res, err := sel.Select(nw, 4, 1<<40, func(w int, cands []Pair, out []int64) {
+			for i, p := range cands {
+				o := out[i*perCand : (i+1)*perCand]
+				o[0] = 1
+				o[1] = int64(w) * p.H1.Eval(int64(w)) % 7
+				o[2] = p.H2.Eval(int64(w)) % 3
+			}
 		}, func(totals []int64) int64 {
 			return totals[0]
 		})

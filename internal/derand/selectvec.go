@@ -31,10 +31,13 @@ type VecSelector struct {
 	Prepare func(cands []Pair)
 }
 
-// LocalVec fills worker w's perCand-length contribution for a candidate
-// into out, which arrives zeroed. Writing in place (instead of returning a
-// fresh slice) keeps the per-(worker, candidate) hot path allocation-free.
-type LocalVec func(w int, p Pair, out []int64)
+// LocalVec fills worker w's contribution for the whole batch into out,
+// which arrives zeroed and holds perCand values per candidate:
+// cands[i]'s window is out[i·perCand : (i+1)·perCand]. One call per worker
+// per batch lets the callback share its work across candidates (one pass
+// over a node's neighbours scores them all); writing in place keeps the
+// per-worker hot path allocation-free.
+type LocalVec func(w int, cands []Pair, out []int64)
 
 // Score condenses a candidate's aggregated totals into its cost.
 type Score func(totals []int64) int64
@@ -79,9 +82,7 @@ func (s *VecSelector) Select(f fabric.Fabric, pairWords int, target int64, local
 		totals, err := ws.agg.AggregateVec(f, pairWords, vlen, func(w int) []int64 {
 			vals := slab[w*vlen : (w+1)*vlen]
 			clear(vals)
-			for i, p := range cands {
-				local(w, p, vals[i*s.PerCand:(i+1)*s.PerCand])
-			}
+			local(w, cands, vals)
 			return vals
 		})
 		if err != nil {

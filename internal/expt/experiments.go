@@ -15,8 +15,9 @@ import (
 	"ccolor/internal/verify"
 )
 
-// Registry lists every reproduction experiment, keyed by ID. See DESIGN.md
-// §3 for the claim ↔ experiment mapping.
+// Registry lists every reproduction experiment, keyed by ID. Each entry's
+// Claim field states the paper claim it tests, so this list is the
+// claim ↔ experiment map.
 func Registry() []Experiment {
 	return []Experiment{
 		{ID: "E1", Title: "Rounds vs n (Theorem 1.1)", Claim: "ColorReduce rounds are independent of 𝔫; randomized trial coloring grows with log 𝔫", Run: runE1},

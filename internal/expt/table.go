@@ -1,7 +1,7 @@
-// Package expt defines the reproduction experiment suite (DESIGN.md §3):
-// one experiment per quantitative claim of the paper, each emitting
-// paper-style tables and machine-readable CSV. The root bench_test.go and
-// cmd/ccbench expose every experiment.
+// Package expt defines the reproduction experiment suite: one experiment
+// per quantitative claim of the paper (Registry's Claim fields name them),
+// each emitting paper-style tables and machine-readable CSV. The root
+// bench_test.go and cmd/ccbench expose every experiment.
 package expt
 
 import (

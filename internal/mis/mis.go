@@ -4,9 +4,9 @@
 // baseline, randomized Luby, and a deterministic fabric-based variant whose
 // per-phase randomness is a c-wise independent seed fixed by the same
 // derandomization engine as the coloring algorithm. The deterministic
-// variant stands in for the Czumaj–Davies–Parter SPAA'20 algorithm [7] (see
-// DESIGN.md §2): it exposes the same interface and a measured round
-// envelope the Theorem 1.4 experiment fits against.
+// variant stands in for the Czumaj–Davies–Parter SPAA'20 algorithm [7]: it
+// exposes the same interface and a measured round envelope the Theorem 1.4
+// experiment fits against.
 package mis
 
 import (
