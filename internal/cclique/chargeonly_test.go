@@ -1,0 +1,182 @@
+package cclique
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ccolor/internal/fabric"
+)
+
+// randomTraffic draws one round's frames per sender: up to five frames to
+// random nodes with payloads of at most two words, so repeated pairs stay
+// within the default per-pair budget.
+func randomTraffic(rng *rand.Rand, n int) [][]fabric.Msg {
+	out := make([][]fabric.Msg, n)
+	for w := range out {
+		for f := rng.Intn(6); f > 0; f-- {
+			to := rng.Intn(n)
+			if to == w {
+				continue
+			}
+			words := make([]uint64, 1+rng.Intn(2))
+			for i := range words {
+				words[i] = uint64(rng.Intn(9))
+			}
+			out[w] = append(out[w], fabric.Msg{To: to, Words: words})
+		}
+	}
+	return out
+}
+
+// withRing prepends a 1-word frame from every worker to its successor, so
+// a round stages enough words to take the ranged charge-only pass.
+func withRing(frames [][]fabric.Msg) [][]fabric.Msg {
+	out := make([][]fabric.Msg, len(frames))
+	for w := range frames {
+		out[w] = append([]fabric.Msg{{To: (w + 1) % len(frames), Words: []uint64{1}}}, frames[w]...)
+	}
+	return out
+}
+
+func stageMsgs(frames [][]fabric.Msg) func(w int, sb *fabric.SendBuf) {
+	return func(w int, sb *fabric.SendBuf) {
+		for _, m := range frames[w] {
+			sb.Put(m.To, m.Words...)
+		}
+	}
+}
+
+// sameLedger requires two ledgers to agree on every charge a round makes.
+func sameLedger(t *testing.T, what string, a, b *fabric.Ledger) {
+	t.Helper()
+	if a.Rounds() != b.Rounds() || a.WordsMoved() != b.WordsMoved() ||
+		a.MaxSendLoad() != b.MaxSendLoad() || a.MaxRecvLoad() != b.MaxRecvLoad() ||
+		a.PeakRoundWords() != b.PeakRoundWords() {
+		t.Fatalf("%s: ledgers differ:\n reading %v peak=%d\n charge-only %v peak=%d",
+			what, a, a.PeakRoundWords(), b, b.PeakRoundWords())
+	}
+	if !reflect.DeepEqual(a.PhaseProfile(), b.PhaseProfile()) {
+		t.Fatalf("%s: phase profiles differ: %v vs %v", what, a.PhaseProfile(), b.PhaseProfile())
+	}
+}
+
+// TestChargeOnlyRoundMatchesReadingRound runs identical traffic through a
+// network that reads its inboxes and one whose rounds are charge-only
+// (fabric.SendFrames), with serial and with ranged delivery, and requires
+// the two ledgers to agree after every round.
+func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
+	oldCut := fabric.DeliverParallelMinWords
+	fabric.DeliverParallelMinWords = 1
+	defer func() { fabric.DeliverParallelMinWords = oldCut }()
+	const n = 41
+	for _, par := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(par)))
+		read := New(n, WithParallelism(par))
+		skip := New(n, WithParallelism(par))
+		for round, phase := range []string{"a", "b", "a", "", "c", "b"} {
+			read.Ledger().SetPhase(phase)
+			skip.Ledger().SetPhase(phase)
+			stage := stageMsgs(randomTraffic(rng, n))
+			in, err := fabric.RoundFrames(read, stage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(in) != n {
+				t.Fatalf("parallelism %d round %d: reading round returned %d inboxes", par, round, len(in))
+			}
+			if err := fabric.SendFrames(skip, stage); err != nil {
+				t.Fatal(err)
+			}
+			sameLedger(t, "round", read.Ledger(), skip.Ledger())
+		}
+		read.Release()
+		skip.Release()
+	}
+}
+
+// TestChargeOnlyRoundErrors: a charge-only round rejects exactly what a
+// reading round rejects, with the same typed error, charges nothing for
+// it, and still consumes the request, so the next round reads.
+func TestChargeOnlyRoundErrors(t *testing.T) {
+	oldCut := fabric.DeliverParallelMinWords
+	fabric.DeliverParallelMinWords = 1
+	defer func() { fabric.DeliverParallelMinWords = oldCut }()
+	const n = 9
+	cases := []struct {
+		name      string
+		frames    [][]fabric.Msg
+		bandwidth bool
+	}{
+		{"one frame over budget", [][]fabric.Msg{3: {{To: 5, Words: []uint64{1, 2, 3}}}}, true},
+		{"frames sharing a pair", [][]fabric.Msg{2: {{To: 1, Words: []uint64{1}}, {To: 7, Words: []uint64{4}}, {To: 1, Words: []uint64{2, 3}}}}, true},
+		{"out of range", [][]fabric.Msg{4: {{To: 2, Words: []uint64{1}}}, 6: {{To: n + 3, Words: []uint64{1}}}}, false},
+	}
+	for _, tc := range cases {
+		frames := make([][]fabric.Msg, n)
+		copy(frames, tc.frames)
+		for _, par := range []int{1, 4} {
+			read := New(n, WithMsgWords(2), WithParallelism(par))
+			skip := New(n, WithMsgWords(2), WithParallelism(par))
+			_, rerr := fabric.RoundFrames(read, stageMsgs(withRing(frames)))
+			serr := fabric.SendFrames(skip, stageMsgs(withRing(frames)))
+			if rerr == nil || serr == nil {
+				t.Fatalf("%s: reading err %v, charge-only err %v", tc.name, rerr, serr)
+			}
+			var rbe, sbe *BandwidthError
+			if errors.As(rerr, &rbe) != tc.bandwidth || errors.As(serr, &sbe) != tc.bandwidth ||
+				!reflect.DeepEqual(rbe, sbe) || rerr.Error() != serr.Error() {
+				t.Fatalf("%s (parallelism %d): reading err %v, charge-only err %v", tc.name, par, rerr, serr)
+			}
+			sameLedger(t, tc.name, read.Ledger(), skip.Ledger())
+			if skip.Ledger().Rounds() != 0 {
+				t.Fatalf("%s: failed round was charged", tc.name)
+			}
+			in, err := skip.FrameRound(stageMsgs([][]fabric.Msg{0: {{To: 1, Words: []uint64{7}}}, n - 1: nil}))
+			if err != nil || len(in) != n || len(in[1]) != 1 {
+				t.Fatalf("%s: round after the failed charge-only round: %d inboxes, err %v", tc.name, len(in), err)
+			}
+			read.Release()
+			skip.Release()
+		}
+	}
+}
+
+// TestChargeOnlyRequestIsOneShot: SkipNextInboxes affects exactly the next
+// round, through FrameRound or Round, and Reset drops a pending request.
+func TestChargeOnlyRequestIsOneShot(t *testing.T) {
+	const n = 4
+	nw := New(n, WithParallelism(1))
+	defer nw.Release()
+	stage := func(w int, sb *fabric.SendBuf) { sb.Put((w+1)%n, uint64(w)) }
+	reads := func(what string, want bool) {
+		t.Helper()
+		in, err := nw.FrameRound(stage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := in != nil; got != want {
+			t.Fatalf("%s: round returned inboxes = %v, want %v", what, got, want)
+		}
+		if want && (len(in[1]) != 1 || in[1][0].From != 0 || in[1][0].Words[0] != 0) {
+			t.Fatalf("%s: inbox 1 = %+v", what, in[1])
+		}
+	}
+	nw.SkipNextInboxes()
+	reads("requested round", false)
+	reads("round after it", true)
+
+	nw.SkipNextInboxes()
+	if in, err := nw.Round(func(w int) []fabric.Msg { return nil }); err != nil || in != nil {
+		t.Fatalf("Round did not consume the request: %d inboxes, err %v", len(in), err)
+	}
+	reads("round after Round", true)
+
+	nw.SkipNextInboxes()
+	nw.Reset(n)
+	reads("round after Reset", true)
+	if nw.Ledger().Rounds() != 1 {
+		t.Fatalf("rounds after reset = %d, want 1", nw.Ledger().Rounds())
+	}
+}

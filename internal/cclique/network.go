@@ -32,11 +32,15 @@ type Network struct {
 	// is recycled when the next round starts (see fabric.RoundBuffer's
 	// lifetime contract).
 	live *fabric.RoundBuffer
+	// skipInboxes is a pending fabric.ChargeOnlyFabric request, consumed by
+	// the next round.
+	skipInboxes bool
 }
 
 var (
-	_ fabric.Fabric      = (*Network)(nil)
-	_ fabric.FrameFabric = (*Network)(nil)
+	_ fabric.Fabric           = (*Network)(nil)
+	_ fabric.FrameFabric      = (*Network)(nil)
+	_ fabric.ChargeOnlyFabric = (*Network)(nil)
 )
 
 // Option configures a Network.
@@ -74,14 +78,16 @@ func New(n int, opts ...Option) *Network {
 func (nw *Network) Workers() int { return nw.n }
 
 // Reset re-arms the network for a new solve on n nodes: the node count is
-// re-dimensioned and the ledger cleared, while the configured options
-// (word budget, parallelism) and any live round arena carry over — the
-// next round simply recycles it at the new width, exactly as rounds always
-// do. This is what lets a solver session reuse one Network across solves
-// instead of paying cclique.New per call; it mirrors mpc.Cluster.Reset.
+// re-dimensioned, the ledger cleared, and any pending charge-only request
+// dropped, while the configured options (word budget, parallelism) and any
+// live round arena carry over — the next round simply recycles it at the
+// new width, exactly as rounds always do. This is what lets a solver
+// session reuse one Network across solves instead of paying cclique.New per
+// call; it mirrors mpc.Cluster.Reset.
 func (nw *Network) Reset(n int) {
 	nw.n = n
 	nw.ledger.Reset()
+	nw.skipInboxes = false
 }
 
 // Release returns the network's round arenas to the shared pool for reuse
@@ -130,9 +136,15 @@ func (nw *Network) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, erro
 	})
 }
 
+// SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
+// validated and charged as usual but returns nil inboxes.
+func (nw *Network) SkipNextInboxes() { nw.skipInboxes = true }
+
 // FrameRound executes one synchronous round staged directly as flat frames
 // (fabric.FrameFabric), avoiding per-message allocation entirely.
 func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
+	chargeOnly := nw.skipInboxes
+	nw.skipInboxes = false
 	if nw.live != nil {
 		fabric.ReleaseRoundBuffer(nw.live)
 		nw.live = nil
@@ -142,7 +154,11 @@ func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric
 	nw.runParallel(func(v int) {
 		stage(v, rb.Sender(v))
 	})
-	inboxes, stats, err := rb.Deliver(fabric.DeliverOpts{PairWords: nw.msgWords, Pool: nw.pool})
+	inboxes, stats, err := rb.Deliver(fabric.DeliverOpts{
+		PairWords:  nw.msgWords,
+		Pool:       nw.pool,
+		ChargeOnly: chargeOnly,
+	})
 	if err != nil {
 		var re *fabric.RouteError
 		if errors.As(err, &re) {

@@ -124,7 +124,7 @@ func RouteAll(nw *Network, units []UnitMsg) ([][]UnitMsg, error) {
 		toStart[v+1] += toStart[v]
 	}
 	nw.Ledger().SetPhase("route:offsets")
-	if _, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
+	if err := fabric.SendFrames(nw, func(w int, sb *fabric.SendBuf) {
 		for _, pi := range pairsByFrom[fromStart[w]:fromStart[w+1]] {
 			p := pairs[pi]
 			if p.to != w {
@@ -134,7 +134,7 @@ func RouteAll(nw *Network, units []UnitMsg) ([][]UnitMsg, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if _, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
+	if err := fabric.SendFrames(nw, func(w int, sb *fabric.SendBuf) {
 		// Each target w replies to its senders with their block offsets.
 		for _, p := range pairs[toStart[w]:toStart[w+1]] {
 			if p.from != w {

@@ -105,7 +105,7 @@ func (s *solver) collectAndColor(calls []*call) error {
 
 	// Scatter: each target sends every member its color (one word/pair).
 	s.fab.Ledger().SetPhase("collect:scatter")
-	if _, err := fabric.RoundFrames(s.fab, func(w int, sb *fabric.SendBuf) {
+	if err := fabric.SendFrames(s.fab, func(w int, sb *fabric.SendBuf) {
 		v := int32(w)
 		for _, c := range active {
 			if ws.targetOf[c.id] != v {
@@ -141,7 +141,7 @@ func (s *solver) collectAndColor(calls []*call) error {
 	// neighbors (one word/pair); uncolored receivers drop the color from
 	// their palettes — Algorithm 1's "update color palettes" steps.
 	s.fab.Ledger().SetPhase("collect:notify")
-	if _, err := fabric.RoundFrames(s.fab, func(w int, sb *fabric.SendBuf) {
+	if err := fabric.SendFrames(s.fab, func(w int, sb *fabric.SendBuf) {
 		v := int32(w)
 		col, ok := ws.assignedColor(v)
 		if !ok || s.color[v] == graph.NoColor {

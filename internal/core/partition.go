@@ -106,7 +106,7 @@ func (s *solver) partition(x *call) error {
 	for _, v := range g0Nodes {
 		badSet[v] = struct{}{}
 	}
-	if _, err := fabric.RoundFrames(s.fab, func(wk int, sb *fabric.SendBuf) {
+	if err := fabric.SendFrames(s.fab, func(wk int, sb *fabric.SendBuf) {
 		v := int32(wk)
 		if s.callOf[v] != id {
 			return

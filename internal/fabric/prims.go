@@ -14,7 +14,10 @@ import (
 // All primitives stage their traffic as flat frames (RoundFrames), which
 // runs allocation-free on FrameFabric backends and falls back to classic
 // []Msg rounds on any other Fabric; message content, inbox order, and
-// ledger charges are identical on both paths.
+// ledger charges are identical on both paths. Rounds whose receivers learn
+// the payload without reading an inbox (a broadcast's words, an owner's
+// summed elements, a gather's offsets) go through SendFrames, which charges
+// the same round but builds no inboxes.
 //
 // The multi-target gather below is the restricted routing pattern the
 // coloring algorithm needs (per-sender blocks of ≤ O(𝔫) words, per-target
@@ -90,7 +93,7 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 	}
 	if len(words) <= pairWords {
 		_, reps := groupReps(f)
-		_, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		err := SendFrames(f, func(w int, sb *SendBuf) {
 			if w != src {
 				return
 			}
@@ -115,7 +118,7 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 		}
 		chunks[i/pairWords] = words[i:end]
 	}
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if err := SendFrames(f, func(w int, sb *SendBuf) {
 		if w != src {
 			return
 		}
@@ -129,7 +132,7 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 		return err
 	}
 	// Round 2: every chunk holder sends its chunk to everyone.
-	_, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	err := SendFrames(f, func(w int, sb *SendBuf) {
 		ch := chunks[w]
 		if len(ch) == 0 {
 			return
@@ -266,7 +269,7 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 		}
 	}
 	// Round 2: each owner broadcasts its summed elements to all workers.
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if err := SendFrames(f, func(w int, sb *SendBuf) {
 		k := slots(w)
 		if w >= r || k == 0 {
 			return
@@ -297,7 +300,7 @@ func broadcastTree(f Fabric, src int, words []uint64) error {
 	// (skipped when src is the root).
 	root := reps[0]
 	if src != root {
-		if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		if err := SendFrames(f, func(w int, sb *SendBuf) {
 			if w != src {
 				return
 			}
@@ -310,7 +313,7 @@ func broadcastTree(f Fabric, src int, words []uint64) error {
 	// with index < branch^k.
 	have := map[int]bool{root: true}
 	for reach := 1; reach < len(reps); reach *= branch {
-		if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		if err := SendFrames(f, func(w int, sb *SendBuf) {
 			if !have[w] {
 				return
 			}
@@ -474,7 +477,7 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 		for i := 0; i < len(cur); i += branch {
 			ws.blockAt[cur[i]] = int32(i) + 1
 		}
-		_, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		err := SendFrames(f, func(w int, sb *SendBuf) {
 			if !ws.have[w] {
 				return
 			}
@@ -549,7 +552,7 @@ func GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (m
 	// Rounds 1-2: worker 0 assigns each sender a rank offset within its
 	// target's gather space. Each sender reports (target, count) — 2 words;
 	// worker 0 replies with the offset — 1 word.
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if err := SendFrames(f, func(w int, sb *SendBuf) {
 		if targets[w] < 0 || len(blocks[w]) == 0 || w == 0 {
 			return
 		}
@@ -566,7 +569,7 @@ func GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (m
 		offsets[w] = totals[targets[w]]
 		totals[targets[w]] += len(blocks[w])
 	}
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if err := SendFrames(f, func(w int, sb *SendBuf) {
 		if w != 0 {
 			return
 		}

@@ -8,14 +8,18 @@ import (
 
 // Flat-buffer round fabric: instead of materializing one Msg (and one Words
 // slice) per message per round, a round's outgoing traffic is staged in
-// per-worker contiguous []uint64 arenas as length-prefixed frames
+// per-worker contiguous []uint64 arenas (one per sender, so the sender is
+// implied by the arena) as length-prefixed frames
 //
-//	to, from, nwords, payload...
+//	header, payload...
 //
-// and delivered by a counting sort over destinations. Inbox Msg.Words are
-// zero-copy views into the staging arenas, and the arenas are recycled
-// across rounds through a sync.Pool, so the steady-state round executes
-// with no per-message heap allocation on the fabric side.
+// where the single header word packs the destination in its low half and
+// the payload length in its high half (see packHeader). Delivery is a
+// counting sort over destinations. Inbox Msg.Words are zero-copy views into
+// the staging arenas, and the arenas are recycled across rounds through a
+// sync.Pool, so the steady-state round executes with no per-message heap
+// allocation on the fabric side. Rounds that only charge their traffic
+// (SendFrames) stop after validation and accounting and build no inboxes.
 //
 // Lifetime contract: the inboxes returned by a FrameFabric round (including
 // the classic Round adapter over it) reference pooled arenas and are valid
@@ -139,6 +143,36 @@ func RoundFrames(f Fabric, stage func(w int, sb *SendBuf)) ([][]Msg, error) {
 	})
 }
 
+// ChargeOnlyFabric is an optional FrameFabric extension for rounds whose
+// inboxes no caller reads. SkipNextInboxes is a one-shot request: the
+// fabric's next Round or FrameRound stages, validates, and charges its
+// traffic exactly as usual but builds no inboxes and returns nil ones. That
+// round consumes the request even when it fails, and a fabric reset drops a
+// pending one.
+//
+// The request rides on the ordinary FrameRound rather than a method of its
+// own, so a wrapper that embeds a backend and intercepts FrameRound (to time
+// or count rounds) still sees every charge-only round. SendFrames is the
+// intended caller.
+type ChargeOnlyFabric interface {
+	SkipNextInboxes()
+}
+
+// SendFrames runs one round staged as flat frames whose inboxes the caller
+// does not read: the receivers learn the transmitted state from the
+// simulation directly, and the round exists so that its traffic is charged
+// to the ledger and checked against the model's limits. On a
+// ChargeOnlyFabric it skips inbox construction; elsewhere it is RoundFrames
+// with the inboxes dropped. Errors and ledger charges are identical either
+// way.
+func SendFrames(f Fabric, stage func(w int, sb *SendBuf)) error {
+	if c, ok := f.(ChargeOnlyFabric); ok {
+		c.SkipNextInboxes()
+	}
+	_, err := RoundFrames(f, stage)
+	return err
+}
+
 // RouteError reports a frame rejected at delivery: an out-of-range
 // destination, or (when a pair budget is enforced) a per-ordered-pair word
 // total exceeding it. Backends translate it into their model-specific error
@@ -170,10 +204,15 @@ type DeliverOpts struct {
 	// machine-local exchange). Delivery still happens.
 	FreeIntraGroup bool
 	// Pool, when non-nil, lets Deliver partition the destination space into
-	// per-worker ranges and run the counting sort concurrently. Inboxes,
-	// stats, and errors are byte-identical to the serial path; rounds staging
-	// fewer than DeliverParallelMinWords stay serial.
+	// per-worker ranges and run the counting sort concurrently (a
+	// charge-only round partitions the senders instead). Inboxes, stats, and
+	// errors are byte-identical to the serial path; rounds staging fewer
+	// than DeliverParallelMinWords stay serial.
 	Pool *WorkPool
+	// ChargeOnly stops Deliver after its validation and accounting pass:
+	// errors and stats are exactly those of a full delivery, but no inboxes
+	// are built and Deliver returns nil ones.
+	ChargeOnly bool
 }
 
 // RoundStats is the traffic profile of one delivered round. SendLoad and
@@ -228,6 +267,19 @@ type RoundBuffer struct {
 	grpSend    []int64          // grouped mode: per (range, group) charged send words
 	grpRecv    []int64          // grouped mode: per (range, group) charged recv words
 	grpHit     []bool           // grouped mode: per (range, group) any charged frame
+
+	// Charge-only ranged scratch (chargeParallel): ranges are sender blocks.
+	senderCut   []int        // block b holds senders [senderCut[b], senderCut[b+1])
+	blockSlots  [][]destSlot // per block: per-destination state
+	chargeStamp int64        // destSlot stamps: a round's senders stamp above it
+}
+
+// destSlot is one sender block's per-destination state in chargeParallel,
+// kept together so each frame costs one random access.
+type destSlot struct {
+	stamp int64 // chargeStamp at round start + the last sender to reach it + 1
+	pair  int64 // that sender's running word total to this destination
+	recv  int64 // words the block's senders sent here this round
 }
 
 // deliverErrCand is one range worker's earliest violation, positioned by
@@ -314,6 +366,12 @@ func growBool(s []bool, n int) []bool {
 // cost scales with its live traffic, not with the full worker domain — at
 // large n most rounds of the recursive solvers touch a small residual set,
 // and the old full-width zero/prefix/scan passes dominated wall clock.
+//
+// With opts.ChargeOnly, Deliver returns after pass 1 (validation and
+// accounting; on the pool, chargeParallel): no frame counts, locators, Msg
+// slab, or tie-break sort, and nil inboxes. The inbox entries of the
+// previous round on this buffer are still reset, so a full round after a
+// charge-only one starts clean.
 func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 	n := rb.n
 	groups := opts.Groups
@@ -370,11 +428,20 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 	if opts.Pool != nil && opts.Pool.Workers() > 1 && staged >= DeliverParallelMinWords &&
 		!(opts.FreeIntraGroup && groupOf == nil) &&
 		(groupOf == nil || groups <= deliverParallelMaxGroups) {
-		return rb.deliverParallel(opts, groups, maxArena)
+		if !opts.ChargeOnly {
+			return rb.deliverParallel(opts, groups, maxArena)
+		}
+		// chargeParallel keeps a row of n slots per sender block; rounds
+		// staging fewer than n words are cheaper serially.
+		if staged >= n {
+			stats, err := rb.chargeParallel(opts, groups, staged)
+			return nil, stats, err
+		}
 	}
 
-	// Pass 1: validate in staging order, count frames per destination, and
-	// charge group loads.
+	// Pass 1: validate in staging order, count frames per destination
+	// (unless charge-only), and charge group loads.
+	inbox := !opts.ChargeOnly
 	var total int64
 	nmsg := 0
 	for w := 0; w < n; w++ {
@@ -404,13 +471,15 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 					}
 				}
 			}
-			if rb.destStamp[to] != ep {
-				rb.destStamp[to] = ep
-				rb.cnt[to] = 0
-				rb.touched = append(rb.touched, int32(to))
+			if inbox {
+				if rb.destStamp[to] != ep {
+					rb.destStamp[to] = ep
+					rb.cnt[to] = 0
+					rb.touched = append(rb.touched, int32(to))
+				}
+				rb.cnt[to]++
+				nmsg++
 			}
-			rb.cnt[to]++
-			nmsg++
 			gt := to
 			if groupOf != nil {
 				gt = groupOf[to]
@@ -426,11 +495,14 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 			i += frameHeader + nw
 		}
 	}
-	if !slices.IsSorted(rb.touched) {
-		slices.Sort(rb.touched)
-	}
 	if !slices.IsSorted(rb.tgroups) {
 		slices.Sort(rb.tgroups)
+	}
+	if !inbox {
+		return nil, rb.stats(total), nil
+	}
+	if !slices.IsSorted(rb.touched) {
+		slices.Sort(rb.touched)
 	}
 
 	// Pass 2: prefix offsets over the touched destinations, then
@@ -500,15 +572,6 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 
 	// Pass 3: slice inboxes out of the slab and order equal-sender runs by
 	// payload (SortInbox's tie-break; runs are per ordered pair and tiny).
-	var maxSend, maxRecv int64
-	for _, g := range rb.tgroups {
-		if rb.sendLoad[g] > maxSend {
-			maxSend = rb.sendLoad[g]
-		}
-		if rb.recvLoad[g] > maxRecv {
-			maxRecv = rb.recvLoad[g]
-		}
-	}
 	for ti, d := range rb.touched {
 		lo := rb.off[d]
 		hi := int32(nmsg)
@@ -532,14 +595,28 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 	// The touched list becomes next round's inbox-reset list (swap so both
 	// stay allocation-free in steady state).
 	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
-	return rb.inboxes[:n], RoundStats{
+	return rb.inboxes[:n], rb.stats(total), nil
+}
+
+// stats assembles the round's RoundStats from the charged groups' loads.
+func (rb *RoundBuffer) stats(total int64) RoundStats {
+	var maxSend, maxRecv int64
+	for _, g := range rb.tgroups {
+		if rb.sendLoad[g] > maxSend {
+			maxSend = rb.sendLoad[g]
+		}
+		if rb.recvLoad[g] > maxRecv {
+			maxRecv = rb.recvLoad[g]
+		}
+	}
+	return RoundStats{
 		TotalWords:  total,
 		MaxSendLoad: maxSend,
 		MaxRecvLoad: maxRecv,
 		SendLoad:    rb.sendLoad,
 		RecvLoad:    rb.recvLoad,
 		Groups:      rb.tgroups,
-	}, nil
+	}
 }
 
 // deliverParallel is Deliver's multicore body: the destination space [0,n)
@@ -568,12 +645,7 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 	if nr > n {
 		nr = n
 	}
-	if cap(rb.rangeTouch) < nr {
-		grown := make([][]int32, nr)
-		copy(grown, rb.rangeTouch)
-		rb.rangeTouch = grown
-	}
-	rb.rangeTouch = rb.rangeTouch[:nr]
+	rb.rangeScratch(nr, groups, groupOf != nil)
 	if cap(rb.rangeOff) < nr+1 {
 		rb.rangeOff = make([]int, nr+1)
 	}
@@ -582,18 +654,6 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 		rb.rangeNmsg = make([]int, nr)
 	}
 	rb.rangeNmsg = rb.rangeNmsg[:nr]
-	if cap(rb.rangeErr) < nr {
-		rb.rangeErr = make([]deliverErrCand, nr)
-	}
-	rb.rangeErr = rb.rangeErr[:nr]
-	if groupOf != nil {
-		rb.grpSend = growInt64(rb.grpSend, nr*groups)
-		rb.grpRecv = growInt64(rb.grpRecv, nr*groups)
-		rb.grpHit = growBool(rb.grpHit, nr*groups)
-		clear(rb.grpSend)
-		clear(rb.grpRecv)
-		clear(rb.grpHit)
-	}
 	// Reserve a deterministic pair-budget stamp per sender up front: the
 	// serial pass advances rb.stamp once per non-empty arena, but ranges
 	// visit senders concurrently, so sender w stamps with base+w+1 instead.
@@ -704,28 +764,10 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 	}
 	rb.rangeOff[nr] = len(rb.touched)
 
-	// Group accounting merge.
+	// Group accounting merge. Ungrouped, the touched list is the receive
+	// side (its loads were summed in phase A by the owning range).
 	var total int64
 	if groupOf == nil {
-		// Per-worker groups with nothing free: every staged frame is
-		// charged, so a sender's load is exactly its arena's payload words
-		// and the touched list is the group set's receive side.
-		for w := 0; w < n; w++ {
-			sb := &rb.send[w]
-			if sb.nmsg == 0 {
-				continue
-			}
-			words := int64(len(sb.buf)) - int64(sb.nmsg)*frameHeader
-			if rb.gStamp[w] != ep {
-				rb.gStamp[w] = ep
-				rb.tgroups = append(rb.tgroups, int32(w))
-				if rb.destStamp[w] != ep {
-					rb.recvLoad[w] = 0 // sends but receives nothing
-				}
-			}
-			rb.sendLoad[w] = words
-			total += words
-		}
 		for _, d := range rb.touched {
 			if rb.gStamp[d] != ep {
 				rb.gStamp[d] = ep
@@ -733,29 +775,9 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 				rb.sendLoad[d] = 0 // receives but sends nothing
 			}
 		}
-		if !slices.IsSorted(rb.tgroups) {
-			slices.Sort(rb.tgroups)
-		}
+		total = rb.chargeSenders()
 	} else {
-		for g := 0; g < groups; g++ {
-			hit := false
-			var sw, rw int64
-			for r := 0; r < nr; r++ {
-				if rb.grpHit[r*groups+g] {
-					hit = true
-				}
-				sw += rb.grpSend[r*groups+g]
-				rw += rb.grpRecv[r*groups+g]
-			}
-			if !hit {
-				continue
-			}
-			rb.gStamp[g] = ep
-			rb.tgroups = append(rb.tgroups, int32(g)) // ascending by construction
-			rb.sendLoad[g] = sw
-			rb.recvLoad[g] = rw
-			total += sw
-		}
+		total = rb.mergeGroups(nr, groups)
 	}
 
 	// Prefix offsets over the (globally sorted) touched list, exactly as the
@@ -842,24 +864,220 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 	}
 	pool.RunHeavy(nr, phaseBC)
 
-	var maxSend, maxRecv int64
-	for _, g := range rb.tgroups {
-		if rb.sendLoad[g] > maxSend {
-			maxSend = rb.sendLoad[g]
+	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
+	return rb.inboxes[:n], rb.stats(total), nil
+}
+
+// rangeScratch sizes the per-range state shared by the ranged passes: touch
+// lists, error candidates and, for grouped accounting, zeroed per-(range,
+// group) load slabs.
+func (rb *RoundBuffer) rangeScratch(nr, groups int, grouped bool) {
+	if cap(rb.rangeTouch) < nr {
+		grown := make([][]int32, nr)
+		copy(grown, rb.rangeTouch)
+		rb.rangeTouch = grown
+	}
+	rb.rangeTouch = rb.rangeTouch[:nr]
+	if cap(rb.rangeErr) < nr {
+		rb.rangeErr = make([]deliverErrCand, nr)
+	}
+	rb.rangeErr = rb.rangeErr[:nr]
+	if grouped {
+		rb.grpSend = growInt64(rb.grpSend, nr*groups)
+		rb.grpRecv = growInt64(rb.grpRecv, nr*groups)
+		rb.grpHit = growBool(rb.grpHit, nr*groups)
+		clear(rb.grpSend)
+		clear(rb.grpRecv)
+		clear(rb.grpHit)
+	}
+}
+
+// chargeSenders finishes ungrouped accounting once a ranged pass has listed
+// the receive side in tgroups. With per-worker groups and nothing free,
+// every staged frame is charged, so a sender's load is exactly its arena's
+// payload words. It returns the round's total and leaves tgroups sorted.
+func (rb *RoundBuffer) chargeSenders() int64 {
+	ep := rb.epoch
+	var total int64
+	for w := 0; w < rb.n; w++ {
+		sb := &rb.send[w]
+		if sb.nmsg == 0 {
+			continue
 		}
-		if rb.recvLoad[g] > maxRecv {
-			maxRecv = rb.recvLoad[g]
+		words := int64(len(sb.buf)) - int64(sb.nmsg)*frameHeader
+		if rb.gStamp[w] != ep {
+			rb.gStamp[w] = ep
+			rb.tgroups = append(rb.tgroups, int32(w))
+			rb.recvLoad[w] = 0 // sends but receives nothing
+		}
+		rb.sendLoad[w] = words
+		total += words
+	}
+	if !slices.IsSorted(rb.tgroups) {
+		slices.Sort(rb.tgroups)
+	}
+	return total
+}
+
+// mergeGroups sums a grouped ranged pass's per-(range, group) slabs into the
+// group loads and returns the round's total.
+func (rb *RoundBuffer) mergeGroups(nr, groups int) int64 {
+	ep := rb.epoch
+	var total int64
+	for g := 0; g < groups; g++ {
+		hit := false
+		var sw, rw int64
+		for r := 0; r < nr; r++ {
+			if rb.grpHit[r*groups+g] {
+				hit = true
+			}
+			sw += rb.grpSend[r*groups+g]
+			rw += rb.grpRecv[r*groups+g]
+		}
+		if !hit {
+			continue
+		}
+		rb.gStamp[g] = ep
+		rb.tgroups = append(rb.tgroups, int32(g)) // ascending by construction
+		rb.sendLoad[g] = sw
+		rb.recvLoad[g] = rw
+		total += sw
+	}
+	return total
+}
+
+// chargeParallel is the charge-only accounting pass on the pool. Where
+// deliverParallel splits the destinations, so that every range scans every
+// arena, it splits the senders into contiguous blocks of about equal staged
+// words, so each frame is read once. What is keyed by destination (the
+// pair-budget counters and, ungrouped, the receive loads) lives in per-block
+// destSlot rows and is merged serially; grouped loads go to the
+// per-(block, group) slabs. Blocks are ascending sender intervals and each
+// stops at its first violation, so the lowest block that reports one holds
+// the error the serial pass would return.
+func (rb *RoundBuffer) chargeParallel(opts DeliverOpts, groups, staged int) (RoundStats, error) {
+	n := rb.n
+	groupOf := opts.GroupOf
+	nb := opts.Pool.Workers()
+	if nb > n {
+		nb = n
+	}
+	rb.rangeScratch(nb, groups, groupOf != nil)
+	rb.senderCut = append(rb.senderCut[:0], 0)
+	acc := 0
+	for w := 0; w < n; w++ {
+		acc += len(rb.send[w].buf)
+		for len(rb.senderCut) < nb && acc*nb >= len(rb.senderCut)*staged {
+			rb.senderCut = append(rb.senderCut, w+1)
 		}
 	}
-	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
-	return rb.inboxes[:n], RoundStats{
-		TotalWords:  total,
-		MaxSendLoad: maxSend,
-		MaxRecvLoad: maxRecv,
-		SendLoad:    rb.sendLoad,
-		RecvLoad:    rb.recvLoad,
-		Groups:      rb.tgroups,
-	}, nil
+	for len(rb.senderCut) <= nb {
+		rb.senderCut = append(rb.senderCut, n)
+	}
+	perDest := groupOf == nil || opts.PairWords > 0
+	if perDest {
+		if len(rb.blockSlots) < nb {
+			rb.blockSlots = append(rb.blockSlots, make([][]destSlot, nb-len(rb.blockSlots))...)
+		}
+		for b := 0; b < nb; b++ {
+			if cap(rb.blockSlots[b]) < n {
+				rb.blockSlots[b] = make([]destSlot, n)
+			}
+			rb.blockSlots[b] = rb.blockSlots[b][:n]
+		}
+	}
+	// Sender w stamps base+w+1, so a slot stamped at or below base has not
+	// been reached this round; stamps only grow across rounds.
+	base := rb.chargeStamp
+	rb.chargeStamp += int64(n)
+
+	block := func(b int) {
+		var slots []destSlot
+		if perDest {
+			slots = rb.blockSlots[b]
+		}
+		var gSend, gRecv []int64
+		var gHit []bool
+		if groupOf != nil {
+			gSend = rb.grpSend[b*groups : (b+1)*groups]
+			gRecv = rb.grpRecv[b*groups : (b+1)*groups]
+			gHit = rb.grpHit[b*groups : (b+1)*groups]
+		}
+		touch := rb.rangeTouch[b][:0]
+		rb.rangeErr[b] = deliverErrCand{}
+	senders:
+		for w := rb.senderCut[b]; w < rb.senderCut[b+1]; w++ {
+			buf := rb.send[w].buf
+			st := base + int64(w) + 1
+			gw := w
+			if groupOf != nil {
+				gw = groupOf[w]
+			}
+			for i := 0; i < len(buf); {
+				to, nw := unpackHeader(buf[i])
+				fi := i
+				i += frameHeader + nw
+				if to < 0 || to >= n {
+					rb.rangeErr[b] = deliverErrCand{ok: true, w: w, i: fi,
+						err: RouteError{OutOfRange: true, From: w, To: to}}
+					break senders
+				}
+				if perDest {
+					sl := &slots[to]
+					if sl.stamp != st {
+						if sl.stamp <= base {
+							sl.recv = 0
+							touch = append(touch, int32(to))
+						}
+						sl.stamp = st
+						sl.pair = 0
+					}
+					sl.pair += int64(nw)
+					sl.recv += int64(nw)
+					if opts.PairWords > 0 && sl.pair > int64(opts.PairWords) {
+						rb.rangeErr[b] = deliverErrCand{ok: true, w: w, i: fi,
+							err: RouteError{From: w, To: to, Words: int(sl.pair), Budget: opts.PairWords}}
+						break senders
+					}
+				}
+				if groupOf != nil {
+					gt := groupOf[to]
+					if !opts.FreeIntraGroup || gt != gw {
+						gSend[gw] += int64(nw)
+						gRecv[gt] += int64(nw)
+						gHit[gw] = true
+						gHit[gt] = true
+					}
+				}
+			}
+		}
+		rb.rangeTouch[b] = touch
+	}
+	opts.Pool.RunHeavy(nb, block)
+
+	for b := 0; b < nb; b++ {
+		if c := &rb.rangeErr[b]; c.ok {
+			e := c.err
+			return RoundStats{}, &e
+		}
+	}
+	if groupOf != nil {
+		return rb.stats(rb.mergeGroups(nb, groups)), nil
+	}
+	ep := rb.epoch
+	for b := 0; b < nb; b++ {
+		slots := rb.blockSlots[b]
+		for _, d := range rb.rangeTouch[b] {
+			if rb.gStamp[d] != ep {
+				rb.gStamp[d] = ep
+				rb.tgroups = append(rb.tgroups, d)
+				rb.sendLoad[d] = 0
+				rb.recvLoad[d] = 0
+			}
+			rb.recvLoad[d] += slots[d].recv
+		}
+	}
+	return rb.stats(rb.chargeSenders()), nil
 }
 
 // insertionSortByWords orders an equal-sender run lexicographically by

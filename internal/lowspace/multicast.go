@@ -124,7 +124,7 @@ func (s *solver) spacedMulticast(phase string, pairs []msgPair) error {
 	s.cluster.Ledger().SetPhase(phase)
 	for r := 0; r < nrounds; r++ {
 		seg := order[rstart[r]:rstart[r+1]]
-		if _, err := s.cluster.FrameRound(func(w int, sb *fabric.SendBuf) {
+		if err := fabric.SendFrames(s.cluster, func(w int, sb *fabric.SendBuf) {
 			lo := sort.Search(len(seg), func(k int) bool { return int(pairs[seg[k]].from) >= w })
 			for _, idx := range seg[lo:] {
 				p := pairs[idx]

@@ -45,11 +45,15 @@ type Cluster struct {
 	// is recycled when the next round starts (see fabric.RoundBuffer's
 	// lifetime contract).
 	live *fabric.RoundBuffer
+	// skipInboxes is a pending fabric.ChargeOnlyFabric request, consumed by
+	// the next round.
+	skipInboxes bool
 }
 
 var (
-	_ fabric.Fabric      = (*Cluster)(nil)
-	_ fabric.FrameFabric = (*Cluster)(nil)
+	_ fabric.Fabric           = (*Cluster)(nil)
+	_ fabric.FrameFabric      = (*Cluster)(nil)
+	_ fabric.ChargeOnlyFabric = (*Cluster)(nil)
 )
 
 // Option configures a Cluster.
@@ -169,13 +173,13 @@ func (c *Cluster) Workers() int { return c.virtual }
 
 // Reset re-initializes the cluster in place for a new solve: a fresh
 // virtual-worker → machine assignment, machine count, and per-machine space,
-// with resident data, the ledger, and the peak-space watermark cleared. The
-// assignment and resident scratch are reused (no allocation once the
-// cluster has seen its largest configuration), which is what lets one MIS
-// cluster be recycled across every pool of a low-space solve instead of
-// building a new cluster per pool. Options (parallelism, total budget) and
-// any live round arena carry over; the arena is simply recycled by the next
-// round as usual.
+// with resident data, the ledger, the peak-space watermark, and any pending
+// charge-only request cleared. The assignment and resident scratch are
+// reused (no allocation once the cluster has seen its largest
+// configuration), which is what lets one MIS cluster be recycled across
+// every pool of a low-space solve instead of building a new cluster per
+// pool. Options (parallelism, total budget) and any live round arena carry
+// over; the arena is simply recycled by the next round as usual.
 func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	for w, m := range assign {
 		if m < 0 || m >= machines {
@@ -195,6 +199,7 @@ func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	c.ledger.Reset()
 	c.peakSpace = 0
 	c.maxResident = 0
+	c.skipInboxes = false
 	return nil
 }
 
@@ -296,9 +301,15 @@ func (c *Cluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error
 	})
 }
 
+// SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
+// validated and charged as usual but returns nil inboxes.
+func (c *Cluster) SkipNextInboxes() { c.skipInboxes = true }
+
 // FrameRound executes one synchronous round staged directly as flat frames
 // (fabric.FrameFabric), avoiding per-message allocation entirely.
 func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
+	chargeOnly := c.skipInboxes
+	c.skipInboxes = false
 	if c.live != nil {
 		fabric.ReleaseRoundBuffer(c.live)
 		c.live = nil
@@ -311,6 +322,7 @@ func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.
 		Groups:         c.machines,
 		FreeIntraGroup: true,
 		Pool:           c.workPool,
+		ChargeOnly:     chargeOnly,
 	})
 	if err != nil {
 		var re *fabric.RouteError

@@ -69,7 +69,7 @@ func PrefixSums(c *Cluster, local func(w int) int64) ([]int64, error) {
 		}
 		// One real round: block members ship their subtree sums to the
 		// block leader (addressed via the leader machine's first worker).
-		if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) {
+		if err := fabric.SendFrames(c, func(w int, sb *fabric.SendBuf) {
 			for i := 0; i < len(cur.machines); i += branch {
 				end := i + branch
 				if end > len(cur.machines) {
@@ -98,7 +98,7 @@ func PrefixSums(c *Cluster, local func(w int) int64) ([]int64, error) {
 	hasOff[cur.machines[0]] = true
 	for li := len(levels) - 2; li >= 0; li-- {
 		lv := levels[li]
-		if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) {
+		if err := fabric.SendFrames(c, func(w int, sb *fabric.SendBuf) {
 			for i := 0; i < len(lv.machines); i += branch {
 				leader := lv.machines[i]
 				if !hasOff[leader] || firstWorker[leader] != w {
@@ -197,7 +197,7 @@ func Sort(c *Cluster, local [][]uint64) ([][]uint64, error) {
 			break
 		}
 	}
-	if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) {
+	if err := fabric.SendFrames(c, func(w int, sb *fabric.SendBuf) {
 		m := c.assign[w]
 		if m == 0 || !isFirstOfMachine(c, w) {
 			return
@@ -220,7 +220,7 @@ func Sort(c *Cluster, local [][]uint64) ([][]uint64, error) {
 		splitters[i-1] = samples[(len(samples)-1)*i/n]
 	}
 	// Round 2: broadcast splitters (to each machine's first worker).
-	if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) {
+	if err := fabric.SendFrames(c, func(w int, sb *fabric.SendBuf) {
 		if w != first0 {
 			return
 		}

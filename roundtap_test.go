@@ -1,0 +1,127 @@
+package ccolor_test
+
+// Every fabric round must pass through FrameRound. The benchmark's traced
+// runs (perfbench/traced.go) time rounds with wrappers that embed
+// *cclique.Network or *mpc.Cluster and override only FrameRound and Round,
+// and attribute each round's wall time to the fabric layer from those
+// timings. A round issued any other way would escape the wrapper and its
+// time would land in the caller's layer instead. The wrappers below have
+// the same shape and count the calls they see.
+
+import (
+	"testing"
+
+	"ccolor/internal/cclique"
+	"ccolor/internal/core"
+	"ccolor/internal/fabric"
+	"ccolor/internal/mpc"
+	"ccolor/internal/scenario"
+	"ccolor/internal/verify"
+)
+
+// roundCount tallies the rounds a wrapper saw, and how many of them came
+// back without inboxes (charge-only rounds).
+type roundCount struct {
+	rounds, chargeOnly int
+}
+
+func (c *roundCount) frameRound(inner func(func(int, *fabric.SendBuf)) ([][]fabric.Msg, error),
+	stage func(int, *fabric.SendBuf)) ([][]fabric.Msg, error) {
+	c.rounds++
+	in, err := inner(stage)
+	if err == nil && in == nil {
+		c.chargeOnly++
+	}
+	return in, err
+}
+
+func stageProduced(produce func(w int) []fabric.Msg) func(int, *fabric.SendBuf) {
+	return func(w int, sb *fabric.SendBuf) {
+		for _, m := range produce(w) {
+			sb.Put(m.To, m.Words...)
+		}
+	}
+}
+
+type tappedClique struct {
+	*cclique.Network
+	roundCount
+}
+
+func (f *tappedClique) FrameRound(stage func(int, *fabric.SendBuf)) ([][]fabric.Msg, error) {
+	return f.frameRound(f.Network.FrameRound, stage)
+}
+
+func (f *tappedClique) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
+	return f.FrameRound(stageProduced(produce))
+}
+
+type tappedCluster struct {
+	*mpc.Cluster
+	roundCount
+}
+
+func (f *tappedCluster) FrameRound(stage func(int, *fabric.SendBuf)) ([][]fabric.Msg, error) {
+	return f.frameRound(f.Cluster.FrameRound, stage)
+}
+
+func (f *tappedCluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
+	return f.FrameRound(stageProduced(produce))
+}
+
+// TestRoundTapSeesEveryRound solves a registry scenario through a tapped
+// congested clique and a tapped linear MPC cluster and requires the tap to
+// have seen exactly the rounds the ledger charged, charge-only ones
+// included.
+func TestRoundTapSeesEveryRound(t *testing.T) {
+	spec, err := scenario.Lookup("gnp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := spec.Instance(256, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := inst.G.N()
+	weight := func(v int) int64 { return int64(inst.G.Degree(int32(v)) + len(inst.Palettes[v]) + 2) }
+	cases := []struct {
+		name string
+		mk   func() (f fabric.Fabric, pairWords int, count *roundCount, release func())
+	}{
+		{"cclique", func() (fabric.Fabric, int, *roundCount, func()) {
+			nw := cclique.New(n)
+			f := &tappedClique{Network: nw}
+			return f, nw.MsgWords(), &f.roundCount, nw.Release
+		}},
+		{"mpc", func() (fabric.Fabric, int, *roundCount, func()) {
+			cl, err := mpc.NewLinear(n, weight, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := &tappedCluster{Cluster: cl}
+			return f, 8, &f.roundCount, cl.Release
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, pairWords, count, release := tc.mk()
+			defer release()
+			var ws core.Workspace
+			defer ws.Release()
+			col, _, err := core.SolveWS(f, pairWords, inst, core.DefaultParams(), &ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := verify.ListColoring(inst, col); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := count.rounds, f.Ledger().Rounds(); got != want || want == 0 {
+				t.Fatalf("tap saw %d rounds, ledger charged %d", got, want)
+			}
+			if count.chargeOnly == 0 {
+				t.Fatal("no charge-only round passed through the tap")
+			}
+			t.Logf("%d rounds, %d charge-only", count.rounds, count.chargeOnly)
+		})
+	}
+}
