@@ -405,12 +405,12 @@ func BenchmarkSolveScaling(b *testing.B) {
 
 // BenchmarkSolveParallel sweeps GOMAXPROCS over the warm gnp64k solve — the
 // workload whose rounds clear fabric.DeliverParallelMinWords, so Deliver
-// partitions its destination space across the session pool. The p1 point is
-// the serial reference; cmd/benchguard's -parallel gate requires p4 to beat
-// it by the configured speedup on CI's multicore runners. On a single-core
-// machine the sweep still runs (the parallel path is exercised through the
-// pool) but all points measure alike; the gate is only meaningful where the
-// hardware can actually overlap ranges.
+// splits each round's senders into one block per worker of the session
+// pool. At p1 every round runs as one block; cmd/benchguard's -parallel gate
+// requires p4 to beat it by the configured speedup on CI's multicore
+// runners. On a single-core machine the sweep still runs (the blocks are
+// exercised through the pool) but all points measure alike; the gate is
+// only meaningful where the hardware can actually overlap blocks.
 func BenchmarkSolveParallel(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("gnp64k/p%d", p), func(b *testing.B) {

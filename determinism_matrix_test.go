@@ -2,10 +2,11 @@ package ccolor_test
 
 // The parallel-delivery determinism matrix: one solve per point of
 // GOMAXPROCS {1, 4} × worker-pool width {1, 2, 8}, for both the
-// congested-clique and linear-MPC backends, with the parallel-delivery
-// cutoff lowered to 1 so the ranged multi-worker path actually runs at
-// test sizes. Width 1 is the serial reference implementation; every other
-// point must reproduce its coloring fingerprint and ledger byte-for-byte.
+// congested-clique and linear-MPC backends, with the one-block cutoff
+// lowered to 1 so every round splits into one sender block per pool worker
+// at test sizes. Width 1 delivers every round as one block, the serial case
+// of the same code; every other point must reproduce its coloring
+// fingerprint and ledger byte-for-byte.
 // This is the solve-level contract on top of the inbox-level tests in
 // internal/cclique and internal/mpc: no scheduling decision — Go's or the
 // pool's — may leak into results.
@@ -119,7 +120,7 @@ func TestSolveDeterminismMatrix(t *testing.T) {
 						continue
 					}
 					if run != ref {
-						t.Errorf("%s diverges from serial reference:\n  got  %s\n  want %s",
+						t.Errorf("%s diverges from the one-block reference:\n  got  %s\n  want %s",
 							label, run, ref)
 					}
 				}

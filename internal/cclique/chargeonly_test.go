@@ -31,7 +31,8 @@ func randomTraffic(rng *rand.Rand, n int) [][]fabric.Msg {
 }
 
 // withRing prepends a 1-word frame from every worker to its successor, so
-// a round stages enough words to take the ranged charge-only pass.
+// every worker stages something and a round splits into as many sender
+// blocks as the pool has workers.
 func withRing(frames [][]fabric.Msg) [][]fabric.Msg {
 	out := make([][]fabric.Msg, len(frames))
 	for w := range frames {
@@ -54,7 +55,7 @@ func sameLedger(t *testing.T, what string, a, b *fabric.Ledger) {
 	if a.Rounds() != b.Rounds() || a.WordsMoved() != b.WordsMoved() ||
 		a.MaxSendLoad() != b.MaxSendLoad() || a.MaxRecvLoad() != b.MaxRecvLoad() ||
 		a.PeakRoundWords() != b.PeakRoundWords() {
-		t.Fatalf("%s: ledgers differ:\n reading %v peak=%d\n charge-only %v peak=%d",
+		t.Fatalf("%s: ledgers differ:\n reading %v peak=%d\n without inboxes %v peak=%d",
 			what, a, a.PeakRoundWords(), b, b.PeakRoundWords())
 	}
 	if !reflect.DeepEqual(a.PhaseProfile(), b.PhaseProfile()) {
@@ -64,8 +65,8 @@ func sameLedger(t *testing.T, what string, a, b *fabric.Ledger) {
 
 // TestChargeOnlyRoundMatchesReadingRound runs identical traffic through a
 // network that reads its inboxes and one whose rounds are charge-only
-// (fabric.SendFrames), with serial and with ranged delivery, and requires
-// the two ledgers to agree after every round.
+// (fabric.SendFrames), at parallelism 1 and 4 with every round split into
+// sender blocks, and requires the two ledgers to agree after every round.
 func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 	oldCut := fabric.DeliverParallelMinWords
 	fabric.DeliverParallelMinWords = 1
@@ -163,19 +164,110 @@ func TestChargeOnlyRequestIsOneShot(t *testing.T) {
 			t.Fatalf("%s: inbox 1 = %+v", what, in[1])
 		}
 	}
-	nw.SkipNextInboxes()
+	nw.SkipNextInboxes(nil)
 	reads("requested round", false)
 	reads("round after it", true)
 
-	nw.SkipNextInboxes()
+	nw.SkipNextInboxes(nil)
 	if in, err := nw.Round(func(w int) []fabric.Msg { return nil }); err != nil || in != nil {
 		t.Fatalf("Round did not consume the request: %d inboxes, err %v", len(in), err)
 	}
 	reads("round after Round", true)
 
-	nw.SkipNextInboxes()
+	nw.SkipNextInboxes(nil)
 	nw.Reset(n)
 	reads("round after Reset", true)
+	if nw.Ledger().Rounds() != 1 {
+		t.Fatalf("rounds after reset = %d, want 1", nw.Ledger().Rounds())
+	}
+}
+
+// TestCombiningRoundMatchesReadingRound runs identical traffic through a
+// network that reads its inboxes and one whose rounds are combining rounds
+// (fabric.SumFrames), at parallelism 1 and 4 with every round split into
+// sender blocks, and requires the sums to equal the reading round's inbox
+// sums and the two ledgers to agree after every round.
+func TestCombiningRoundMatchesReadingRound(t *testing.T) {
+	oldCut := fabric.DeliverParallelMinWords
+	fabric.DeliverParallelMinWords = 1
+	defer func() { fabric.DeliverParallelMinWords = oldCut }()
+	const n = 41
+	for _, par := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(int64(par)))
+		read := New(n, WithParallelism(par))
+		comb := New(n, WithParallelism(par))
+		for round := 0; round < 6; round++ {
+			stage := stageMsgs(randomTraffic(rng, n))
+			in, err := fabric.RoundFrames(read, stage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]int64, 2*n) // payloads are at most two words
+			for d, msgs := range in {
+				for _, m := range msgs {
+					for s, x := range m.Words {
+						want[d+s*n] += int64(x)
+					}
+				}
+			}
+			sum := make([]int64, 2*n)
+			if err := fabric.SumFrames(comb, sum, stage); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(sum, want) {
+				t.Fatalf("parallelism %d round %d: sum %v, inbox sums %v", par, round, sum, want)
+			}
+			sameLedger(t, "round", read.Ledger(), comb.Ledger())
+		}
+		read.Release()
+		comb.Release()
+	}
+}
+
+// TestCombiningRequestIsOneShot: SkipNextInboxes with a sum makes exactly
+// the next round a combining round, a failed round consumes the request
+// too, and Reset drops a pending one.
+func TestCombiningRequestIsOneShot(t *testing.T) {
+	const n = 4
+	nw := New(n, WithParallelism(1))
+	defer nw.Release()
+	stage := func(w int, sb *fabric.SendBuf) { sb.Put((w+1)%n, uint64(w+1)) }
+	sum := make([]int64, n)
+	reads := func(what string) {
+		t.Helper()
+		in, err := nw.FrameRound(stage)
+		if err != nil || len(in) != n || len(in[1]) != 1 || in[1][0].Words[0] != 1 {
+			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
+		}
+		if want := []int64{4, 1, 2, 3}; !reflect.DeepEqual(sum, want) {
+			t.Fatalf("%s: sum %v, want %v", what, sum, want)
+		}
+	}
+	nw.SkipNextInboxes(sum)
+	if in, err := nw.FrameRound(stage); err != nil || in != nil {
+		t.Fatalf("combining round: %d inboxes, err %v", len(in), err)
+	}
+	reads("round after it")
+
+	nw.SkipNextInboxes(sum)
+	_, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(n+1, 1) })
+	if err == nil {
+		t.Fatal("out-of-range combining round accepted")
+	}
+	reads("round after a failed combining round")
+
+	short := make([]int64, 2) // frames to nodes 2 and 3 land past it
+	nw.SkipNextInboxes(short)
+	_, err = nw.FrameRound(stage)
+	var se *fabric.SumError
+	if !errors.As(err, &se) || se.From != 1 || se.To != 2 || !reflect.DeepEqual(short, []int64{0, 0}) {
+		t.Fatalf("overflowing combining round: err %v, sum %v", err, short)
+	}
+	reads("round after an overflowing combining round")
+
+	nw.SkipNextInboxes(sum)
+	nw.Reset(n)
+	reads("round after Reset")
 	if nw.Ledger().Rounds() != 1 {
 		t.Fatalf("rounds after reset = %d, want 1", nw.Ledger().Rounds())
 	}

@@ -32,9 +32,9 @@ type Network struct {
 	// is recycled when the next round starts (see fabric.RoundBuffer's
 	// lifetime contract).
 	live *fabric.RoundBuffer
-	// skipInboxes is a pending fabric.ChargeOnlyFabric request, consumed by
-	// the next round.
-	skipInboxes bool
+	// skip is the pending fabric.ChargeOnlyFabric request, consumed by the
+	// next round.
+	skip fabric.Skip
 }
 
 var (
@@ -78,16 +78,16 @@ func New(n int, opts ...Option) *Network {
 func (nw *Network) Workers() int { return nw.n }
 
 // Reset re-arms the network for a new solve on n nodes: the node count is
-// re-dimensioned, the ledger cleared, and any pending charge-only request
-// dropped, while the configured options (word budget, parallelism) and any
-// live round arena carry over — the next round simply recycles it at the
-// new width, exactly as rounds always do. This is what lets a solver
+// re-dimensioned, the ledger cleared, and any pending charge-only or
+// combining request dropped, while the configured options (word budget,
+// parallelism) and any live round arena carry over — the next round simply
+// recycles it at the new width, exactly as rounds always do. This is what lets a solver
 // session reuse one Network across solves instead of paying cclique.New per
 // call; it mirrors mpc.Cluster.Reset.
 func (nw *Network) Reset(n int) {
 	nw.n = n
 	nw.ledger.Reset()
-	nw.skipInboxes = false
+	nw.skip = fabric.Skip{}
 }
 
 // Release returns the network's round arenas to the shared pool for reuse
@@ -137,14 +137,17 @@ func (nw *Network) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, erro
 }
 
 // SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
-// validated and charged as usual but returns nil inboxes.
-func (nw *Network) SkipNextInboxes() { nw.skipInboxes = true }
+// validated and charged as usual but returns nil inboxes, and with a
+// non-nil sum adds its frames into sum.
+func (nw *Network) SkipNextInboxes(sum []int64) {
+	nw.skip = fabric.Skip{Inboxes: true, Sum: sum}
+}
 
 // FrameRound executes one synchronous round staged directly as flat frames
 // (fabric.FrameFabric), avoiding per-message allocation entirely.
 func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
-	chargeOnly := nw.skipInboxes
-	nw.skipInboxes = false
+	skip := nw.skip
+	nw.skip = fabric.Skip{}
 	if nw.live != nil {
 		fabric.ReleaseRoundBuffer(nw.live)
 		nw.live = nil
@@ -155,9 +158,9 @@ func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric
 		stage(v, rb.Sender(v))
 	})
 	inboxes, stats, err := rb.Deliver(fabric.DeliverOpts{
-		PairWords:  nw.msgWords,
-		Pool:       nw.pool,
-		ChargeOnly: chargeOnly,
+		PairWords: nw.msgWords,
+		Pool:      nw.pool,
+		Skip:      skip,
 	})
 	if err != nil {
 		var re *fabric.RouteError
@@ -170,6 +173,7 @@ func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric
 		return nil, err
 	}
 	nw.ledger.AddRound(stats.TotalWords, stats.MaxSendLoad, stats.MaxRecvLoad)
+	nw.ledger.ObserveScratch(stats.ScratchWords)
 	return inboxes, nil
 }
 

@@ -170,6 +170,12 @@ type MemoryBudget struct {
 	// PeakRoundWords is the largest total word volume any single fabric
 	// round moved — the transient delivery footprint of the solve.
 	PeakRoundWords int64
+	// DeliveryScratchWords is the largest scratch any single round's
+	// delivery used: the sender blocks' per-destination and per-group rows
+	// and combining accumulators, plus a reading round's locators and Msg
+	// slab. It grows with the pool width, one row set per block. Zero for
+	// ModelLowSpace coloring, whose pool clusters do not report it.
+	DeliveryScratchWords int64
 	// MachineSpace and PeakMachineWords are the MPC-family per-machine
 	// budget and measured peak per-machine residency (zero for
 	// ModelCClique). The backends hard-fail any round that would push a
@@ -385,9 +391,10 @@ func (s *Session) solveCClique(inst *graph.Instance, o *Options) (*Report, error
 		RoundsByPhase: led.ByPhase(),
 		PhaseProfile:  led.PhaseProfile(),
 		Memory: MemoryBudget{
-			InstanceWords:  graph.InstanceWordCount(inst),
-			WorkspaceWords: s.cw.MemoryWords(),
-			PeakRoundWords: led.PeakRoundWords(),
+			InstanceWords:        graph.InstanceWordCount(inst),
+			WorkspaceWords:       s.cw.MemoryWords(),
+			PeakRoundWords:       led.PeakRoundWords(),
+			DeliveryScratchWords: led.PeakScratchWords(),
 		},
 		Trace:     tr,
 		Telemetry: rec.Finish(string(ModelCClique)),
@@ -455,11 +462,12 @@ func (s *Session) solveMPC(inst *graph.Instance, o *Options) (*Report, error) {
 		Space:         cl.Space(),
 		PeakSpace:     cl.PeakMachineSpace(),
 		Memory: MemoryBudget{
-			InstanceWords:    graph.InstanceWordCount(inst),
-			WorkspaceWords:   s.cw.MemoryWords(),
-			PeakRoundWords:   led.PeakRoundWords(),
-			MachineSpace:     cl.Space(),
-			PeakMachineWords: cl.PeakMachineSpace(),
+			InstanceWords:        graph.InstanceWordCount(inst),
+			WorkspaceWords:       s.cw.MemoryWords(),
+			PeakRoundWords:       led.PeakRoundWords(),
+			DeliveryScratchWords: led.PeakScratchWords(),
+			MachineSpace:         cl.Space(),
+			PeakMachineWords:     cl.PeakMachineSpace(),
 		},
 		Trace:     tr,
 		Telemetry: rec.Finish(string(ModelMPC)),

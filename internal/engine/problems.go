@@ -160,10 +160,11 @@ func (s *Session) setReport(kind problem.Kind, g *graph.Graph, bk *setBackend, s
 		Machines:      bk.machines,
 		Space:         bk.space,
 		Memory: MemoryBudget{
-			InstanceWords:  graph.GraphWordCount(g),
-			PeakRoundWords: led.PeakRoundWords(),
-			MachineSpace:   bk.space,
-			SublinearBound: bk.sublinear,
+			InstanceWords:        graph.GraphWordCount(g),
+			PeakRoundWords:       led.PeakRoundWords(),
+			DeliveryScratchWords: led.PeakScratchWords(),
+			MachineSpace:         bk.space,
+			SublinearBound:       bk.sublinear,
 		},
 		Telemetry: rec.Finish(string(s.model)),
 	}

@@ -226,9 +226,11 @@ func TestSessionSizeCliff(t *testing.T) {
 			}
 			// MPC may fit the whole instance on one machine (all traffic
 			// intra-machine and free), so PeakRoundWords is only required
-			// of the models that must communicate.
+			// of the models that must communicate. Every delivery uses
+			// scratch, but lowspace coloring does not report it.
 			if mem := repB.Memory; mem.InstanceWords == 0 ||
-				(model != engine.ModelMPC && mem.PeakRoundWords == 0) {
+				(model != engine.ModelMPC && mem.PeakRoundWords == 0) ||
+				(model != engine.ModelLowSpace && mem.DeliveryScratchWords == 0) {
 				t.Errorf("memory budget not populated at n=2^16: %+v", mem)
 			}
 			if model == engine.ModelLowSpace {

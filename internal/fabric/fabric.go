@@ -64,6 +64,7 @@ type Ledger struct {
 	maxSendLoad int64 // max words sent by one worker in one round
 	maxRecvLoad int64 // max words received by one worker in one round
 	peakRound   int64 // max total words moved in one round
+	peakScratch int64 // max delivery scratch words one round used
 	byLabel     map[string]*PhaseStats
 	cur         *PhaseStats // byLabel[label]; nil while unlabeled
 	label       string
@@ -119,6 +120,7 @@ func (l *Ledger) Reset() {
 	l.maxSendLoad = 0
 	l.maxRecvLoad = 0
 	l.peakRound = 0
+	l.peakScratch = 0
 	l.label = ""
 	l.cur = nil
 	l.rec = nil
@@ -175,6 +177,14 @@ func (l *Ledger) MaxRecvLoad() int64 { return l.maxRecvLoad }
 // PeakRoundWords returns the largest total word volume any single round
 // moved — the fabric layer's peak live-traffic footprint.
 func (l *Ledger) PeakRoundWords() int64 { return l.peakRound }
+
+// ObserveScratch records the delivery scratch one round used
+// (RoundStats.ScratchWords); backends call it next to AddRound.
+func (l *Ledger) ObserveScratch(words int64) { l.peakScratch = max(l.peakScratch, words) }
+
+// PeakScratchWords returns the largest delivery scratch, in words, any
+// single round used: sender-block rows, locators and the Msg slab.
+func (l *Ledger) PeakScratchWords() int64 { return l.peakScratch }
 
 // ByPhase returns a copy of the per-phase round counts. Phases that ran no
 // rounds (including entries zeroed by Reset) are omitted.

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Communication primitives (paper §2.1). Each is implemented with real
@@ -17,7 +18,9 @@ import (
 // ledger charges are identical on both paths. Rounds whose receivers learn
 // the payload without reading an inbox (a broadcast's words, an owner's
 // summed elements, a gather's offsets) go through SendFrames, which charges
-// the same round but builds no inboxes.
+// the same round but builds no inboxes. AggregateVec's first round, whose
+// owners only add up what they receive, is a combining round (SumFrames):
+// the fabric sums the frames during delivery instead of building inboxes.
 //
 // The multi-target gather below is the restricted routing pattern the
 // coloring algorithm needs (per-sender blocks of ≤ O(𝔫) words, per-target
@@ -168,6 +171,12 @@ type VecScratch struct {
 	loff    []int32 // per-level offsets into levels
 	sendTo  []int32 // worker -> this level's block leader + 1 (0 = not a member)
 	blockAt []int32 // worker -> this level's block start in cur + 1 (0 = not a leader)
+
+	// The lowest worker whose local vector had the wrong length, found
+	// during parallel staging. It lives here, not in a local the staging
+	// closure captures, so a call allocates nothing for it.
+	badMu sync.Mutex
+	bad   *VecLenError
 }
 
 // AggregateVec computes the element-wise sum over all workers of the
@@ -183,9 +192,22 @@ type VecScratch struct {
 // On grouped fabrics local is invoked serially (callers may share scratch
 // across invocations); on ungrouped fabrics it runs inside the round's
 // parallel staging and must be safe for concurrent calls with distinct w.
+// A local vector whose length is not vlen fails the call with a
+// *VecLenError naming the lowest such worker.
 func AggregateVec(f Fabric, pairWords int, vlen int, local func(w int) []int64) ([]int64, error) {
 	var ws VecScratch
 	return ws.AggregateVec(f, pairWords, vlen, local)
+}
+
+// VecLenError reports a local vector handed to AggregateVec whose length
+// is not the aggregate's.
+type VecLenError struct {
+	Worker    int
+	Len, Want int
+}
+
+func (e *VecLenError) Error() string {
+	return fmt.Sprintf("fabric: worker %d's local vector has length %d, want %d", e.Worker, e.Len, e.Want)
 }
 
 // AggregateVec is the scratch-reusing form: identical rounds, message
@@ -197,16 +219,17 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 		// Space-bounded path: machine-local combine, then a fan-in-bounded
 		// reduction tree over representatives (Lemma 2.1 style).
 		ws.groupTables(n, g)
-		return ws.aggregateTree(f, vlen, func(slot int, combined []int64) {
+		return ws.aggregateTree(f, vlen, func(slot int, combined []int64) error {
 			for _, member := range ws.members[ws.moff[slot]:ws.moff[slot+1]] {
 				vals := local(int(member))
 				if len(vals) != vlen {
-					panic(fmt.Sprintf("fabric: local vector length %d != %d", len(vals), vlen))
+					return &VecLenError{Worker: int(member), Len: len(vals), Want: vlen}
 				}
 				for j, x := range vals {
 					combined[j] += x
 				}
 			}
+			return nil
 		})
 	}
 
@@ -224,18 +247,27 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 		return (vlen-o-1)/r + 1
 	}
 
-	// Round 1: every worker ships, per owner, its contribution to that
-	// owner's elements; its own elements are summed in place. res is indexed
-	// like the result (element j at res[j]); owner o's slot s is j = o+s·r.
+	// Round 1, a combining round: every worker ships, per owner, its
+	// contribution to that owner's elements; its own elements are summed in
+	// place. res is indexed like the result (element j at res[j]); owner o's
+	// slot s is j = o+s·r, exactly where SumFrames adds word s of a frame
+	// addressed to o. A worker whose vector has the wrong length stages
+	// nothing, and the lowest such worker is reported after the round.
 	res := make([]int64, vlen)
 	owners := r
 	if owners > vlen {
 		owners = vlen
 	}
-	in, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	ws.bad = nil
+	err := SumFrames(f, res, func(w int, sb *SendBuf) {
 		vals := local(w)
 		if len(vals) != vlen {
-			panic(fmt.Sprintf("fabric: local vector length %d != %d", len(vals), vlen))
+			ws.badMu.Lock()
+			if ws.bad == nil || w < ws.bad.Worker {
+				ws.bad = &VecLenError{Worker: w, Len: len(vals), Want: vlen}
+			}
+			ws.badMu.Unlock()
+			return
 		}
 		sb.Reserve(owners, vlen)
 		for o := 0; o < r; o++ {
@@ -258,15 +290,11 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 			}
 		}
 	})
+	if ws.bad != nil {
+		return nil, ws.bad
+	}
 	if err != nil {
 		return nil, err
-	}
-	for o := 0; o < r && o < vlen; o++ {
-		for _, m := range in[o] {
-			for s, x := range m.Words {
-				res[o+s*r] += int64(x)
-			}
-		}
 	}
 	// Round 2: each owner broadcasts its summed elements to all workers.
 	if err := SendFrames(f, func(w int, sb *SendBuf) {
@@ -358,9 +386,9 @@ func branchFactor(f Fabric, vlen int) int {
 // slot, members ascending within each group — the exact iteration order the
 // old map-based path produced.
 func (ws *VecScratch) groupTables(n int, g Grouped) {
-	ws.gdense = growInt32(ws.gdense, maxGroupID(n, g)+1)
+	ws.gdense = grow(ws.gdense, maxGroupID(n, g)+1)
 	clear(ws.gdense)
-	ws.slot = growInt32(ws.slot, n)
+	ws.slot = grow(ws.slot, n)
 	reps := ws.reps[:0]
 	for w := 0; w < n; w++ {
 		if ws.gdense[g.GroupOf(w)] == 0 {
@@ -371,7 +399,7 @@ func (ws *VecScratch) groupTables(n int, g Grouped) {
 	}
 	ws.reps = reps
 	r := len(reps)
-	ws.moff = growInt32(ws.moff, r+1)
+	ws.moff = grow(ws.moff, r+1)
 	clear(ws.moff)
 	for w := 0; w < n; w++ {
 		ws.moff[ws.gdense[g.GroupOf(w)]]++ // slot+1: counts land past the offset
@@ -379,9 +407,9 @@ func (ws *VecScratch) groupTables(n int, g Grouped) {
 	for s := 0; s < r; s++ {
 		ws.moff[s+1] += ws.moff[s]
 	}
-	ws.mcur = growInt32(ws.mcur, r)
+	ws.mcur = grow(ws.mcur, r)
 	copy(ws.mcur, ws.moff[:r])
-	ws.members = growInt32(ws.members, n)
+	ws.members = grow(ws.members, n)
 	for w := 0; w < n; w++ {
 		s := ws.gdense[g.GroupOf(w)] - 1
 		ws.members[ws.mcur[s]] = int32(w)
@@ -393,16 +421,18 @@ func (ws *VecScratch) groupTables(n int, g Grouped) {
 // fan-in-bounded reduction tree, then redistributes the result down the
 // same tree — Lemma 2.1's constant-round, space-respecting pattern.
 // combineInto fills slot's machine-locally combined vector into a zeroed
-// slab window.
-func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot int, combined []int64)) ([]int64, error) {
+// slab window; its error stops the aggregate before any round.
+func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot int, combined []int64) error) ([]int64, error) {
 	reps := ws.reps
 	r := len(reps)
 	branch := branchFactor(f, vlen)
-	ws.acc = growInt64(ws.acc, r*vlen)
+	ws.acc = grow(ws.acc, r*vlen)
 	for s := 0; s < r; s++ {
 		dst := ws.acc[s*vlen : (s+1)*vlen]
 		clear(dst)
-		combineInto(s, dst)
+		if err := combineInto(s, dst); err != nil {
+			return nil, err
+		}
 	}
 	accOf := func(w int) []int64 {
 		s := ws.slot[w]
@@ -415,8 +445,8 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 	// reduction O(workers·reps) per level, a dominant term at large n.
 	ws.levels = append(ws.levels[:0], reps...)
 	ws.loff = append(ws.loff[:0], 0, int32(len(ws.levels)))
-	ws.sendTo = growInt32(ws.sendTo, f.Workers())
-	ws.blockAt = growInt32(ws.blockAt, f.Workers())
+	ws.sendTo = grow(ws.sendTo, f.Workers())
+	ws.blockAt = grow(ws.blockAt, f.Workers())
 	for {
 		lv := len(ws.loff) - 2
 		cur := ws.levels[ws.loff[lv]:ws.loff[lv+1]]
@@ -469,7 +499,7 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 	// Distribute down: leaders push the final vector to their blocks.
 	root := ws.levels[len(ws.levels)-1]
 	result := append([]int64(nil), accOf(root)...)
-	ws.have = growBool(ws.have, f.Workers())
+	ws.have = grow(ws.have, f.Workers())
 	clear(ws.have)
 	ws.have[root] = true
 	for li := len(ws.loff) - 3; li >= 0; li-- {

@@ -1,6 +1,7 @@
 package fabric_test
 
 import (
+	"errors"
 	"testing"
 
 	"ccolor/internal/cclique"
@@ -94,6 +95,29 @@ func TestAggregateVecNegative(t *testing.T) {
 	}
 	if got[0] != -10 || got[1] != 0 || got[2] != -45 {
 		t.Fatalf("negative aggregation wrong: %v", got)
+	}
+}
+
+// TestAggregateVecWrongLength: a local vector of the wrong length fails the
+// aggregate with a *VecLenError naming the lowest such worker and both
+// lengths, instead of panicking — on the grouped path, and on the ungrouped
+// one, where the check runs inside parallel staging.
+func TestAggregateVecWrongLength(t *testing.T) {
+	fabrics := testFabrics(t, 24)
+	fabrics["cclique-parallel"] = cclique.New(64, cclique.WithParallelism(4))
+	for name, f := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			_, err := fabric.AggregateVec(f, 4, 5, func(w int) []int64 {
+				if w == 9 || w == 17 || w == 50 {
+					return make([]int64, w)
+				}
+				return make([]int64, 5)
+			})
+			var le *fabric.VecLenError
+			if !errors.As(err, &le) || *le != (fabric.VecLenError{Worker: 9, Len: 9, Want: 5}) {
+				t.Fatalf("got err %v, want worker 9's length error", err)
+			}
+		})
 	}
 }
 

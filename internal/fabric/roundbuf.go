@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Flat-buffer round fabric: instead of materializing one Msg (and one Words
@@ -14,12 +15,12 @@ import (
 //	header, payload...
 //
 // where the single header word packs the destination in its low half and
-// the payload length in its high half (see packHeader). Delivery is a
-// counting sort over destinations. Inbox Msg.Words are zero-copy views into
-// the staging arenas, and the arenas are recycled across rounds through a
-// sync.Pool, so the steady-state round executes with no per-message heap
-// allocation on the fabric side. Rounds that only charge their traffic
-// (SendFrames) stop after validation and accounting and build no inboxes.
+// the payload length in its high half (see packHeader). Delivery is one
+// counting sort over destinations, split into sender blocks (see Deliver).
+// Inbox Msg.Words are zero-copy views into the staging arenas, and the
+// arenas are recycled across rounds through a sync.Pool, so the
+// steady-state round executes with no per-message heap allocation on the
+// fabric side.
 //
 // Lifetime contract: the inboxes returned by a FrameFabric round (including
 // the classic Round adapter over it) reference pooled arenas and are valid
@@ -146,16 +147,27 @@ func RoundFrames(f Fabric, stage func(w int, sb *SendBuf)) ([][]Msg, error) {
 // ChargeOnlyFabric is an optional FrameFabric extension for rounds whose
 // inboxes no caller reads. SkipNextInboxes is a one-shot request: the
 // fabric's next Round or FrameRound stages, validates, and charges its
-// traffic exactly as usual but builds no inboxes and returns nil ones. That
-// round consumes the request even when it fails, and a fabric reset drops a
-// pending one.
+// traffic exactly as usual but builds no inboxes and returns nil ones; with
+// a non-nil sum it is a combining round (see Skip.Sum). The round consumes
+// the request even when it fails, and a fabric reset drops a pending one.
 //
 // The request rides on the ordinary FrameRound rather than a method of its
 // own, so a wrapper that embeds a backend and intercepts FrameRound (to time
-// or count rounds) still sees every charge-only round. SendFrames is the
-// intended caller.
+// or count rounds) still sees every charge-only and combining round.
+// SendFrames and SumFrames are the intended callers.
 type ChargeOnlyFabric interface {
-	SkipNextInboxes()
+	SkipNextInboxes(sum []int64)
+}
+
+// Skip is a ChargeOnlyFabric request as a backend holds it until its next
+// round and hands it to Deliver. The zero value builds inboxes.
+type Skip struct {
+	Inboxes bool // charge-only: build no inboxes
+	// Sum, when non-nil, makes the round a combining round and implies
+	// Inboxes: word s of every frame addressed to worker d is added into
+	// Sum[d+s·n] (n workers) as a wrapping int64 add. A frame that would
+	// land past len(Sum) fails the round with a *SumError.
+	Sum []int64
 }
 
 // SendFrames runs one round staged as flat frames whose inboxes the caller
@@ -167,10 +179,49 @@ type ChargeOnlyFabric interface {
 // way.
 func SendFrames(f Fabric, stage func(w int, sb *SendBuf)) error {
 	if c, ok := f.(ChargeOnlyFabric); ok {
-		c.SkipNextInboxes()
+		c.SkipNextInboxes(nil)
 	}
 	_, err := RoundFrames(f, stage)
 	return err
+}
+
+// SumFrames runs one combining round: the frames travel, are validated and
+// are charged exactly as in RoundFrames, but the receivers sum them instead
+// of reading inboxes. Word s of a frame addressed to worker d is added into
+// sum[d+s·n], n = f.Workers(), as a wrapping int64 add, so element j gathers
+// every frame sent to its owner j mod n. Wrapping sums do not depend on
+// order, so the result is the same at every pool width. A frame that would
+// land past len(sum) fails the round with a *SumError and leaves sum as it
+// was.
+//
+// On a ChargeOnlyFabric the fabric adds the frames during delivery and
+// builds no inboxes; elsewhere SumFrames sums a reading round's inboxes.
+func SumFrames(f Fabric, sum []int64, stage func(w int, sb *SendBuf)) error {
+	if c, ok := f.(ChargeOnlyFabric); ok {
+		c.SkipNextInboxes(sum)
+		_, err := RoundFrames(f, stage)
+		return err
+	}
+	in, err := RoundFrames(f, stage)
+	if err != nil {
+		return err
+	}
+	n := len(in)
+	for d, msgs := range in {
+		for _, m := range msgs {
+			if nw := len(m.Words); nw > 0 && d+(nw-1)*n >= len(sum) {
+				return &SumError{From: m.From, To: d, Words: nw, Len: len(sum)}
+			}
+		}
+	}
+	for d, msgs := range in {
+		for _, m := range msgs {
+			for s, x := range m.Words {
+				sum[d+s*n] += int64(x)
+			}
+		}
+	}
+	return nil
 }
 
 // RouteError reports a frame rejected at delivery: an out-of-range
@@ -191,6 +242,18 @@ func (e *RouteError) Error() string {
 	return fmt.Sprintf("fabric: pair (%d→%d) moved %d words (budget %d)", e.From, e.To, e.Words, e.Budget)
 }
 
+// SumError reports a combining-round frame whose payload would land past
+// the end of the round's accumulator.
+type SumError struct {
+	From, To int
+	Words    int // the frame's payload length
+	Len      int // len(sum)
+}
+
+func (e *SumError) Error() string {
+	return fmt.Sprintf("fabric: %d-word frame %d→%d lands past the %d-word sum", e.Words, e.From, e.To, e.Len)
+}
+
 // DeliverOpts configures one delivery.
 type DeliverOpts struct {
 	// PairWords > 0 enforces the congested-clique per-ordered-pair word
@@ -201,18 +264,17 @@ type DeliverOpts struct {
 	GroupOf []int
 	Groups  int
 	// FreeIntraGroup leaves intra-group traffic uncharged (MPC's free
-	// machine-local exchange). Delivery still happens.
+	// machine-local exchange); it applies only with GroupOf. Delivery still
+	// happens.
 	FreeIntraGroup bool
-	// Pool, when non-nil, lets Deliver partition the destination space into
-	// per-worker ranges and run the counting sort concurrently (a
-	// charge-only round partitions the senders instead). Inboxes, stats, and
-	// errors are byte-identical to the serial path; rounds staging fewer
-	// than DeliverParallelMinWords stay serial.
+	// Pool, when non-nil, lets Deliver split the senders into one block per
+	// pool worker and run its passes concurrently. Inboxes, stats, and
+	// errors are identical at every block count; rounds staging fewer than
+	// DeliverParallelMinWords run as one block.
 	Pool *WorkPool
-	// ChargeOnly stops Deliver after its validation and accounting pass:
-	// errors and stats are exactly those of a full delivery, but no inboxes
-	// are built and Deliver returns nil ones.
-	ChargeOnly bool
+	// Skip stops Deliver after validation and accounting, with errors and
+	// stats exactly those of a full delivery, and returns nil inboxes.
+	Skip Skip
 }
 
 // RoundStats is the traffic profile of one delivered round. SendLoad and
@@ -227,6 +289,10 @@ type RoundStats struct {
 	SendLoad    []int64
 	RecvLoad    []int64
 	Groups      []int32 // groups with nonzero charged traffic, ascending
+	// ScratchWords is the delivery scratch the round used, in 64-bit
+	// words: the sender blocks' destination rows, group rows and
+	// accumulators, plus the locators and Msg slab of a reading round.
+	ScratchWords int64
 }
 
 // RoundBuffer holds the pooled arenas and scratch state for flat rounds.
@@ -237,58 +303,65 @@ type RoundBuffer struct {
 	n    int
 	send []SendBuf
 
-	cnt       []int32 // per destination: frame count, then fill cursor (epoch-stamped)
-	off       []int32 // per destination: msg slab offset (epoch-stamped)
-	destStamp []int64 // per destination: epoch of last touch
-	touched   []int32 // destinations with frames this round
-	prevTouch []int32 // last round's touched list (inbox entries to reset)
-	gStamp    []int64 // per group: epoch of last charged traffic
-	tgroups   []int32 // groups with charged traffic this round
-	epoch     int64
+	// The current round, as the block passes read it.
+	opts    DeliverOpts
+	base    int64 // destSlot stamps: this round's sender w stamps base+w+1
+	inbox   bool  // the round builds inboxes (no Skip)
+	perDest bool  // blocks keep destination rows (see Deliver)
+	wide    bool  // locators are split into loc offsets and locFrom senders
+
+	live      []int32        // senders that staged anything, ascending
+	blocks    []deliverBlock // one per pool worker at most; rows persist
+	slotBase  int64          // base of the next round
+	epoch     int64          // per round: destStamp, gStamp and groupSlot stamps
+	destStamp []int64        // per destination: epoch of last touch
+	off       []int32        // per destination: inbox offset in msgs
+	touched   []int32        // destinations with frames this round
+	prevTouch []int32        // last round's touched list (inbox entries to reset)
+	chunk     []int          // materialize chunk c covers touched[chunk[c]:chunk[c+1]]
+	gStamp    []int64        // per group: epoch of last charged traffic
+	tgroups   []int32        // groups with charged traffic this round
+	sendLoad  []int64
+	recvLoad  []int64
 	loc       []uint64 // counting-sorted frame locators: sender<<32 | payload offset
 	locFrom   []int32  // wide-path senders (offsets no longer fit the packing)
 	msgs      []Msg    // header slab; inboxes are windows into it
 	inboxes   [][]Msg  // full-length backing; untouched entries stay empty
-	sendLoad  []int64
-	recvLoad  []int64
-	pairCnt   []int32 // per destination, epoch-stamped per sender
-	pairStamp []int64
-	stamp     int64
-
-	// Parallel-delivery scratch: per destination-range worker state. Every
-	// shared per-destination array above is written at disjoint indices (each
-	// range owns a contiguous destination interval); everything that cannot
-	// be destination-owned lands here and is merged serially between the two
-	// parallel phases.
-	rangeTouch [][]int32        // per range: touched destinations (sorted)
-	rangeOff   []int            // per range: offset of its touch run in touched
-	rangeNmsg  []int            // per range: frame count
-	rangeErr   []deliverErrCand // per range: earliest staging-order violation
-	grpSend    []int64          // grouped mode: per (range, group) charged send words
-	grpRecv    []int64          // grouped mode: per (range, group) charged recv words
-	grpHit     []bool           // grouped mode: per (range, group) any charged frame
-
-	// Charge-only ranged scratch (chargeParallel): ranges are sender blocks.
-	senderCut   []int        // block b holds senders [senderCut[b], senderCut[b+1])
-	blockSlots  [][]destSlot // per block: per-destination state
-	chargeStamp int64        // destSlot stamps: a round's senders stamp above it
 }
 
-// destSlot is one sender block's per-destination state in chargeParallel,
-// kept together so each frame costs one random access.
+// deliverBlock is one block of contiguous senders, live[lo:hi]: its
+// validation, counts and loads, and its share of the scatter.
+type deliverBlock struct {
+	lo, hi int
+	slots  []destSlot  // per destination (when perDest)
+	touch  []int32     // destinations the block reached, first-touch order
+	groups []groupSlot // grouped accounting: per group
+	gtouch []int32     // groups the block charged
+	acc    []int64     // combining round: the block's partial sums
+	err    error       // the block's first violation in staging order
+}
+
+// destSlot is one block's state for one destination, kept together so each
+// frame costs one random access.
 type destSlot struct {
-	stamp int64 // chargeStamp at round start + the last sender to reach it + 1
-	pair  int64 // that sender's running word total to this destination
+	stamp int64 // base + the last sender to reach it + 1; ≤ base: not reached this round
 	recv  int64 // words the block's senders sent here this round
+	pair  int32 // that last sender's running word total to this destination
+	cnt   int32 // frames the block sent here; after the prefix, its write cursor
 }
 
-// deliverErrCand is one range worker's earliest violation, positioned by
-// (sender, arena index) so the serial staging-order error wins the merge.
-type deliverErrCand struct {
-	ok   bool
-	w, i int
-	err  RouteError
+// groupSlot is one block's charged traffic for one group.
+type groupSlot struct {
+	stamp      int64 // epoch of the block's last charge here
+	send, recv int64
 }
+
+// Scratch sizes in 64-bit words, for RoundStats.ScratchWords.
+const (
+	destSlotWords  = int64(unsafe.Sizeof(destSlot{}) / 8)
+	groupSlotWords = int64(unsafe.Sizeof(groupSlot{}) / 8)
+	msgWords       = int64(unsafe.Sizeof(Msg{}) / 8)
+)
 
 // locOffsetLimit is the first arena offset that no longer fits the packed
 // sender<<32|offset locator. Arenas at or past it (≥32 GiB staged by one
@@ -298,16 +371,12 @@ type deliverErrCand struct {
 var locOffsetLimit uint64 = 1 << 32
 
 // DeliverParallelMinWords is the staged-word total below which Deliver
-// ignores DeliverOpts.Pool: waking parked workers and merging per-range
-// state costs more than a small round's counting sort. A var so tests can
-// force the parallel path on tiny deterministic rounds.
+// runs a round as one block whatever DeliverOpts.Pool says: waking parked
+// workers costs more than a small round's counting sort. BenchmarkDeliver
+// brackets it: split over two workers, the 2k-word announce round at n=64
+// loses, and the 32k-word one at n=256 wins. A var so tests can split tiny
+// deterministic rounds.
 var DeliverParallelMinWords = 1 << 14
-
-// deliverParallelMaxGroups bounds the grouped-accounting parallel path: the
-// per-(range, group) merge slabs are O(ranges·groups), which is only cheap
-// when groups (MPC machines) is far below the worker domain. Beyond it,
-// grouped rounds fall back to serial delivery.
-const deliverParallelMaxGroups = 1 << 13
 
 var roundBufPool = sync.Pool{New: func() any { return new(RoundBuffer) }}
 
@@ -335,52 +404,57 @@ func ReleaseRoundBuffer(rb *RoundBuffer) { roundBufPool.Put(rb) }
 // Sender returns worker w's staging arena for the current round.
 func (rb *RoundBuffer) Sender(w int) *SendBuf { return &rb.send[w] }
 
-func growInt32(s []int32, n int) []int32 {
+// grow returns s with length n, reallocating (zeroed) only when its
+// capacity is short; kept entries hold whatever they held.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 // Deliver validates and routes the staged frames, returning per-worker
 // inboxes sorted exactly as SortInbox orders them: by sender, then by
-// lexicographic payload. The counting sort over destinations visits senders
-// in ascending order, so only equal-sender runs need payload ordering.
+// lexicographic payload. It is a counting sort over destinations, split
+// into blocks of contiguous senders with about equal staged words, at most
+// one per pool worker:
 //
-// All per-destination and per-group state is epoch-stamped and driven off
-// lists of the destinations/groups actually touched, so a round's delivery
-// cost scales with its live traffic, not with the full worker domain — at
-// large n most rounds of the recursive solvers touch a small residual set,
-// and the old full-width zero/prefix/scan passes dominated wall clock.
+//  1. one scan of the arenas lists the senders that staged anything;
+//  2. each block validates its frames in staging order, stopping at its
+//     first violation, and counts frames, words and loads into its rows;
+//  3. a prefix over (destination, block) gives every block disjoint write
+//     offsets in each inbox, lower blocks first;
+//  4. blocks scatter their frames' locators, then runs of destinations
+//     materialize their inboxes and order equal-sender runs by payload.
 //
-// With opts.ChargeOnly, Deliver returns after pass 1 (validation and
-// accounting; on the pool, chargeParallel): no frame counts, locators, Msg
-// slab, or tie-break sort, and nil inboxes. The inbox entries of the
-// previous round on this buffer are still reset, so a full round after a
-// charge-only one starts clean.
+// Blocks are ascending sender intervals, so every inbox comes out in
+// sender order and the lowest block that reports a violation holds the
+// first one in staging order: results do not depend on the block count,
+// and one block is the serial case. Per-destination and per-group state is
+// stamped and driven off lists of what the round touched, so a round costs
+// its live traffic, not the worker domain.
+//
+// With opts.Skip, Deliver returns nil inboxes after step 2, and a combining
+// round adds the blocks' partial sums into Skip.Sum.
 func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
+	rb.opts = opts
+	in, stats, err := rb.deliver()
+	rb.opts = DeliverOpts{} // hold no caller memory past the round
+	return in, stats, err
+}
+
+func (rb *RoundBuffer) deliver() ([][]Msg, RoundStats, error) {
 	n := rb.n
-	groups := opts.Groups
-	groupOf := opts.GroupOf
-	if groupOf == nil {
-		groups = n
+	opts := &rb.opts
+	groups := n
+	if opts.GroupOf != nil {
+		groups = opts.Groups
 	}
+	sum := opts.Skip.Sum
+	rb.inbox = !opts.Skip.Inboxes && sum == nil
 	rb.epoch++
-	ep := rb.epoch
+	rb.base = rb.slotBase
+	rb.slotBase += int64(n)
 	// Reset the inbox entries the previous round on this buffer populated;
 	// everything else is empty by invariant.
 	for _, d := range rb.prevTouch {
@@ -389,196 +463,356 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 	rb.prevTouch = rb.prevTouch[:0]
 	rb.touched = rb.touched[:0]
 	rb.tgroups = rb.tgroups[:0]
-	rb.cnt = growInt32(rb.cnt, n)
-	rb.off = growInt32(rb.off, n)
-	rb.destStamp = growInt64(rb.destStamp, n)
-	rb.sendLoad = growInt64(rb.sendLoad, groups)
-	rb.recvLoad = growInt64(rb.recvLoad, groups)
-	rb.gStamp = growInt64(rb.gStamp, groups)
-	if cap(rb.inboxes) < n {
-		grown := make([][]Msg, n)
-		copy(grown, rb.inboxes)
-		rb.inboxes = grown
-	}
-	if opts.PairWords > 0 {
-		rb.pairCnt = growInt32(rb.pairCnt, n)
-		if cap(rb.pairStamp) < n {
-			rb.pairStamp = make([]int64, n)
-			rb.stamp = 0
+	rb.inboxes = grow(rb.inboxes, n) // every old entry was just reset
+	rb.destStamp = grow(rb.destStamp, n)
+	rb.off = grow(rb.off, n)
+	rb.gStamp = grow(rb.gStamp, groups)
+	rb.sendLoad = grow(rb.sendLoad, groups)
+	rb.recvLoad = grow(rb.recvLoad, groups)
+
+	// Step 1: the round's only pass over all n arenas.
+	staged, maxArena, nmsg := 0, 0, 0
+	rb.live = rb.live[:0]
+	for w := range rb.send[:n] {
+		if l := len(rb.send[w].buf); l > 0 {
+			rb.live = append(rb.live, int32(w))
+			staged += l
+			maxArena = max(maxArena, l)
+			nmsg += rb.send[w].nmsg
 		}
-		rb.pairStamp = rb.pairStamp[:n]
 	}
-	chargeGroup := func(g int) {
-		if rb.gStamp[g] != ep {
-			rb.gStamp[g] = ep
-			rb.sendLoad[g] = 0
-			rb.recvLoad[g] = 0
-			rb.tgroups = append(rb.tgroups, int32(g))
+	nb := 1
+	if p := opts.Pool; p != nil && staged >= DeliverParallelMinWords {
+		nb = max(1, min(p.Workers(), len(rb.live)))
+	}
+	// Destination rows carry the inbox counts, the pair budgets and the
+	// ungrouped receive loads; a grouped round with none of those skips them.
+	rb.perDest = rb.inbox || opts.GroupOf == nil || opts.PairWords > 0
+	scratch := rb.splitBlocks(nb, staged, groups, len(sum))
+
+	rb.run(nb, (*RoundBuffer).count) // step 2
+	for b := range nb {
+		if err := rb.blocks[b].err; err != nil {
+			return nil, RoundStats{}, err
+		}
+	}
+	total := rb.mergeLoads(nb)
+	for b := range nb {
+		for j, x := range rb.blocks[b].acc {
+			sum[j] += x
+		}
+	}
+	if !rb.inbox {
+		return nil, rb.stats(total, scratch), nil
+	}
+
+	// Step 3. Destinations are laid out in the slab in ascending order.
+	ep := rb.epoch
+	for b := range nb {
+		for _, d := range rb.blocks[b].touch {
+			if rb.destStamp[d] != ep {
+				rb.destStamp[d] = ep
+				rb.touched = append(rb.touched, d)
+			}
+		}
+	}
+	if !slices.IsSorted(rb.touched) {
+		slices.Sort(rb.touched)
+	}
+	run := int32(0)
+	for _, d := range rb.touched {
+		rb.off[d] = run
+		for b := range nb {
+			if sl := &rb.blocks[b].slots[d]; sl.stamp > rb.base {
+				c := sl.cnt
+				sl.cnt = run
+				run += c
+			}
 		}
 	}
 
-	staged, maxArena := 0, 0
-	for w := 0; w < n; w++ {
-		l := len(rb.send[w].buf)
-		staged += l
-		if l > maxArena {
-			maxArena = l
+	// Step 4. The scattered (random-order) stores are 8-byte pointer-free
+	// locators — sender and payload offset packed in one word — which stay
+	// cache-resident and take no write barriers; the 40-byte Msg structs are
+	// then materialized in a sequential sweep over the sorted locators.
+	// Scattering the Msg structs directly was measured and lost. If any
+	// sender's arena outgrew the packed offset range, senders ride in a
+	// parallel slab instead (the wide path).
+	rb.wide = uint64(maxArena) >= locOffsetLimit
+	rb.loc = grow(rb.loc, nmsg)
+	rb.msgs = grow(rb.msgs, nmsg)
+	scratch += int64(nmsg) * (1 + msgWords)
+	if rb.wide {
+		rb.locFrom = grow(rb.locFrom, nmsg)
+		scratch += int64(nmsg+1) / 2
+	}
+	rb.run(nb, (*RoundBuffer).scatter)
+	// Materialize in nb runs of destinations with about equal frame counts.
+	rb.chunk = append(rb.chunk[:0], 0)
+	for ti, d := range rb.touched {
+		for len(rb.chunk) < nb && int(rb.off[d])*nb >= len(rb.chunk)*nmsg {
+			rb.chunk = append(rb.chunk, ti)
 		}
 	}
-	if opts.Pool != nil && opts.Pool.Workers() > 1 && staged >= DeliverParallelMinWords &&
-		!(opts.FreeIntraGroup && groupOf == nil) &&
-		(groupOf == nil || groups <= deliverParallelMaxGroups) {
-		if !opts.ChargeOnly {
-			return rb.deliverParallel(opts, groups, maxArena)
-		}
-		// chargeParallel keeps a row of n slots per sender block; rounds
-		// staging fewer than n words are cheaper serially.
-		if staged >= n {
-			stats, err := rb.chargeParallel(opts, groups, staged)
-			return nil, stats, err
-		}
+	for len(rb.chunk) <= nb {
+		rb.chunk = append(rb.chunk, len(rb.touched))
 	}
+	rb.run(nb, (*RoundBuffer).materialize)
+	// The touched list becomes next round's inbox-reset list (swap so both
+	// stay allocation-free in steady state).
+	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
+	return rb.inboxes, rb.stats(total, scratch), nil
+}
 
-	// Pass 1: validate in staging order, count frames per destination
-	// (unless charge-only), and charge group loads.
-	inbox := !opts.ChargeOnly
-	var total int64
-	nmsg := 0
-	for w := 0; w < n; w++ {
+// run executes pass(rb, b) for every block, on the pool when there are
+// several; a one-block round allocates no closure.
+func (rb *RoundBuffer) run(nb int, pass func(rb *RoundBuffer, b int)) {
+	if nb == 1 {
+		pass(rb, 0)
+		return
+	}
+	rb.opts.Pool.RunHeavy(nb, func(b int) { pass(rb, b) })
+}
+
+// splitBlocks cuts the live senders into nb blocks of about equal staged
+// words and sizes each block's rows for the round. It returns the rows'
+// size in words.
+func (rb *RoundBuffer) splitBlocks(nb, staged, groups, sumLen int) int64 {
+	if len(rb.blocks) < nb {
+		rb.blocks = append(rb.blocks, make([]deliverBlock, nb-len(rb.blocks))...)
+	}
+	b, acc := 0, 0
+	for i, w := range rb.live {
+		acc += len(rb.send[w].buf)
+		for ; b+1 < nb && acc*nb >= (b+1)*staged; b++ {
+			rb.blocks[b].hi = i + 1
+		}
+	}
+	for ; b < nb; b++ {
+		rb.blocks[b].hi = len(rb.live)
+	}
+	var words int64
+	lo := 0
+	for b := range nb {
+		blk := &rb.blocks[b]
+		blk.lo, lo = lo, blk.hi
+		// Stale stamps are ≤ base (slots) or old epochs (groups), so rows
+		// need no clearing.
+		if rb.perDest {
+			blk.slots = grow(blk.slots, rb.n)
+			words += int64(rb.n) * destSlotWords
+		}
+		if rb.opts.GroupOf != nil {
+			blk.groups = grow(blk.groups, groups)
+			words += int64(groups) * groupSlotWords
+		}
+		blk.acc = blk.acc[:0]
+		if rb.opts.Skip.Sum != nil {
+			blk.acc = grow(blk.acc, sumLen)
+			clear(blk.acc)
+			words += int64(sumLen)
+		}
+	}
+	return words
+}
+
+// count is step 2 for block b: validate its frames in staging order, up to
+// the first violation, and count them into the block's rows.
+func (rb *RoundBuffer) count(b int) {
+	blk := &rb.blocks[b]
+	n, base, ep := rb.n, rb.base, rb.epoch
+	pairWords := int64(rb.opts.PairWords)
+	groupOf, free := rb.opts.GroupOf, rb.opts.FreeIntraGroup
+	inbox, perDest, slots, acc := rb.inbox, rb.perDest, blk.slots, blk.acc
+	sumLen := -1 // not a combining round
+	if rb.opts.Skip.Sum != nil {
+		sumLen = len(rb.opts.Skip.Sum)
+	}
+	touch := blk.touch[:0]
+	blk.gtouch, blk.err = blk.gtouch[:0], nil
+senders:
+	for _, w32 := range rb.live[blk.lo:blk.hi] {
+		w := int(w32)
 		buf := rb.send[w].buf
-		if len(buf) == 0 {
-			continue
-		}
-		rb.stamp++
+		st := base + int64(w) + 1
 		gw := w
 		if groupOf != nil {
 			gw = groupOf[w]
 		}
 		for i := 0; i < len(buf); {
 			to, nw := unpackHeader(buf[i])
+			p := i + frameHeader
+			i = p + nw
 			if to < 0 || to >= n {
-				return nil, RoundStats{}, &RouteError{OutOfRange: true, From: w, To: to}
+				blk.err = &RouteError{OutOfRange: true, From: w, To: to}
+				break senders
 			}
-			if opts.PairWords > 0 {
-				if rb.pairStamp[to] != rb.stamp {
-					rb.pairStamp[to] = rb.stamp
-					rb.pairCnt[to] = 0
-				}
-				rb.pairCnt[to] += int32(nw)
-				if int(rb.pairCnt[to]) > opts.PairWords {
-					return nil, RoundStats{}, &RouteError{
-						From: w, To: to, Words: int(rb.pairCnt[to]), Budget: opts.PairWords,
+			if perDest {
+				sl := &slots[to]
+				if sl.stamp != st {
+					if sl.stamp <= base {
+						sl.recv, sl.cnt = 0, 0
+						touch = append(touch, int32(to))
 					}
+					sl.stamp, sl.pair = st, 0
+				}
+				if pairWords > 0 {
+					pw := int64(sl.pair) + int64(nw)
+					if pw > pairWords {
+						blk.err = &RouteError{From: w, To: to, Words: int(pw), Budget: int(pairWords)}
+						break senders
+					}
+					sl.pair = int32(pw)
+				}
+				sl.recv += int64(nw)
+				if inbox { // only reading rounds use cnt; the store slowed skipped ones ~25%
+					sl.cnt++
 				}
 			}
-			if inbox {
-				if rb.destStamp[to] != ep {
-					rb.destStamp[to] = ep
-					rb.cnt[to] = 0
-					rb.touched = append(rb.touched, int32(to))
+			if sumLen >= 0 {
+				if nw > 0 && to+(nw-1)*n >= sumLen {
+					blk.err = &SumError{From: w, To: to, Words: nw, Len: sumLen}
+					break senders
 				}
-				rb.cnt[to]++
-				nmsg++
+				for s, x := range buf[p:i] {
+					acc[to+s*n] += int64(x)
+				}
 			}
-			gt := to
 			if groupOf != nil {
-				gt = groupOf[to]
+				if gt := groupOf[to]; !free || gt != gw {
+					blk.group(gw, ep).send += int64(nw)
+					blk.group(gt, ep).recv += int64(nw)
+				}
 			}
-			if !opts.FreeIntraGroup || gt != gw {
-				words := int64(nw)
-				chargeGroup(gw)
-				chargeGroup(gt)
-				rb.sendLoad[gw] += words
-				rb.recvLoad[gt] += words
-				total += words
+		}
+	}
+	blk.touch = touch
+}
+
+// group returns the block's slot for group g, listing g on first touch.
+func (blk *deliverBlock) group(g int, ep int64) *groupSlot {
+	gs := &blk.groups[g]
+	if gs.stamp != ep {
+		*gs = groupSlot{stamp: ep}
+		blk.gtouch = append(blk.gtouch, int32(g))
+	}
+	return gs
+}
+
+// mergeLoads folds the blocks' rows into the round's group loads and
+// returns the round's charged total. Ungrouped, every frame is charged, so
+// a sender's load is exactly its arena's payload words.
+func (rb *RoundBuffer) mergeLoads(nb int) int64 {
+	var total int64
+	if rb.opts.GroupOf != nil {
+		for b := range nb {
+			blk := &rb.blocks[b]
+			for _, g := range blk.gtouch {
+				gs := &blk.groups[g]
+				rb.chargeGroup(g)
+				rb.sendLoad[g] += gs.send
+				rb.recvLoad[g] += gs.recv
+				total += gs.send
 			}
-			i += frameHeader + nw
+		}
+	} else {
+		for b := range nb {
+			blk := &rb.blocks[b]
+			for _, d := range blk.touch {
+				rb.chargeGroup(d)
+				rb.recvLoad[d] += blk.slots[d].recv
+			}
+		}
+		for _, w := range rb.live {
+			sb := &rb.send[w]
+			words := int64(len(sb.buf) - sb.nmsg*frameHeader)
+			rb.chargeGroup(w)
+			rb.sendLoad[w] = words
+			total += words
 		}
 	}
 	if !slices.IsSorted(rb.tgroups) {
 		slices.Sort(rb.tgroups)
 	}
-	if !inbox {
-		return nil, rb.stats(total), nil
-	}
-	if !slices.IsSorted(rb.touched) {
-		slices.Sort(rb.touched)
-	}
+	return total
+}
 
-	// Pass 2: prefix offsets over the touched destinations, then
-	// counting-sort the frames. The scattered (random-order) stores are
-	// 8-byte pointer-free locators — sender and payload offset packed in one
-	// word — which stay cache-resident and take no write barriers; the
-	// 40-byte Msg structs are then materialized in a sequential sweep over
-	// the sorted locators. Scattering the Msg structs directly was measured
-	// and lost: random 40-byte stores with pointer write barriers dominated
-	// Deliver. Staging order visits senders ascending, so each inbox comes
-	// out From-sorted. If any sender's arena outgrew the packed offset
-	// range, senders ride in a parallel slab instead (the wide path).
-	run := int32(0)
-	for _, d := range rb.touched {
-		rb.off[d] = run
-		run += rb.cnt[d]
-		rb.cnt[d] = 0 // reuse as fill cursor
+// chargeGroup lists g among the round's charged groups on first touch.
+func (rb *RoundBuffer) chargeGroup(g int32) {
+	if rb.gStamp[g] != rb.epoch {
+		rb.gStamp[g] = rb.epoch
+		rb.sendLoad[g] = 0
+		rb.recvLoad[g] = 0
+		rb.tgroups = append(rb.tgroups, g)
 	}
-	if cap(rb.loc) < nmsg {
-		rb.loc = make([]uint64, nmsg)
+}
+
+// stats assembles the round's RoundStats from the charged groups' loads.
+func (rb *RoundBuffer) stats(total, scratch int64) RoundStats {
+	var maxSend, maxRecv int64
+	for _, g := range rb.tgroups {
+		maxSend = max(maxSend, rb.sendLoad[g])
+		maxRecv = max(maxRecv, rb.recvLoad[g])
 	}
-	rb.loc = rb.loc[:nmsg]
-	wide := uint64(maxArena) >= locOffsetLimit
-	if wide {
-		rb.locFrom = growInt32(rb.locFrom, nmsg)
+	return RoundStats{
+		TotalWords:   total,
+		MaxSendLoad:  maxSend,
+		MaxRecvLoad:  maxRecv,
+		SendLoad:     rb.sendLoad,
+		RecvLoad:     rb.recvLoad,
+		Groups:       rb.tgroups,
+		ScratchWords: scratch,
 	}
-	for w := 0; w < n; w++ {
+}
+
+// scatter is step 4 for block b: write each frame's locator at the block's
+// cursor in its destination's inbox. Staging order visits each sender's
+// frames in order, so every inbox fills by ascending sender.
+func (rb *RoundBuffer) scatter(b int) {
+	blk := &rb.blocks[b]
+	slots, wide := blk.slots, rb.wide
+	for _, w := range rb.live[blk.lo:blk.hi] {
 		buf := rb.send[w].buf
 		for i := 0; i < len(buf); {
 			to, nw := unpackHeader(buf[i])
-			idx := rb.off[to] + rb.cnt[to]
-			rb.cnt[to]++
-			lo := i + frameHeader
+			p := i + frameHeader
+			i = p + nw
+			sl := &slots[to]
+			idx := sl.cnt
+			sl.cnt++
 			if wide {
-				rb.loc[idx] = uint64(lo)
-				rb.locFrom[idx] = int32(w)
+				rb.loc[idx] = uint64(p)
+				rb.locFrom[idx] = w
 			} else {
-				rb.loc[idx] = uint64(w)<<32 | uint64(uint32(lo))
+				rb.loc[idx] = uint64(w)<<32 | uint64(uint32(p))
 			}
-			i = lo + nw
 		}
 	}
-	if cap(rb.msgs) < nmsg {
-		rb.msgs = make([]Msg, nmsg)
-	}
-	rb.msgs = rb.msgs[:nmsg]
-	for ti, d := range rb.touched {
-		lo32 := rb.off[d]
-		hi32 := int32(nmsg)
-		if ti+1 < len(rb.touched) {
-			hi32 = rb.off[rb.touched[ti+1]]
-		}
-		for idx := int(lo32); idx < int(hi32); idx++ {
-			var from, lo int
-			if wide {
-				from, lo = int(rb.locFrom[idx]), int(rb.loc[idx])
-			} else {
-				l := rb.loc[idx]
-				from, lo = int(l>>32), int(uint32(l))
-			}
-			buf := rb.send[from].buf
-			_, nw := unpackHeader(buf[lo-1])
-			hi := lo + nw
-			rb.msgs[idx] = Msg{To: int(d), From: from, Words: buf[lo:hi:hi]}
-		}
-	}
+}
 
-	// Pass 3: slice inboxes out of the slab and order equal-sender runs by
-	// payload (SortInbox's tie-break; runs are per ordered pair and tiny).
-	for ti, d := range rb.touched {
-		lo := rb.off[d]
-		hi := int32(nmsg)
+// materialize builds the inboxes of the destinations in chunk c from their
+// locators and orders equal-sender runs by payload (SortInbox's tie-break;
+// runs are per ordered pair and tiny).
+func (rb *RoundBuffer) materialize(c int) {
+	for ti := rb.chunk[c]; ti < rb.chunk[c+1]; ti++ {
+		d := rb.touched[ti]
+		lo, hi := int(rb.off[d]), len(rb.msgs)
 		if ti+1 < len(rb.touched) {
-			hi = rb.off[rb.touched[ti+1]]
+			hi = int(rb.off[rb.touched[ti+1]])
 		}
 		in := rb.msgs[lo:hi]
+		for k := range in {
+			var from, p int
+			if rb.wide {
+				from, p = int(rb.locFrom[lo+k]), int(rb.loc[lo+k])
+			} else {
+				l := rb.loc[lo+k]
+				from, p = int(l>>32), int(uint32(l))
+			}
+			buf := rb.send[from].buf
+			_, nw := unpackHeader(buf[p-1])
+			in[k] = Msg{To: int(d), From: from, Words: buf[p : p+nw : p+nw]}
+		}
 		rb.inboxes[d] = in
 		for i := 1; i < len(in); {
 			if in[i].From != in[i-1].From {
@@ -592,492 +826,6 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 			insertionSortByWords(in[j:i])
 		}
 	}
-	// The touched list becomes next round's inbox-reset list (swap so both
-	// stay allocation-free in steady state).
-	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
-	return rb.inboxes[:n], rb.stats(total), nil
-}
-
-// stats assembles the round's RoundStats from the charged groups' loads.
-func (rb *RoundBuffer) stats(total int64) RoundStats {
-	var maxSend, maxRecv int64
-	for _, g := range rb.tgroups {
-		if rb.sendLoad[g] > maxSend {
-			maxSend = rb.sendLoad[g]
-		}
-		if rb.recvLoad[g] > maxRecv {
-			maxRecv = rb.recvLoad[g]
-		}
-	}
-	return RoundStats{
-		TotalWords:  total,
-		MaxSendLoad: maxSend,
-		MaxRecvLoad: maxRecv,
-		SendLoad:    rb.sendLoad,
-		RecvLoad:    rb.recvLoad,
-		Groups:      rb.tgroups,
-	}
-}
-
-// deliverParallel is Deliver's multicore body: the destination space [0,n)
-// splits into one contiguous range per pool worker, and each range worker
-// counts, scatters, materializes, and tie-break-sorts only the frames
-// addressed into its range. Each worker walks every sender's arena in
-// ascending order (headers skip payloads, so the rescans stream), which
-// preserves the per-destination fill order — ascending sender, then staging
-// order — and the equal-sender payload sort is unchanged, so inboxes come
-// out byte-identical to the serial pass.
-//
-// Everything per-destination (cnt, off, destStamp, pair budgets, ungrouped
-// recvLoad, msgs, inboxes) is written only by the owning range, so the
-// shared arrays need no synchronization beyond the pool's round barrier.
-// What cannot be destination-owned is reconstructed serially between the
-// phases: the first staging-order RouteError wins a min-(sender, index)
-// merge, ungrouped send loads fall out of arena sizes (every frame is
-// charged when no traffic is free), and grouped loads merge per-(range,
-// group) partial sums.
-func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) ([][]Msg, RoundStats, error) {
-	n := rb.n
-	groupOf := opts.GroupOf
-	pool := opts.Pool
-	ep := rb.epoch
-	nr := pool.Workers()
-	if nr > n {
-		nr = n
-	}
-	rb.rangeScratch(nr, groups, groupOf != nil)
-	if cap(rb.rangeOff) < nr+1 {
-		rb.rangeOff = make([]int, nr+1)
-	}
-	rb.rangeOff = rb.rangeOff[:nr+1]
-	if cap(rb.rangeNmsg) < nr {
-		rb.rangeNmsg = make([]int, nr)
-	}
-	rb.rangeNmsg = rb.rangeNmsg[:nr]
-	// Reserve a deterministic pair-budget stamp per sender up front: the
-	// serial pass advances rb.stamp once per non-empty arena, but ranges
-	// visit senders concurrently, so sender w stamps with base+w+1 instead.
-	// Stamps stay strictly increasing across rounds either way.
-	stampBase := rb.stamp
-	rb.stamp += int64(n)
-
-	// Phase A: per range — validate, enforce pair budgets, count frames per
-	// destination, accumulate receive (and grouped) loads.
-	phaseA := func(r int) {
-		lo := r * n / nr
-		hi := (r + 1) * n / nr
-		touch := rb.rangeTouch[r][:0]
-		var cand deliverErrCand
-		count := 0
-		var gSend, gRecv []int64
-		var gHit []bool
-		if groupOf != nil {
-			gSend = rb.grpSend[r*groups : (r+1)*groups]
-			gRecv = rb.grpRecv[r*groups : (r+1)*groups]
-			gHit = rb.grpHit[r*groups : (r+1)*groups]
-		}
-		for w := 0; w < n; w++ {
-			buf := rb.send[w].buf
-			if len(buf) == 0 {
-				continue
-			}
-			st := stampBase + int64(w) + 1
-			gw := w
-			if groupOf != nil {
-				gw = groupOf[w]
-			}
-			for i := 0; i < len(buf); {
-				to, nw := unpackHeader(buf[i])
-				fi := i
-				i += frameHeader + nw
-				if to < lo || to >= hi {
-					// Another range's frame — except invalid destinations,
-					// which belong to no range: every worker spots those, so
-					// the merge still sees the staging-order first.
-					if (to < 0 || to >= n) && !cand.ok {
-						cand = deliverErrCand{ok: true, w: w, i: fi,
-							err: RouteError{OutOfRange: true, From: w, To: to}}
-					}
-					continue
-				}
-				if opts.PairWords > 0 {
-					if rb.pairStamp[to] != st {
-						rb.pairStamp[to] = st
-						rb.pairCnt[to] = 0
-					}
-					rb.pairCnt[to] += int32(nw)
-					if int(rb.pairCnt[to]) > opts.PairWords && !cand.ok {
-						cand = deliverErrCand{ok: true, w: w, i: fi,
-							err: RouteError{From: w, To: to, Words: int(rb.pairCnt[to]), Budget: opts.PairWords}}
-					}
-				}
-				if rb.destStamp[to] != ep {
-					rb.destStamp[to] = ep
-					rb.cnt[to] = 0
-					if groupOf == nil {
-						rb.recvLoad[to] = 0
-					}
-					touch = append(touch, int32(to))
-				}
-				rb.cnt[to]++
-				count++
-				if groupOf == nil {
-					rb.recvLoad[to] += int64(nw)
-				} else {
-					gt := groupOf[to]
-					if !opts.FreeIntraGroup || gt != gw {
-						gSend[gw] += int64(nw)
-						gRecv[gt] += int64(nw)
-						gHit[gw] = true
-						gHit[gt] = true
-					}
-				}
-			}
-		}
-		slices.Sort(touch) // ranges are ascending intervals: concat is sorted
-		rb.rangeTouch[r] = touch
-		rb.rangeNmsg[r] = count
-		rb.rangeErr[r] = cand
-	}
-	pool.RunHeavy(nr, phaseA)
-
-	// Error merge: the earliest (sender, staging index) violation across
-	// ranges is exactly the error the serial pass would have returned.
-	var best *deliverErrCand
-	for r := 0; r < nr; r++ {
-		c := &rb.rangeErr[r]
-		if c.ok && (best == nil || c.w < best.w || (c.w == best.w && c.i < best.i)) {
-			best = c
-		}
-	}
-	if best != nil {
-		e := best.err
-		return nil, RoundStats{}, &e
-	}
-
-	nmsg := 0
-	rb.touched = rb.touched[:0]
-	for r := 0; r < nr; r++ {
-		rb.rangeOff[r] = len(rb.touched)
-		rb.touched = append(rb.touched, rb.rangeTouch[r]...)
-		nmsg += rb.rangeNmsg[r]
-	}
-	rb.rangeOff[nr] = len(rb.touched)
-
-	// Group accounting merge. Ungrouped, the touched list is the receive
-	// side (its loads were summed in phase A by the owning range).
-	var total int64
-	if groupOf == nil {
-		for _, d := range rb.touched {
-			if rb.gStamp[d] != ep {
-				rb.gStamp[d] = ep
-				rb.tgroups = append(rb.tgroups, d)
-				rb.sendLoad[d] = 0 // receives but sends nothing
-			}
-		}
-		total = rb.chargeSenders()
-	} else {
-		total = rb.mergeGroups(nr, groups)
-	}
-
-	// Prefix offsets over the (globally sorted) touched list, exactly as the
-	// serial pass 2; each range then fills a contiguous region of loc/msgs.
-	run := int32(0)
-	for _, d := range rb.touched {
-		rb.off[d] = run
-		run += rb.cnt[d]
-		rb.cnt[d] = 0 // reuse as fill cursor
-	}
-	if cap(rb.loc) < nmsg {
-		rb.loc = make([]uint64, nmsg)
-	}
-	rb.loc = rb.loc[:nmsg]
-	wide := uint64(maxArena) >= locOffsetLimit
-	if wide {
-		rb.locFrom = growInt32(rb.locFrom, nmsg)
-	}
-	if cap(rb.msgs) < nmsg {
-		rb.msgs = make([]Msg, nmsg)
-	}
-	rb.msgs = rb.msgs[:nmsg]
-
-	// Phase B+C fused per range: scatter locators for the range's
-	// destinations, then materialize Msgs and tie-break-sort its inboxes —
-	// a range reads only locator slots it wrote itself, so no barrier is
-	// needed between the scatter and the sweep.
-	phaseBC := func(r int) {
-		lo := r * n / nr
-		hi := (r + 1) * n / nr
-		for w := 0; w < n; w++ {
-			buf := rb.send[w].buf
-			for i := 0; i < len(buf); {
-				to, nw := unpackHeader(buf[i])
-				plo := i + frameHeader
-				i = plo + nw
-				if to < lo || to >= hi {
-					continue
-				}
-				idx := rb.off[to] + rb.cnt[to]
-				rb.cnt[to]++
-				if wide {
-					rb.loc[idx] = uint64(plo)
-					rb.locFrom[idx] = int32(w)
-				} else {
-					rb.loc[idx] = uint64(w)<<32 | uint64(uint32(plo))
-				}
-			}
-		}
-		for ti := rb.rangeOff[r]; ti < rb.rangeOff[r+1]; ti++ {
-			d := rb.touched[ti]
-			mlo := rb.off[d]
-			mhi := int32(nmsg)
-			if ti+1 < len(rb.touched) {
-				mhi = rb.off[rb.touched[ti+1]]
-			}
-			for idx := mlo; idx < mhi; idx++ {
-				var from, plo int
-				if wide {
-					from, plo = int(rb.locFrom[idx]), int(rb.loc[idx])
-				} else {
-					l := rb.loc[idx]
-					from, plo = int(l>>32), int(uint32(l))
-				}
-				buf := rb.send[from].buf
-				_, nw := unpackHeader(buf[plo-1])
-				phi := plo + nw
-				rb.msgs[idx] = Msg{To: int(d), From: from, Words: buf[plo:phi:phi]}
-			}
-			in := rb.msgs[mlo:mhi]
-			rb.inboxes[d] = in
-			for i := 1; i < len(in); {
-				if in[i].From != in[i-1].From {
-					i++
-					continue
-				}
-				j := i - 1
-				for i < len(in) && in[i].From == in[j].From {
-					i++
-				}
-				insertionSortByWords(in[j:i])
-			}
-		}
-	}
-	pool.RunHeavy(nr, phaseBC)
-
-	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
-	return rb.inboxes[:n], rb.stats(total), nil
-}
-
-// rangeScratch sizes the per-range state shared by the ranged passes: touch
-// lists, error candidates and, for grouped accounting, zeroed per-(range,
-// group) load slabs.
-func (rb *RoundBuffer) rangeScratch(nr, groups int, grouped bool) {
-	if cap(rb.rangeTouch) < nr {
-		grown := make([][]int32, nr)
-		copy(grown, rb.rangeTouch)
-		rb.rangeTouch = grown
-	}
-	rb.rangeTouch = rb.rangeTouch[:nr]
-	if cap(rb.rangeErr) < nr {
-		rb.rangeErr = make([]deliverErrCand, nr)
-	}
-	rb.rangeErr = rb.rangeErr[:nr]
-	if grouped {
-		rb.grpSend = growInt64(rb.grpSend, nr*groups)
-		rb.grpRecv = growInt64(rb.grpRecv, nr*groups)
-		rb.grpHit = growBool(rb.grpHit, nr*groups)
-		clear(rb.grpSend)
-		clear(rb.grpRecv)
-		clear(rb.grpHit)
-	}
-}
-
-// chargeSenders finishes ungrouped accounting once a ranged pass has listed
-// the receive side in tgroups. With per-worker groups and nothing free,
-// every staged frame is charged, so a sender's load is exactly its arena's
-// payload words. It returns the round's total and leaves tgroups sorted.
-func (rb *RoundBuffer) chargeSenders() int64 {
-	ep := rb.epoch
-	var total int64
-	for w := 0; w < rb.n; w++ {
-		sb := &rb.send[w]
-		if sb.nmsg == 0 {
-			continue
-		}
-		words := int64(len(sb.buf)) - int64(sb.nmsg)*frameHeader
-		if rb.gStamp[w] != ep {
-			rb.gStamp[w] = ep
-			rb.tgroups = append(rb.tgroups, int32(w))
-			rb.recvLoad[w] = 0 // sends but receives nothing
-		}
-		rb.sendLoad[w] = words
-		total += words
-	}
-	if !slices.IsSorted(rb.tgroups) {
-		slices.Sort(rb.tgroups)
-	}
-	return total
-}
-
-// mergeGroups sums a grouped ranged pass's per-(range, group) slabs into the
-// group loads and returns the round's total.
-func (rb *RoundBuffer) mergeGroups(nr, groups int) int64 {
-	ep := rb.epoch
-	var total int64
-	for g := 0; g < groups; g++ {
-		hit := false
-		var sw, rw int64
-		for r := 0; r < nr; r++ {
-			if rb.grpHit[r*groups+g] {
-				hit = true
-			}
-			sw += rb.grpSend[r*groups+g]
-			rw += rb.grpRecv[r*groups+g]
-		}
-		if !hit {
-			continue
-		}
-		rb.gStamp[g] = ep
-		rb.tgroups = append(rb.tgroups, int32(g)) // ascending by construction
-		rb.sendLoad[g] = sw
-		rb.recvLoad[g] = rw
-		total += sw
-	}
-	return total
-}
-
-// chargeParallel is the charge-only accounting pass on the pool. Where
-// deliverParallel splits the destinations, so that every range scans every
-// arena, it splits the senders into contiguous blocks of about equal staged
-// words, so each frame is read once. What is keyed by destination (the
-// pair-budget counters and, ungrouped, the receive loads) lives in per-block
-// destSlot rows and is merged serially; grouped loads go to the
-// per-(block, group) slabs. Blocks are ascending sender intervals and each
-// stops at its first violation, so the lowest block that reports one holds
-// the error the serial pass would return.
-func (rb *RoundBuffer) chargeParallel(opts DeliverOpts, groups, staged int) (RoundStats, error) {
-	n := rb.n
-	groupOf := opts.GroupOf
-	nb := opts.Pool.Workers()
-	if nb > n {
-		nb = n
-	}
-	rb.rangeScratch(nb, groups, groupOf != nil)
-	rb.senderCut = append(rb.senderCut[:0], 0)
-	acc := 0
-	for w := 0; w < n; w++ {
-		acc += len(rb.send[w].buf)
-		for len(rb.senderCut) < nb && acc*nb >= len(rb.senderCut)*staged {
-			rb.senderCut = append(rb.senderCut, w+1)
-		}
-	}
-	for len(rb.senderCut) <= nb {
-		rb.senderCut = append(rb.senderCut, n)
-	}
-	perDest := groupOf == nil || opts.PairWords > 0
-	if perDest {
-		if len(rb.blockSlots) < nb {
-			rb.blockSlots = append(rb.blockSlots, make([][]destSlot, nb-len(rb.blockSlots))...)
-		}
-		for b := 0; b < nb; b++ {
-			if cap(rb.blockSlots[b]) < n {
-				rb.blockSlots[b] = make([]destSlot, n)
-			}
-			rb.blockSlots[b] = rb.blockSlots[b][:n]
-		}
-	}
-	// Sender w stamps base+w+1, so a slot stamped at or below base has not
-	// been reached this round; stamps only grow across rounds.
-	base := rb.chargeStamp
-	rb.chargeStamp += int64(n)
-
-	block := func(b int) {
-		var slots []destSlot
-		if perDest {
-			slots = rb.blockSlots[b]
-		}
-		var gSend, gRecv []int64
-		var gHit []bool
-		if groupOf != nil {
-			gSend = rb.grpSend[b*groups : (b+1)*groups]
-			gRecv = rb.grpRecv[b*groups : (b+1)*groups]
-			gHit = rb.grpHit[b*groups : (b+1)*groups]
-		}
-		touch := rb.rangeTouch[b][:0]
-		rb.rangeErr[b] = deliverErrCand{}
-	senders:
-		for w := rb.senderCut[b]; w < rb.senderCut[b+1]; w++ {
-			buf := rb.send[w].buf
-			st := base + int64(w) + 1
-			gw := w
-			if groupOf != nil {
-				gw = groupOf[w]
-			}
-			for i := 0; i < len(buf); {
-				to, nw := unpackHeader(buf[i])
-				fi := i
-				i += frameHeader + nw
-				if to < 0 || to >= n {
-					rb.rangeErr[b] = deliverErrCand{ok: true, w: w, i: fi,
-						err: RouteError{OutOfRange: true, From: w, To: to}}
-					break senders
-				}
-				if perDest {
-					sl := &slots[to]
-					if sl.stamp != st {
-						if sl.stamp <= base {
-							sl.recv = 0
-							touch = append(touch, int32(to))
-						}
-						sl.stamp = st
-						sl.pair = 0
-					}
-					sl.pair += int64(nw)
-					sl.recv += int64(nw)
-					if opts.PairWords > 0 && sl.pair > int64(opts.PairWords) {
-						rb.rangeErr[b] = deliverErrCand{ok: true, w: w, i: fi,
-							err: RouteError{From: w, To: to, Words: int(sl.pair), Budget: opts.PairWords}}
-						break senders
-					}
-				}
-				if groupOf != nil {
-					gt := groupOf[to]
-					if !opts.FreeIntraGroup || gt != gw {
-						gSend[gw] += int64(nw)
-						gRecv[gt] += int64(nw)
-						gHit[gw] = true
-						gHit[gt] = true
-					}
-				}
-			}
-		}
-		rb.rangeTouch[b] = touch
-	}
-	opts.Pool.RunHeavy(nb, block)
-
-	for b := 0; b < nb; b++ {
-		if c := &rb.rangeErr[b]; c.ok {
-			e := c.err
-			return RoundStats{}, &e
-		}
-	}
-	if groupOf != nil {
-		return rb.stats(rb.mergeGroups(nb, groups)), nil
-	}
-	ep := rb.epoch
-	for b := 0; b < nb; b++ {
-		slots := rb.blockSlots[b]
-		for _, d := range rb.rangeTouch[b] {
-			if rb.gStamp[d] != ep {
-				rb.gStamp[d] = ep
-				rb.tgroups = append(rb.tgroups, d)
-				rb.sendLoad[d] = 0
-				rb.recvLoad[d] = 0
-			}
-			rb.recvLoad[d] += slots[d].recv
-		}
-	}
-	return rb.stats(rb.chargeSenders()), nil
 }
 
 // insertionSortByWords orders an equal-sender run lexicographically by

@@ -7,39 +7,84 @@ import (
 	"testing"
 )
 
-// BenchmarkDeliver times RoundBuffer.Deliver alone on one staged round
-// shaped like the dense solve's announce: every node of a 2048-node clique
-// sends a 1-word frame to 512 random distinct nodes (about a million frames
-// under the per-pair budget). Deliver only reads the arenas, so the round is
-// staged once and delivered b.N times. Sub-benchmarks cover full and
-// charge-only delivery, serial and ranged over a pool of GOMAXPROCS workers.
+// BenchmarkDeliver times RoundBuffer.Deliver alone on staged rounds of two
+// shapes. Deliver only reads the arenas, so each round is staged once and
+// delivered b.N times, as one block (no pool) and split over a pool of
+// GOMAXPROCS workers whatever the round's size.
+//
+//   - announce: every node of an n-node clique sends a 1-word frame to n/4
+//     random distinct nodes, the dense solve's announce round, read and
+//     charge-only. n=2048 is about a million frames. n=256 (32k staged
+//     words) and n=64 (2k words) bracket DeliverParallelMinWords: a round
+//     below it runs as one block because one block wins there.
+//   - aggregate: 2¹⁶ senders each send a 1-word frame to each of 24 owners,
+//     the first round of AggregateVec in a sparse solve's seed selection,
+//     read and combined.
 func BenchmarkDeliver(b *testing.B) {
-	const n, fanout = 2048, 512
-	rng := rand.New(rand.NewSource(1))
-	rb := AcquireRoundBuffer(n)
-	defer ReleaseRoundBuffer(rb)
-	for w := 0; w < n; w++ {
-		sb := rb.Sender(w)
-		for _, to := range rng.Perm(n)[:fanout] {
-			sb.Put(to, uint64(w))
-		}
-	}
 	pool := NewWorkPool(runtime.GOMAXPROCS(0))
 	defer pool.Stop()
-	for _, ranged := range []bool{false, true} {
-		for _, chargeOnly := range []bool{false, true} {
-			opts := DeliverOpts{PairWords: 4, ChargeOnly: chargeOnly}
-			if ranged {
+	run := func(b *testing.B, rb *RoundBuffer, frames int, opts DeliverOpts) {
+		for _, split := range []bool{false, true} {
+			opts := opts
+			name := "blocks=1"
+			if split {
 				opts.Pool = pool
+				name = fmt.Sprintf("pool=%d", pool.Workers())
 			}
-			b.Run(fmt.Sprintf("ranged=%v/charge-only=%v", ranged, chargeOnly), func(b *testing.B) {
+			b.Run(name, func(b *testing.B) {
+				if split {
+					defer splitEveryRound()()
+				}
 				for i := 0; i < b.N; i++ {
+					if opts.Skip.Sum != nil {
+						clear(opts.Skip.Sum)
+					}
 					if _, _, err := rb.Deliver(opts); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(n*fanout), "ns/frame")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(frames), "ns/frame")
 			})
 		}
 	}
+	for _, n := range []int{2048, 256, 64} {
+		fanout := n / 4
+		rng := rand.New(rand.NewSource(1))
+		rb := AcquireRoundBuffer(n)
+		for w := 0; w < n; w++ {
+			sb := rb.Sender(w)
+			for _, to := range rng.Perm(n)[:fanout] {
+				sb.Put(to, uint64(w))
+			}
+		}
+		for _, chargeOnly := range []bool{false, true} {
+			kind := "read"
+			if chargeOnly {
+				kind = "charge-only"
+			}
+			b.Run(fmt.Sprintf("announce%d/%s", n, kind), func(b *testing.B) {
+				run(b, rb, n*fanout, DeliverOpts{PairWords: 4, Skip: Skip{Inboxes: chargeOnly}})
+			})
+		}
+		ReleaseRoundBuffer(rb)
+	}
+
+	const senders, owners = 1 << 16, 24
+	rb := AcquireRoundBuffer(senders)
+	defer ReleaseRoundBuffer(rb)
+	for w := 0; w < senders; w++ {
+		sb := rb.Sender(w)
+		sb.Reserve(owners, owners)
+		for o := 0; o < owners; o++ {
+			if o != w {
+				sb.Put(o, uint64(w^o))
+			}
+		}
+	}
+	b.Run("aggregate64k/read", func(b *testing.B) {
+		run(b, rb, senders*owners, DeliverOpts{PairWords: 4})
+	})
+	b.Run("aggregate64k/combine", func(b *testing.B) {
+		run(b, rb, senders*owners, DeliverOpts{PairWords: 4, Skip: Skip{Sum: make([]int64, owners)}})
+	})
 }

@@ -1,254 +1,464 @@
 package fabric
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// stageRandomRound fills both buffers with the identical random traffic
-// pattern: per sender a handful of frames to random destinations with short
-// payloads drawn from a tiny alphabet, so equal-sender equal-destination
-// runs with duplicate payloads (the tie-break sort's hard case) occur often.
-func stageRandomRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
+// referenceRound is the oracle's view of one delivered round.
+type referenceRound struct {
+	in         [][]Msg
+	total      int64
+	send, recv map[int]int64 // per charged group
+	sum        []int64       // combining rounds only
+}
+
+// referenceDeliver is Deliver's test oracle, written without its counting
+// sort, sender blocks or stamps: it materializes every sender's frames in
+// staging order, stops at the first violation, appends each frame to its
+// destination's inbox, orders every inbox with SortInbox, and sums loads
+// (and a combining round's payload) directly.
+func referenceDeliver(rb *RoundBuffer, opts DeliverOpts) (referenceRound, error) {
+	n := rb.n
+	r := referenceRound{in: make([][]Msg, n), send: map[int]int64{}, recv: map[int]int64{}}
+	if opts.Skip.Sum != nil {
+		r.sum = make([]int64, len(opts.Skip.Sum))
+	}
+	for w := 0; w < n; w++ {
+		pair := map[int]int{}
+		for _, m := range rb.send[w].messages() {
+			nw := len(m.Words)
+			if m.To < 0 || m.To >= n {
+				return r, &RouteError{OutOfRange: true, From: w, To: m.To}
+			}
+			pair[m.To] += nw
+			if opts.PairWords > 0 && pair[m.To] > opts.PairWords {
+				return r, &RouteError{From: w, To: m.To, Words: pair[m.To], Budget: opts.PairWords}
+			}
+			if r.sum != nil {
+				if nw > 0 && m.To+(nw-1)*n >= len(r.sum) {
+					return r, &SumError{From: w, To: m.To, Words: nw, Len: len(r.sum)}
+				}
+				for s, x := range m.Words {
+					r.sum[m.To+s*n] += int64(x)
+				}
+			}
+			gw, gt := w, m.To
+			if opts.GroupOf != nil {
+				gw, gt = opts.GroupOf[w], opts.GroupOf[m.To]
+			}
+			if opts.GroupOf == nil || !opts.FreeIntraGroup || gw != gt {
+				// Both groups are charged, even with zero words.
+				r.send[gw] += int64(nw)
+				r.send[gt] += 0
+				r.recv[gt] += int64(nw)
+				r.recv[gw] += 0
+				r.total += int64(nw)
+			}
+			r.in[m.To] = append(r.in[m.To], Msg{To: m.To, From: w, Words: m.Words})
+		}
+	}
+	for _, in := range r.in {
+		SortInbox(in)
+	}
+	return r, nil
+}
+
+// checkAgainstReference requires one Deliver result to equal the oracle's
+// on the same staged round: the error, or else every RoundStats field, the
+// inboxes of a reading round (nil ones for a skipped round), and a
+// combining round's sums. A failed combining round must leave sum as it
+// was (all zero here).
+func checkAgainstReference(t *testing.T, what string, opts DeliverOpts,
+	in [][]Msg, st RoundStats, err error, ref referenceRound, referr error) {
+	t.Helper()
+	if referr != nil || err != nil {
+		if !reflect.DeepEqual(err, referr) {
+			t.Fatalf("%s: err %v, reference err %v", what, err, referr)
+		}
+		if slices.ContainsFunc(opts.Skip.Sum, func(x int64) bool { return x != 0 }) {
+			t.Fatalf("%s: failed combining round wrote its sum", what)
+		}
+		return
+	}
+	var groups []int32
+	var maxSend, maxRecv int64
+	for g, x := range ref.send {
+		groups = append(groups, int32(g))
+		maxSend = max(maxSend, x)
+		maxRecv = max(maxRecv, ref.recv[g])
+	}
+	slices.Sort(groups)
+	if st.TotalWords != ref.total || st.MaxSendLoad != maxSend || st.MaxRecvLoad != maxRecv {
+		t.Fatalf("%s: stats %+v, reference total %d send %d recv %d", what, st, ref.total, maxSend, maxRecv)
+	}
+	if !slices.Equal(st.Groups, groups) {
+		t.Fatalf("%s: groups %v, reference %v", what, st.Groups, groups)
+	}
+	for _, g := range groups {
+		if st.SendLoad[g] != ref.send[int(g)] || st.RecvLoad[g] != ref.recv[int(g)] {
+			t.Fatalf("%s group %d: loads (%d,%d), reference (%d,%d)",
+				what, g, st.SendLoad[g], st.RecvLoad[g], ref.send[int(g)], ref.recv[int(g)])
+		}
+	}
+	if opts.Skip.Inboxes || opts.Skip.Sum != nil {
+		if in != nil {
+			t.Fatalf("%s: skipped round returned inboxes", what)
+		}
+		if !slices.Equal(opts.Skip.Sum, ref.sum) {
+			t.Fatalf("%s: sum %v, reference %v", what, opts.Skip.Sum, ref.sum)
+		}
+		return
+	}
+	if len(in) != len(ref.in) {
+		t.Fatalf("%s: %d inboxes, reference %d", what, len(in), len(ref.in))
+	}
+	for d := range in {
+		if len(in[d]) != len(ref.in[d]) {
+			t.Fatalf("%s inbox %d: %d msgs, reference %d", what, d, len(in[d]), len(ref.in[d]))
+		}
+		for i, m := range in[d] {
+			rm := ref.in[d][i]
+			if m.To != rm.To || m.From != rm.From || !slices.Equal(m.Words, rm.Words) {
+				t.Fatalf("%s inbox %d msg %d: %+v, reference %+v", what, d, i, m, rm)
+			}
+		}
+	}
+}
+
+// resetSenders clears every arena of the given buffers for a new round.
+func resetSenders(n int, bufs []*RoundBuffer) {
 	for _, rb := range bufs {
 		for w := 0; w < n; w++ {
 			rb.send[w].reset(w)
 		}
 	}
+}
+
+func putAll(bufs []*RoundBuffer, w, to int, words []uint64) {
+	for _, rb := range bufs {
+		rb.Sender(w).Put(to, words...)
+	}
+}
+
+// randomWords draws a payload of up to three words from a tiny alphabet, so
+// equal-sender equal-destination runs with duplicate payloads (the
+// tie-break sort's hard case) occur often.
+func randomWords(rng *rand.Rand) []uint64 {
+	words := make([]uint64, rng.Intn(4))
+	for i := range words {
+		words[i] = uint64(rng.Intn(3))
+	}
+	return words
+}
+
+// stageRandomRound fills every buffer with the identical random traffic:
+// per sender a handful of frames to random destinations.
+func stageRandomRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
+	resetSenders(n, bufs)
 	for w := 0; w < n; w++ {
-		frames := rng.Intn(8)
-		for f := 0; f < frames; f++ {
-			to := rng.Intn(n)
-			words := make([]uint64, rng.Intn(4))
-			for i := range words {
-				words[i] = uint64(rng.Intn(3))
-			}
-			for _, rb := range bufs {
-				rb.Sender(w).Put(to, words...)
-			}
+		for f := rng.Intn(8); f > 0; f-- {
+			putAll(bufs, w, rng.Intn(n), randomWords(rng))
 		}
 	}
 }
 
-// freshRoundBuffer returns a buffer that has never delivered a round; the
-// pool behind AcquireRoundBuffer may hand back a used one.
-func freshRoundBuffer(n int) *RoundBuffer {
-	rb := &RoundBuffer{n: n, send: make([]SendBuf, n)}
-	for w := range rb.send {
-		rb.send[w].reset(w)
-	}
-	return rb
-}
-
-// compareStats requires two deliveries of identical traffic to agree on
-// their error or, when both succeed, on every RoundStats field. It reports
-// whether both succeeded.
-func compareStats(t *testing.T, round int, sst, pst RoundStats, serr, perr error) bool {
-	t.Helper()
-	if (serr == nil) != (perr == nil) {
-		t.Fatalf("round %d: serial err %v, parallel err %v", round, serr, perr)
-	}
-	if serr != nil {
-		if !reflect.DeepEqual(serr, perr) {
-			t.Fatalf("round %d: serial err %v, parallel err %v", round, serr, perr)
-		}
-		return false
-	}
-	if sst.TotalWords != pst.TotalWords || sst.MaxSendLoad != pst.MaxSendLoad || sst.MaxRecvLoad != pst.MaxRecvLoad {
-		t.Fatalf("round %d: stats serial %+v parallel %+v", round, sst, pst)
-	}
-	if !reflect.DeepEqual(sst.Groups, pst.Groups) {
-		t.Fatalf("round %d: groups serial %v parallel %v", round, sst.Groups, pst.Groups)
-	}
-	for _, g := range sst.Groups {
-		if sst.SendLoad[g] != pst.SendLoad[g] || sst.RecvLoad[g] != pst.RecvLoad[g] {
-			t.Fatalf("round %d group %d: loads serial (%d,%d) parallel (%d,%d)",
-				round, g, sst.SendLoad[g], sst.RecvLoad[g], pst.SendLoad[g], pst.RecvLoad[g])
-		}
-	}
-	return true
-}
-
-func compareDeliveries(t *testing.T, round int,
-	sin, pin [][]Msg, sst, pst RoundStats, serr, perr error) {
-	t.Helper()
-	if !compareStats(t, round, sst, pst, serr, perr) {
-		return
-	}
-	if len(sin) != len(pin) {
-		t.Fatalf("round %d: %d vs %d inboxes", round, len(sin), len(pin))
-	}
-	for d := range sin {
-		if len(sin[d]) != len(pin[d]) {
-			t.Fatalf("round %d inbox %d: %d vs %d msgs", round, d, len(sin[d]), len(pin[d]))
-		}
-		for i := range sin[d] {
-			sm, pm := sin[d][i], pin[d][i]
-			if sm.To != pm.To || sm.From != pm.From || !reflect.DeepEqual(sm.Words, pm.Words) {
-				t.Fatalf("round %d inbox %d msg %d: serial %+v parallel %+v", round, d, i, sm, pm)
-			}
+// stageSkewedRound: every sender stages one to three frames, each to one of
+// three owners, so every owner receives frames from every sender block —
+// the shape of AggregateVec's first round and of GatherMany's collector
+// rounds, which uniform random traffic never produces.
+func stageSkewedRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
+	resetSenders(n, bufs)
+	owners := [3]int{0, n / 2, n - 1}
+	for w := 0; w < n; w++ {
+		for f := 1 + rng.Intn(3); f > 0; f-- {
+			putAll(bufs, w, owners[rng.Intn(len(owners))], randomWords(rng))
 		}
 	}
 }
 
-// TestDeliverParallelMatchesSerial drives the same random rounds through a
-// serial and a pool-backed Deliver on every accounting mode and requires
-// bit-identical inboxes, stats, and errors — the contract that keeps the
-// solve goldens byte-stable regardless of GOMAXPROCS or pool width.
-//
-// Two more buffers, one serial and one ranged, alternate charge-only and
-// full rounds on the same traffic: a charge-only round must return nil
-// inboxes with the full delivery's stats, and a full round after a
-// charge-only one must match a fresh buffer's inboxes exactly.
-func TestDeliverParallelMatchesSerial(t *testing.T) {
-	oldCut := DeliverParallelMinWords
+// stageSparseRound: about one sender in ten stages anything, so most
+// arenas are empty and blocks are cut over the few live senders.
+func stageSparseRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
+	resetSenders(n, bufs)
+	for w := 0; w < n; w++ {
+		if rng.Intn(10) != 0 {
+			continue
+		}
+		for f := 1 + rng.Intn(6); f > 0; f-- {
+			putAll(bufs, w, rng.Intn(n), randomWords(rng))
+		}
+	}
+}
+
+// splitEveryRound lowers the one-block threshold so every test round is
+// split into as many blocks as the pool allows; the returned func restores
+// it.
+func splitEveryRound() func() {
+	old := DeliverParallelMinWords
 	DeliverParallelMinWords = 1
-	defer func() { DeliverParallelMinWords = oldCut }()
+	return func() { DeliverParallelMinWords = old }
+}
 
-	const n = 97
+// accountingModes are the four ways a backend accounts a round.
+func accountingModes(n int) []struct {
+	name string
+	opts DeliverOpts
+} {
 	groupOf := make([]int, n)
 	for i := range groupOf {
 		groupOf[i] = i % 7
 	}
-	for _, width := range []int{2, 4, 8} {
-		pool := NewWorkPool(width)
-		cases := []struct {
-			name string
-			opts DeliverOpts
-		}{
-			{"plain", DeliverOpts{}},
-			{"pair-budget", DeliverOpts{PairWords: 1 << 20}},
-			{"grouped-free", DeliverOpts{GroupOf: groupOf, Groups: 7, FreeIntraGroup: true}},
-			{"grouped-charged", DeliverOpts{GroupOf: groupOf, Groups: 7}},
-		}
-		for _, tc := range cases {
-			rng := rand.New(rand.NewSource(int64(width * 1009)))
-			srb := AcquireRoundBuffer(n)
-			prb := AcquireRoundBuffer(n)
-			scrb := AcquireRoundBuffer(n) // serial, alternating charge-only
-			pcrb := AcquireRoundBuffer(n) // ranged, alternating charge-only
-			for round := 0; round < 8; round++ {
-				fresh := freshRoundBuffer(n)
-				stageRandomRound(rng, n, srb, prb, scrb, pcrb, fresh)
-				sin, sst, serr := srb.Deliver(tc.opts)
-				popts := tc.opts
-				popts.Pool = pool
-				pin, pst, perr := prb.Deliver(popts)
-				compareDeliveries(t, round, sin, pin, sst, pst, serr, perr)
+	return []struct {
+		name string
+		opts DeliverOpts
+	}{
+		{"plain", DeliverOpts{}},
+		{"pair-budget", DeliverOpts{PairWords: 1 << 20}},
+		{"grouped-free", DeliverOpts{GroupOf: groupOf, Groups: 7, FreeIntraGroup: true}},
+		{"grouped-charged", DeliverOpts{GroupOf: groupOf, Groups: 7}},
+	}
+}
 
-				chargeOnly := round%2 == 0
-				scopts, pcopts := tc.opts, popts
-				scopts.ChargeOnly, pcopts.ChargeOnly = chargeOnly, chargeOnly
-				scin, scst, scerr := scrb.Deliver(scopts)
-				pcin, pcst, pcerr := pcrb.Deliver(pcopts)
-				if chargeOnly {
-					if scin != nil || pcin != nil {
-						t.Fatalf("%s width %d round %d: charge-only delivery returned inboxes", tc.name, width, round)
-					}
-					compareStats(t, round, sst, scst, serr, scerr)
-					compareStats(t, round, sst, pcst, serr, pcerr)
-					continue
+// roundSkips are the three kinds of round: reading, charge-only, and
+// combining into a fresh zeroed sum of 4 words per worker.
+var roundSkips = []struct {
+	name string
+	skip func(n int) Skip
+}{
+	{"read", func(int) Skip { return Skip{} }},
+	{"charge-only", func(int) Skip { return Skip{Inboxes: true} }},
+	{"combine", func(n int) Skip { return Skip{Sum: make([]int64, 4*n)} }},
+}
+
+// TestDeliverParallelMatchesSerial drives random, skewed and sparse rounds
+// through Deliver at block counts 1–8 (pool widths 1–8, every round split)
+// in all four accounting modes and requires the serial test oracle's
+// inboxes, stats, and sums exactly — the contract that keeps the solve
+// goldens byte-stable regardless of GOMAXPROCS or pool width. One buffer
+// per case cycles reading, charge-only and combining rounds, so a reading
+// round after a skipped one is checked for stale inboxes too.
+func TestDeliverParallelMatchesSerial(t *testing.T) {
+	defer splitEveryRound()()
+	const n = 97
+	traffic := []struct {
+		name  string
+		stage func(*rand.Rand, int, ...*RoundBuffer)
+	}{
+		{"random", stageRandomRound},
+		{"skewed", stageSkewedRound},
+		{"sparse", stageSparseRound},
+	}
+	for width := 1; width <= 8; width++ {
+		pool := NewWorkPool(width)
+		for _, mode := range accountingModes(n) {
+			for _, tr := range traffic {
+				rng := rand.New(rand.NewSource(int64(width*1009 + len(tr.name))))
+				rb := AcquireRoundBuffer(n)
+				for round := 0; round < 9; round++ {
+					tr.stage(rng, n, rb)
+					kind := roundSkips[round%len(roundSkips)]
+					opts := mode.opts
+					opts.Pool, opts.Skip = pool, kind.skip(n)
+					ref, referr := referenceDeliver(rb, opts)
+					in, st, err := rb.Deliver(opts)
+					what := fmt.Sprintf("width %d %s %s round %d (%s)", width, mode.name, tr.name, round, kind.name)
+					checkAgainstReference(t, what, opts, in, st, err, ref, referr)
 				}
-				fin, fst, ferr := fresh.Deliver(tc.opts)
-				compareDeliveries(t, round, fin, scin, fst, scst, ferr, scerr)
-				compareDeliveries(t, round, fin, pcin, fst, pcst, ferr, pcerr)
+				ReleaseRoundBuffer(rb)
 			}
-			ReleaseRoundBuffer(srb)
-			ReleaseRoundBuffer(prb)
-			ReleaseRoundBuffer(scrb)
-			ReleaseRoundBuffer(pcrb)
 		}
 		pool.Stop()
 	}
 }
 
-// TestDeliverParallelErrors pins the parallel path's staging-order error
-// contract: the reported RouteError (kind, pair, running word count) matches
-// the serial pass exactly even when violations race across ranges.
+// TestDeliverParallelErrors pins the staging-order error contract: at every
+// block count and for every kind of round, the reported error (kind, pair,
+// running word count) is the oracle's — the first violation in staging
+// order — even when violations fall into different sender blocks.
 func TestDeliverParallelErrors(t *testing.T) {
-	oldCut := DeliverParallelMinWords
-	DeliverParallelMinWords = 1
-	defer func() { DeliverParallelMinWords = oldCut }()
-	pool := NewWorkPool(4)
-	defer pool.Stop()
+	defer splitEveryRound()()
 	const n = 64
-
-	stage := func(rb *RoundBuffer, oorFrom int) {
-		// Every sender also sends one word to its successor, so the round
-		// stages enough words for the charge-only ranged pass.
+	// Every sender sends one word to its successor. Sender 3 then sends five
+	// 1-word frames to 40, overrunning a 4-word pair budget on the fifth;
+	// sender oorFrom (if any) sends out of range; and sender sumFrom (if
+	// any) sends a 3-word frame to n-1, whose last word lands at 3n-1, past
+	// a combining round's 2n-word sum.
+	stage := func(rb *RoundBuffer, oorFrom, sumFrom int) {
+		resetSenders(n, []*RoundBuffer{rb})
 		for w := 0; w < n; w++ {
-			rb.send[w].reset(w)
 			rb.Sender(w).Put((w+1)%n, 1)
 		}
-		// Sender 3 overruns the pair budget on destination 40 (when one is
-		// set), and sender oorFrom, if any, sends out of range. The
-		// violation first in staging order is the one reported.
 		if oorFrom >= 0 {
 			rb.Sender(oorFrom).Put(n+7, 9)
 		}
-		rb.Sender(3).Put(40, 1, 2, 3)
-		rb.Sender(3).Put(40, 4, 5)
+		if sumFrom >= 0 {
+			rb.Sender(sumFrom).Put(n-1, 1, 2, 3)
+		}
+		for x := uint64(1); x <= 5; x++ {
+			rb.Sender(3).Put(40, x)
+		}
 		rb.Sender(7).Put(1, 8)
 	}
-	for _, tc := range []struct {
-		name    string
-		opts    DeliverOpts
-		oorFrom int
+	kinds := []struct {
+		name string
+		skip func() Skip
 	}{
-		{"pair-violation", DeliverOpts{PairWords: 4}, -1},
-		{"out-of-range", DeliverOpts{}, 5},
-		{"pair-before-oor", DeliverOpts{PairWords: 4}, 5},
-		{"oor-before-pair", DeliverOpts{PairWords: 4}, 2},
-	} {
-		srb := AcquireRoundBuffer(n)
-		stage(srb, tc.oorFrom)
-		_, _, serr := srb.Deliver(tc.opts)
-		if serr == nil {
-			t.Fatalf("%s: serial delivery accepted the round", tc.name)
-		}
-		ReleaseRoundBuffer(srb)
-		// The ranged path, and both paths charge-only, must report the
-		// identical violation.
-		for _, v := range []struct {
-			pool       *WorkPool
-			chargeOnly bool
-		}{{pool, false}, {nil, true}, {pool, true}} {
-			rb := AcquireRoundBuffer(n)
-			stage(rb, tc.oorFrom)
-			opts := tc.opts
-			opts.Pool, opts.ChargeOnly = v.pool, v.chargeOnly
-			_, _, err := rb.Deliver(opts)
-			if !reflect.DeepEqual(serr, err) {
-				t.Fatalf("%s (ranged %v, charge-only %v): serial err %v, got %v",
-					tc.name, v.pool != nil, v.chargeOnly, serr, err)
+		{"read", func() Skip { return Skip{} }},
+		{"charge-only", func() Skip { return Skip{Inboxes: true} }},
+		{"combine", func() Skip { return Skip{Sum: make([]int64, 2*n)} }},
+	}
+	cases := []struct {
+		name             string
+		opts             DeliverOpts
+		oorFrom, sumFrom int
+	}{
+		{"pair-violation", DeliverOpts{PairWords: 4}, -1, -1},
+		{"out-of-range", DeliverOpts{}, 5, -1},
+		{"pair-before-oor", DeliverOpts{PairWords: 4}, 5, -1},
+		{"oor-before-pair", DeliverOpts{PairWords: 4}, 2, -1},
+		{"pair-block-before-oor-block", DeliverOpts{PairWords: 4}, 50, -1},
+		{"sum-overflow", DeliverOpts{}, -1, 60},
+		{"sum-before-pair", DeliverOpts{PairWords: 4}, -1, 1},
+		{"pair-before-sum", DeliverOpts{PairWords: 4}, -1, 60},
+	}
+	for _, tc := range cases {
+		for width := 1; width <= 8; width++ {
+			pool := NewWorkPool(width)
+			for _, kind := range kinds {
+				rb := AcquireRoundBuffer(n)
+				stage(rb, tc.oorFrom, tc.sumFrom)
+				opts := tc.opts
+				opts.Pool, opts.Skip = pool, kind.skip()
+				ref, referr := referenceDeliver(rb, opts)
+				mustFail := tc.oorFrom >= 0 || tc.opts.PairWords > 0 || (tc.sumFrom >= 0 && kind.name == "combine")
+				if (referr != nil) != mustFail {
+					t.Fatalf("%s (%s): oracle err %v", tc.name, kind.name, referr)
+				}
+				in, st, err := rb.Deliver(opts)
+				what := fmt.Sprintf("%s width %d (%s)", tc.name, width, kind.name)
+				checkAgainstReference(t, what, opts, in, st, err, ref, referr)
+				ReleaseRoundBuffer(rb)
 			}
-			ReleaseRoundBuffer(rb)
+			pool.Stop()
 		}
 	}
 }
 
-// TestDeliverParallelWideLocators runs the parallel path with the packed
-// locator boundary lowered, so per-range scatters exercise the wide
-// (offset + sender slab) encoding as well.
+// TestDeliverParallelWideLocators runs split rounds with the packed locator
+// boundary lowered, so per-block scatters exercise the wide (offset +
+// sender slab) encoding as well.
 func TestDeliverParallelWideLocators(t *testing.T) {
-	oldCut, oldLim := DeliverParallelMinWords, locOffsetLimit
-	DeliverParallelMinWords = 1
+	defer splitEveryRound()()
+	oldLim := locOffsetLimit
 	locOffsetLimit = 8
-	defer func() { DeliverParallelMinWords = oldCut; locOffsetLimit = oldLim }()
+	defer func() { locOffsetLimit = oldLim }()
 	pool := NewWorkPool(4)
 	defer pool.Stop()
 
 	const n = 33
 	rng := rand.New(rand.NewSource(7))
-	srb := AcquireRoundBuffer(n)
-	prb := AcquireRoundBuffer(n)
-	defer ReleaseRoundBuffer(srb)
-	defer ReleaseRoundBuffer(prb)
+	rb := AcquireRoundBuffer(n)
+	defer ReleaseRoundBuffer(rb)
 	for round := 0; round < 4; round++ {
-		stageRandomRound(rng, n, srb, prb)
-		sin, sst, serr := srb.Deliver(DeliverOpts{})
-		pin, pst, perr := prb.Deliver(DeliverOpts{Pool: pool})
-		compareDeliveries(t, round, sin, pin, sst, pst, serr, perr)
+		stageRandomRound(rng, n, rb)
+		opts := DeliverOpts{Pool: pool}
+		ref, referr := referenceDeliver(rb, opts)
+		in, st, err := rb.Deliver(opts)
+		checkAgainstReference(t, fmt.Sprintf("round %d", round), opts, in, st, err, ref, referr)
+	}
+}
+
+// TestCombiningRoundMatchesReadingRound stages identical AggregateVec-shaped
+// traffic — every sender ships k-word frames to the owners of a 3n-element
+// vector — into two buffers at pool widths 1/2/4/8, reads one and combines
+// the other, and requires the combined sum to equal the reading round's
+// inbox sums, with equal stats. Every payload word is near MaxInt64, so
+// the sums wrap. A frame past the sum's end fails with a *SumError and
+// charges nothing; an out-of-range frame fails exactly as in a reading
+// round.
+func TestCombiningRoundMatchesReadingRound(t *testing.T) {
+	defer splitEveryRound()()
+	const n, vlen = 53, 3*53 - 4
+	stage := func(bufs ...*RoundBuffer) {
+		resetSenders(n, bufs)
+		for w := 0; w < n; w++ {
+			for o := 0; o < n; o++ {
+				k := (vlen - o + n - 1) / n // elements o, o+n, ... below vlen
+				if o == w || k == 0 {
+					continue
+				}
+				words := make([]uint64, k)
+				for s := range words {
+					words[s] = uint64(math.MaxInt64 - int64(w*s+o))
+				}
+				putAll(bufs, w, o, words)
+			}
+		}
+	}
+	for _, width := range []int{1, 2, 4, 8} {
+		pool := NewWorkPool(width)
+		read, comb := AcquireRoundBuffer(n), AcquireRoundBuffer(n)
+		stage(read, comb)
+		in, rst, rerr := read.Deliver(DeliverOpts{PairWords: 4, Pool: pool})
+		sum := make([]int64, vlen)
+		cin, cst, cerr := comb.Deliver(DeliverOpts{PairWords: 4, Pool: pool, Skip: Skip{Sum: sum}})
+		if rerr != nil || cerr != nil || cin != nil {
+			t.Fatalf("width %d: reading err %v, combining err %v, %d inboxes", width, rerr, cerr, len(cin))
+		}
+		want := make([]int64, vlen)
+		wrapped := false
+		for d, msgs := range in {
+			for _, m := range msgs {
+				for s, x := range m.Words {
+					before := want[d+s*n]
+					want[d+s*n] += int64(x)
+					wrapped = wrapped || want[d+s*n] < before
+				}
+			}
+		}
+		if !wrapped {
+			t.Fatal("test traffic never wraps past MaxInt64")
+		}
+		if !slices.Equal(sum, want) {
+			t.Fatalf("width %d: combined sum differs from the reading round's inbox sums", width)
+		}
+		if rst.TotalWords != cst.TotalWords || rst.MaxSendLoad != cst.MaxSendLoad ||
+			rst.MaxRecvLoad != cst.MaxRecvLoad || !slices.Equal(rst.Groups, cst.Groups) {
+			t.Fatalf("width %d: reading stats %+v, combining %+v", width, rst, cst)
+		}
+
+		// One word too many: sender 5's frame to owner n-1 now reaches
+		// element n-1+3n, past the 3n-4 sum.
+		stage(read, comb)
+		putAll([]*RoundBuffer{read, comb}, 5, n-1, []uint64{1, 2, 3, 4})
+		clear(sum)
+		_, _, cerr = comb.Deliver(DeliverOpts{Pool: pool, Skip: Skip{Sum: sum}})
+		var se *SumError
+		if !errors.As(cerr, &se) || *se != (SumError{From: 5, To: n - 1, Words: 4, Len: vlen}) {
+			t.Fatalf("width %d: overflowing frame: err %v", width, cerr)
+		}
+		if slices.ContainsFunc(sum, func(x int64) bool { return x != 0 }) {
+			t.Fatalf("width %d: failed combining round wrote its sum", width)
+		}
+		if _, _, rerr = read.Deliver(DeliverOpts{Pool: pool}); rerr != nil {
+			t.Fatalf("width %d: reading round rejected the frame: %v", width, rerr)
+		}
+
+		stage(read, comb)
+		putAll([]*RoundBuffer{read, comb}, 9, -2, []uint64{1})
+		_, _, rerr = read.Deliver(DeliverOpts{PairWords: 4, Pool: pool})
+		_, _, cerr = comb.Deliver(DeliverOpts{PairWords: 4, Pool: pool, Skip: Skip{Sum: sum}})
+		if rerr == nil || !reflect.DeepEqual(rerr, cerr) {
+			t.Fatalf("width %d: out-of-range frame: reading err %v, combining err %v", width, rerr, cerr)
+		}
+		ReleaseRoundBuffer(read)
+		ReleaseRoundBuffer(comb)
+		pool.Stop()
 	}
 }

@@ -35,7 +35,7 @@ func chargeOnlyClusters(t *testing.T, recycled bool, opts ...Option) (read, skip
 		if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(6-w, uint64(w)) }); err != nil {
 			t.Fatal(err)
 		}
-		c.SkipNextInboxes()
+		c.SkipNextInboxes(nil)
 		if err := c.ResetLinear(chargeOnlyN, chargeOnlyWeight, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,8 @@ func chargeOnlyClusters(t *testing.T, recycled bool, opts ...Option) (read, skip
 }
 
 // withRing prepends a 1-word frame from every worker to its successor, so
-// a round stages enough words to take the ranged charge-only pass.
+// every worker stages something and a round splits into as many sender
+// blocks as the pool has workers.
 func withRing(frames [][]fabric.Msg) [][]fabric.Msg {
 	out := make([][]fabric.Msg, len(frames))
 	for w := range frames {
@@ -79,9 +80,9 @@ func sameCharges(t *testing.T, what string, a, b *Cluster) {
 
 // TestChargeOnlyRoundMatchesReadingRound runs identical traffic through a
 // cluster that reads its inboxes and one whose rounds are charge-only
-// (fabric.SendFrames), on NewLinear and ResetLinear clusters with serial
-// and ranged delivery, and requires the same ledger and peak machine space
-// after every round.
+// (fabric.SendFrames), on NewLinear and ResetLinear clusters at
+// parallelism 1 and 4 with every round split into sender blocks, and
+// requires the same ledger and peak machine space after every round.
 func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 	oldCut := fabric.DeliverParallelMinWords
 	fabric.DeliverParallelMinWords = 1
@@ -208,17 +209,17 @@ func TestChargeOnlyRequestIsOneShot(t *testing.T) {
 			t.Fatalf("%s: inbox 3 = %+v", what, in[3])
 		}
 	}
-	c.SkipNextInboxes()
+	c.SkipNextInboxes(nil)
 	reads("requested round", false)
 	reads("round after it", true)
 
-	c.SkipNextInboxes()
+	c.SkipNextInboxes(nil)
 	if in, err := c.Round(func(w int) []fabric.Msg { return nil }); err != nil || in != nil {
 		t.Fatalf("Round did not consume the request: %d inboxes, err %v", len(in), err)
 	}
 	reads("round after Round", true)
 
-	c.SkipNextInboxes()
+	c.SkipNextInboxes(nil)
 	if err := c.Reset([]int{0, 0, 1, 1}, 2, 100); err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,9 @@ type Cluster struct {
 	// is recycled when the next round starts (see fabric.RoundBuffer's
 	// lifetime contract).
 	live *fabric.RoundBuffer
-	// skipInboxes is a pending fabric.ChargeOnlyFabric request, consumed by
-	// the next round.
-	skipInboxes bool
+	// skip is the pending fabric.ChargeOnlyFabric request, consumed by the
+	// next round.
+	skip fabric.Skip
 }
 
 var (
@@ -199,7 +199,7 @@ func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	c.ledger.Reset()
 	c.peakSpace = 0
 	c.maxResident = 0
-	c.skipInboxes = false
+	c.skip = fabric.Skip{}
 	return nil
 }
 
@@ -302,14 +302,17 @@ func (c *Cluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error
 }
 
 // SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
-// validated and charged as usual but returns nil inboxes.
-func (c *Cluster) SkipNextInboxes() { c.skipInboxes = true }
+// validated and charged as usual but returns nil inboxes, and with a
+// non-nil sum adds its frames into sum.
+func (c *Cluster) SkipNextInboxes(sum []int64) {
+	c.skip = fabric.Skip{Inboxes: true, Sum: sum}
+}
 
 // FrameRound executes one synchronous round staged directly as flat frames
 // (fabric.FrameFabric), avoiding per-message allocation entirely.
 func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
-	chargeOnly := c.skipInboxes
-	c.skipInboxes = false
+	skip := c.skip
+	c.skip = fabric.Skip{}
 	if c.live != nil {
 		fabric.ReleaseRoundBuffer(c.live)
 		c.live = nil
@@ -322,7 +325,7 @@ func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.
 		Groups:         c.machines,
 		FreeIntraGroup: true,
 		Pool:           c.workPool,
-		ChargeOnly:     chargeOnly,
+		Skip:           skip,
 	})
 	if err != nil {
 		var re *fabric.RouteError
@@ -360,6 +363,7 @@ func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.
 		}
 	}
 	c.ledger.AddRound(stats.TotalWords, maxSend, maxRecv)
+	c.ledger.ObserveScratch(stats.ScratchWords)
 	return inboxes, nil
 }
 

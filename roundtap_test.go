@@ -19,15 +19,27 @@ import (
 	"ccolor/internal/verify"
 )
 
-// roundCount tallies the rounds a wrapper saw, and how many of them came
-// back without inboxes (charge-only rounds).
+// roundCount tallies the rounds a wrapper saw, how many of them came back
+// without inboxes (charge-only and combining rounds), and how many were
+// combining rounds. The wrappers see a combining request through
+// SkipNextInboxes, which they forward to the backend.
 type roundCount struct {
-	rounds, chargeOnly int
+	rounds, chargeOnly, combining int
+	combineNext                   bool
+}
+
+func (c *roundCount) skipNext(inner func([]int64), sum []int64) {
+	c.combineNext = sum != nil
+	inner(sum)
 }
 
 func (c *roundCount) frameRound(inner func(func(int, *fabric.SendBuf)) ([][]fabric.Msg, error),
 	stage func(int, *fabric.SendBuf)) ([][]fabric.Msg, error) {
 	c.rounds++
+	if c.combineNext {
+		c.combining++
+		c.combineNext = false
+	}
 	in, err := inner(stage)
 	if err == nil && in == nil {
 		c.chargeOnly++
@@ -56,6 +68,8 @@ func (f *tappedClique) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, 
 	return f.FrameRound(stageProduced(produce))
 }
 
+func (f *tappedClique) SkipNextInboxes(sum []int64) { f.skipNext(f.Network.SkipNextInboxes, sum) }
+
 type tappedCluster struct {
 	*mpc.Cluster
 	roundCount
@@ -69,10 +83,13 @@ func (f *tappedCluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg,
 	return f.FrameRound(stageProduced(produce))
 }
 
+func (f *tappedCluster) SkipNextInboxes(sum []int64) { f.skipNext(f.Cluster.SkipNextInboxes, sum) }
+
 // TestRoundTapSeesEveryRound solves a registry scenario through a tapped
 // congested clique and a tapped linear MPC cluster and requires the tap to
-// have seen exactly the rounds the ledger charged, charge-only ones
-// included.
+// have seen exactly the rounds the ledger charged, charge-only and
+// combining ones included. The clique must run combining rounds
+// (AggregateVec's first round); the grouped MPC aggregation runs none.
 func TestRoundTapSeesEveryRound(t *testing.T) {
 	spec, err := scenario.Lookup("gnp")
 	if err != nil {
@@ -85,15 +102,16 @@ func TestRoundTapSeesEveryRound(t *testing.T) {
 	n := inst.G.N()
 	weight := func(v int) int64 { return int64(inst.G.Degree(int32(v)) + len(inst.Palettes[v]) + 2) }
 	cases := []struct {
-		name string
-		mk   func() (f fabric.Fabric, pairWords int, count *roundCount, release func())
+		name      string
+		combining bool
+		mk        func() (f fabric.Fabric, pairWords int, count *roundCount, release func())
 	}{
-		{"cclique", func() (fabric.Fabric, int, *roundCount, func()) {
+		{"cclique", true, func() (fabric.Fabric, int, *roundCount, func()) {
 			nw := cclique.New(n)
 			f := &tappedClique{Network: nw}
 			return f, nw.MsgWords(), &f.roundCount, nw.Release
 		}},
-		{"mpc", func() (fabric.Fabric, int, *roundCount, func()) {
+		{"mpc", false, func() (fabric.Fabric, int, *roundCount, func()) {
 			cl, err := mpc.NewLinear(n, weight, 16)
 			if err != nil {
 				t.Fatal(err)
@@ -118,10 +136,14 @@ func TestRoundTapSeesEveryRound(t *testing.T) {
 			if got, want := count.rounds, f.Ledger().Rounds(); got != want || want == 0 {
 				t.Fatalf("tap saw %d rounds, ledger charged %d", got, want)
 			}
-			if count.chargeOnly == 0 {
+			if count.chargeOnly <= count.combining {
 				t.Fatal("no charge-only round passed through the tap")
 			}
-			t.Logf("%d rounds, %d charge-only", count.rounds, count.chargeOnly)
+			if (count.combining > 0) != tc.combining {
+				t.Fatalf("tap saw %d combining rounds", count.combining)
+			}
+			t.Logf("%d rounds, %d without inboxes, %d of them combining",
+				count.rounds, count.chargeOnly, count.combining)
 		})
 	}
 }
