@@ -164,17 +164,17 @@ func TestChargeOnlyRequestIsOneShot(t *testing.T) {
 			t.Fatalf("%s: inbox 1 = %+v", what, in[1])
 		}
 	}
-	nw.SkipNextInboxes(nil)
+	nw.SkipNextInboxes(fabric.Skip{Inboxes: true})
 	reads("requested round", false)
 	reads("round after it", true)
 
-	nw.SkipNextInboxes(nil)
+	nw.SkipNextInboxes(fabric.Skip{Inboxes: true})
 	if in, err := nw.Round(func(w int) []fabric.Msg { return nil }); err != nil || in != nil {
 		t.Fatalf("Round did not consume the request: %d inboxes, err %v", len(in), err)
 	}
 	reads("round after Round", true)
 
-	nw.SkipNextInboxes(nil)
+	nw.SkipNextInboxes(fabric.Skip{Inboxes: true})
 	nw.Reset(n)
 	reads("round after Reset", true)
 	if nw.Ledger().Rounds() != 1 {
@@ -243,13 +243,13 @@ func TestCombiningRequestIsOneShot(t *testing.T) {
 			t.Fatalf("%s: sum %v, want %v", what, sum, want)
 		}
 	}
-	nw.SkipNextInboxes(sum)
+	nw.SkipNextInboxes(fabric.Skip{Sum: sum})
 	if in, err := nw.FrameRound(stage); err != nil || in != nil {
 		t.Fatalf("combining round: %d inboxes, err %v", len(in), err)
 	}
 	reads("round after it")
 
-	nw.SkipNextInboxes(sum)
+	nw.SkipNextInboxes(fabric.Skip{Sum: sum})
 	_, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(n+1, 1) })
 	if err == nil {
 		t.Fatal("out-of-range combining round accepted")
@@ -257,7 +257,7 @@ func TestCombiningRequestIsOneShot(t *testing.T) {
 	reads("round after a failed combining round")
 
 	short := make([]int64, 2) // frames to nodes 2 and 3 land past it
-	nw.SkipNextInboxes(short)
+	nw.SkipNextInboxes(fabric.Skip{Sum: short})
 	_, err = nw.FrameRound(stage)
 	var se *fabric.SumError
 	if !errors.As(err, &se) || se.From != 1 || se.To != 2 || !reflect.DeepEqual(short, []int64{0, 0}) {
@@ -265,7 +265,60 @@ func TestCombiningRequestIsOneShot(t *testing.T) {
 	}
 	reads("round after an overflowing combining round")
 
-	nw.SkipNextInboxes(sum)
+	nw.SkipNextInboxes(fabric.Skip{Sum: sum})
+	nw.Reset(n)
+	reads("round after Reset")
+	if nw.Ledger().Rounds() != 1 {
+		t.Fatalf("rounds after reset = %d, want 1", nw.Ledger().Rounds())
+	}
+}
+
+// TestPlacingRequestIsOneShot: SkipNextInboxes with a Place makes exactly
+// the next round a placing round, a failed round consumes the request and
+// places nothing, and Reset drops a pending one.
+func TestPlacingRequestIsOneShot(t *testing.T) {
+	const n = 4
+	nw := New(n, WithParallelism(1))
+	defer nw.Release()
+	stage := func(w int, sb *fabric.SendBuf) { sb.Put((w+1)%n, uint64(w+1)) }
+	got := make([]uint64, n)
+	calls := 0
+	place := func(to int, payload []uint64) {
+		got[to] = payload[0]
+		calls++
+	}
+	reads := func(what string) {
+		t.Helper()
+		in, err := nw.FrameRound(stage)
+		if err != nil || len(in) != n || len(in[1]) != 1 || in[1][0].Words[0] != 1 {
+			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
+		}
+		if calls != n {
+			t.Fatalf("%s: %d frames placed in all, want %d", what, calls, n)
+		}
+	}
+	nw.SkipNextInboxes(fabric.Skip{Place: place})
+	if in, err := nw.FrameRound(stage); err != nil || in != nil {
+		t.Fatalf("placing round: %d inboxes, err %v", len(in), err)
+	}
+	if want := []uint64{4, 1, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("placed %v, want %v", got, want)
+	}
+	reads("round after it")
+
+	nw.SkipNextInboxes(fabric.Skip{Place: place})
+	_, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
+		stage(w, sb)
+		if w == 2 {
+			sb.Put(n+1, 1)
+		}
+	})
+	if err == nil {
+		t.Fatal("out-of-range placing round accepted")
+	}
+	reads("round after a failed placing round")
+
+	nw.SkipNextInboxes(fabric.Skip{Place: place})
 	nw.Reset(n)
 	reads("round after Reset")
 	if nw.Ledger().Rounds() != 1 {

@@ -78,12 +78,12 @@ func New(n int, opts ...Option) *Network {
 func (nw *Network) Workers() int { return nw.n }
 
 // Reset re-arms the network for a new solve on n nodes: the node count is
-// re-dimensioned, the ledger cleared, and any pending charge-only or
-// combining request dropped, while the configured options (word budget,
-// parallelism) and any live round arena carry over — the next round simply
-// recycles it at the new width, exactly as rounds always do. This is what lets a solver
-// session reuse one Network across solves instead of paying cclique.New per
-// call; it mirrors mpc.Cluster.Reset.
+// re-dimensioned, the ledger cleared, and any pending charge-only,
+// combining or placing request dropped, while the configured options (word
+// budget, parallelism) and any live round arena carry over — the next round
+// simply recycles it at the new width, exactly as rounds always do. This is
+// what lets a solver session reuse one Network across solves instead of
+// paying cclique.New per call; it mirrors mpc.Cluster.Reset.
 func (nw *Network) Reset(n int) {
 	nw.n = n
 	nw.ledger.Reset()
@@ -137,10 +137,10 @@ func (nw *Network) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, erro
 }
 
 // SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
-// validated and charged as usual but returns nil inboxes, and with a
-// non-nil sum adds its frames into sum.
-func (nw *Network) SkipNextInboxes(sum []int64) {
-	nw.skip = fabric.Skip{Inboxes: true, Sum: sum}
+// validated and charged as usual but returns nil inboxes, and with a Sum
+// or a Place adds its frames into the sum or places them.
+func (nw *Network) SkipNextInboxes(s fabric.Skip) {
+	nw.skip = s
 }
 
 // FrameRound executes one synchronous round staged directly as flat frames

@@ -15,8 +15,9 @@ import (
 //
 // The wave-level lookup tables (call → target/live list, node → assigned
 // color, the per-node taken-color set) are epoch-stamped workspace slabs,
-// reset per wave by one counter bump, so repeated collect waves allocate
-// only what the gather itself must retain (the per-sender payload blocks).
+// reset per wave by one counter bump, and the gather's payload blocks,
+// tables and slabs are retained in the workspace too, so repeated collect
+// waves allocate nothing once the slabs have seen their largest wave.
 func (s *solver) collectAndColor(calls []*call) error {
 	ws := s.wsp
 	ws.beginCollectWave(s.nextID, s.bign, s.colorSlots())
@@ -50,10 +51,12 @@ func (s *solver) collectAndColor(calls []*call) error {
 	// instance's target machine. Palettes are truncated to d+1 colors
 	// (§3.6), keeping every gathered instance at O(size) words. The payload
 	// callback runs serially per worker, so the neighbor and palette
-	// scratch are shared; the words block itself is retained by the gather
-	// and stays per-node.
+	// scratch are shared, and every node's block is carved out of one
+	// retained slab (GatherMany reads the blocks until it returns, and an
+	// append never writes inside a block already handed out).
 	s.fab.Ledger().SetPhase("collect:gather")
-	blocks, err := fabric.GatherMany(s.fab, s.pw, func(w int) (int, []uint64) {
+	slab := ws.gatherWords[:0]
+	gathered, err := ws.agg.GatherMany(s.fab, s.pw, func(w int) (int, []uint64) {
 		v := int32(w)
 		cid := s.callOf[v]
 		if cid < 0 || s.color[v] != graph.NoColor {
@@ -71,17 +74,18 @@ func (s *solver) collectAndColor(calls []*call) error {
 		}
 		ws.nbrs = nbrs
 		pal := s.palFirstKInto(v, len(nbrs)+1)
-		words := make([]uint64, 0, 2+len(nbrs)+len(pal))
-		words = append(words, uint64(len(nbrs)))
+		start := len(slab)
+		slab = append(slab, uint64(len(nbrs)))
 		for _, u := range nbrs {
-			words = append(words, uint64(u))
+			slab = append(slab, uint64(u))
 		}
-		words = append(words, uint64(len(pal)))
+		slab = append(slab, uint64(len(pal)))
 		for _, c := range pal {
-			words = append(words, uint64(c))
+			slab = append(slab, uint64(c))
 		}
-		return int(target), words
+		return int(target), slab[start:len(slab):len(slab)]
 	})
+	ws.gatherWords = slab
 	if err != nil {
 		return fmt.Errorf("gather: %w", err)
 	}
@@ -89,7 +93,7 @@ func (s *solver) collectAndColor(calls []*call) error {
 	// Local coloring at each target (the target machine's local step).
 	for _, c := range active {
 		target := ws.targetOf[c.id]
-		got := blocks[int(target)]
+		got := gathered.To(int(target))
 		size := 0
 		for _, b := range got {
 			size += len(b.Words)

@@ -94,7 +94,7 @@ type Workspace struct {
 	pool      *fabric.WorkPool // parallel table fills (lazy)
 
 	sel     derand.Workspace  // partition seed selection
-	agg     fabric.VecScratch // wave-barrier aggregation
+	agg     fabric.VecScratch // wave-barrier aggregation and collect gather
 	barrier []int64           // per-worker barrier contribution slab
 
 	// Collect-wave scratch (see collectAndColor): the wave-local lookup
@@ -114,6 +114,7 @@ type Workspace struct {
 	takenStamp   []uint32
 	firstK       []graph.Color
 	nbrs         []int32
+	gatherWords  []uint64 // the gather's payload blocks, one per gathering node
 }
 
 // beginCollectWave sizes the collect slabs for the wave (call-indexed
@@ -411,11 +412,14 @@ func (s *solver) buildSparseIdx(nPals int, warm bool) {
 // MemoryWords reports the workspace's retained scratch footprint in 64-bit
 // words after a solve — the per-layer memory budget the engine surfaces in
 // its Report. The packed palette slab and its warm template dominate; the
-// remaining slabs are folded in at their word-equivalent sizes.
+// remaining slabs, the collect gather's payload slab and the aggregation
+// and gather scratch among them, are folded in at their word-equivalent
+// sizes.
 func (ws *Workspace) MemoryWords() int64 {
 	words := int64(cap(ws.setSlab) + cap(ws.tmpl) + cap(ws.candTab) + cap(ws.candMasks) + cap(ws.palUnion))
 	words += int64(cap(ws.barrier)) // int64 slab
 	words += int64(cap(ws.tmplPals))
+	words += int64(cap(ws.gatherWords)) + ws.agg.MemoryWords()
 	// int32 slabs: two entries per word.
 	i32 := cap(ws.callOf) + cap(ws.tmplOff) + cap(ws.tmplSize) +
 		cap(ws.idxSlab) + cap(ws.idxOff) + cap(ws.tmplIdx) +

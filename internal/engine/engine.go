@@ -162,10 +162,11 @@ type MemoryBudget struct {
 	// graph.
 	InstanceWords int64
 	// WorkspaceWords is the core coloring workspace's footprint after the
-	// solve (palette slabs, candidate masks, aggregation buffers) — the
-	// dominant resident term of ModelCClique/ModelMPC coloring runs. Zero
-	// for set problems and for ModelLowSpace, whose pool solver works in
-	// per-machine chunks by construction.
+	// solve (palette slabs, candidate masks, aggregation buffers, the
+	// collect gather's tables and slabs) — the dominant resident term of
+	// ModelCClique/ModelMPC coloring runs. Zero for set problems and for
+	// ModelLowSpace, whose pool solver works in per-machine chunks by
+	// construction.
 	WorkspaceWords int64
 	// PeakRoundWords is the largest total word volume any single fabric
 	// round moved — the transient delivery footprint of the solve.

@@ -1,9 +1,11 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Communication primitives (paper §2.1). Each is implemented with real
@@ -21,14 +23,17 @@ import (
 // the same round but builds no inboxes. AggregateVec's first round, whose
 // owners only add up what they receive, is a combining round (SumFrames):
 // the fabric sums the frames during delivery instead of building inboxes.
+// GatherMany's spread and delivery rounds, whose receivers only store each
+// word at the position its frame names, are placing rounds (PlaceFrames):
+// the fabric hands every frame to the gather's store during delivery.
 //
 // The multi-target gather below is the restricted routing pattern the
 // coloring algorithm needs (per-sender blocks of ≤ O(𝔫) words, per-target
 // totals of O(𝔫) words). It is the special case of Lenzen's constant-round
 // routing [15] for which a simple rank-based two-phase schedule is exact:
 // word of global per-target rank r relays through intermediate r mod 𝔫, so
-// every (sender, intermediate) and (intermediate, target, sub-round) pair
-// carries at most one record.
+// every (sender, intermediate) pair carries at most one record per spread
+// round and every (intermediate, target) pair one frame per delivery round.
 
 // Grouped is an optional Fabric extension: workers sharing a group (an MPC
 // machine) exchange data for free, so collective primitives combine
@@ -152,12 +157,13 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 }
 
 // VecScratch holds the flat worker/group tables, accumulator slab, and
-// reduction-tree state behind AggregateVec. The zero value is ready for
-// use; solver sessions retain one across solves (via derand.Workspace /
-// the core and lowspace workspaces) so the grouped aggregation path runs
-// without per-call map or accumulator allocation in steady state. The
-// returned totals are freshly allocated on every call either way, so the
-// caller-visible contract is unchanged.
+// reduction-tree state behind AggregateVec, and the tables and slabs behind
+// GatherMany. The zero value is ready for use; solver sessions retain one
+// across solves (via derand.Workspace / the core and lowspace workspaces)
+// so the grouped aggregation path and the gather run without per-call map,
+// accumulator or slab allocation in steady state. AggregateVec's totals
+// are freshly allocated on every call; GatherMany's result aliases the
+// scratch.
 type VecScratch struct {
 	reps    []int   // group representatives, ascending worker order
 	slot    []int32 // worker -> dense group slot (valid for representatives)
@@ -177,6 +183,27 @@ type VecScratch struct {
 	// closure captures, so a call allocates nothing for it.
 	badMu sync.Mutex
 	bad   *VecLenError
+
+	gather gatherScratch
+}
+
+// Slice and SenderBlock sizes in 64-bit words, for MemoryWords.
+const (
+	sliceWords       = int64(unsafe.Sizeof([]uint64(nil)) / 8)
+	senderBlockWords = int64(unsafe.Sizeof(SenderBlock{}) / 8)
+)
+
+// MemoryWords reports the scratch's retained footprint in 64-bit words:
+// the aggregation's tables and accumulators and the gather's tables and
+// slabs, at their capacities.
+func (ws *VecScratch) MemoryWords() int64 {
+	g := &ws.gather
+	words := int64(cap(ws.reps) + cap(ws.acc) + cap(ws.levels) + cap(ws.have)/8 +
+		cap(g.rank) + cap(g.goff) + cap(g.hold) + cap(g.gath))
+	words += int64(cap(g.block))*sliceWords + int64(cap(g.blocks))*senderBlockWords
+	i32 := cap(ws.slot) + cap(ws.gdense) + cap(ws.moff) + cap(ws.mcur) + cap(ws.members) +
+		cap(ws.loff) + cap(ws.sendTo) + cap(ws.blockAt) + cap(g.target) + cap(g.order) + cap(g.boff)
+	return words + int64(i32)/2
 }
 
 // AggregateVec computes the element-wise sum over all workers of the
@@ -555,248 +582,232 @@ type SenderBlock struct {
 	Words []uint64
 }
 
+// Gathered is GatherMany's result, a CSR over targets: target t's blocks
+// are Blocks[Off[t]:Off[t+1]], ascending by sender, and a target no worker
+// sent to has none. It aliases the VecScratch it came from and is valid
+// until that scratch's next GatherMany.
+type Gathered struct {
+	Off    []int32 // len workers+1
+	Blocks []SenderBlock
+}
+
+// To returns target t's blocks, ascending by sender.
+func (g Gathered) To(t int) []SenderBlock { return g.Blocks[g.Off[t]:g.Off[t+1]] }
+
+// gatherScratch is GatherMany's retained state. hold and gath are both
+// indexed by (target, rank) as goff[target]+rank: hold is every
+// intermediate's memory (intermediate r mod n keeps rank r), gath every
+// target's.
+type gatherScratch struct {
+	target []int32       // per worker: its target, -1 when it sends nothing
+	block  [][]uint64    // per worker: its payload block (cleared on return)
+	rank   []int         // per worker: its block's first per-target rank
+	goff   []int         // per target: its first slot in hold and gath
+	order  []int32       // targets that receive words, largest total first
+	hold   []uint64      // the spread's records at the intermediates
+	gath   []uint64      // the delivered words at the targets
+	boff   []int32       // the result's per-target offsets
+	blocks []SenderBlock // the result's blocks, target-major
+}
+
 // GatherMany routes each worker's payload block to its designated target
-// worker. payload(w) returns (target, words); a negative target means
-// worker w contributes nothing. Multiple targets may be gathered to
-// concurrently. The result maps target → blocks sorted by sender.
+// worker. payload(w) returns (target, words); a negative target or an empty
+// block means worker w contributes nothing. Multiple targets may be
+// gathered to concurrently. The result is a CSR over targets, each
+// target's blocks sorted by sender.
 //
-// payload is invoked serially, in ascending worker order — callers may
-// share scratch buffers across invocations (the returned words, however,
-// are retained until the gather completes and must be per-worker).
+// payload is invoked serially, in ascending worker order, so callers may
+// share scratch across invocations. The words it returns are read during
+// the gather's rounds and must not change until GatherMany returns; a
+// caller may carve every block out of one retained slab it appends to,
+// since an append never writes inside a block already handed out. The
+// result's words live in ws, not in the caller's blocks: they stay valid
+// until ws's next GatherMany. After an error ws's gather state is
+// unspecified and there is no result.
 //
-// Round cost: 2 (offset computation via worker 0) + ⌈maxBlock/𝔫⌉ (spread) +
-// phase-2 delivery rounds, which is O(1) whenever every block is O(𝔫) words
-// and every target receives O(𝔫) words — the regime Corollary 3.10 and
-// Lemma 3.14 guarantee for the coloring algorithm.
-func GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (map[int][]SenderBlock, error) {
+// Round cost: 2 (offset computation via worker 0) + ⌈maxBlock/𝔫⌉ spread
+// rounds + ⌈maxTotal/(𝔫·⌊pairWords/2⌋)⌉ delivery rounds, where maxBlock is
+// the longest block and maxTotal the most words one target receives. That
+// is O(1) whenever every block is O(𝔫) words and every target receives
+// O(𝔫) words — the regime Corollary 3.10 and Lemma 3.14 guarantee for the
+// coloring algorithm. The spread and delivery rounds are placing rounds
+// (PlaceFrames): each frame's words land in ws's slabs at the (target,
+// rank) the frame names, and no inbox is built.
+func (ws *VecScratch) GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (Gathered, error) {
 	n := f.Workers()
-	targets := make([]int, n)
-	blocks := make([][]uint64, n)
+	perRound := pairWords / 2 // (rank, word) records per delivery frame
+	if perRound < 1 {
+		return Gathered{}, fmt.Errorf("fabric: pairWords %d too small for gather delivery", pairWords)
+	}
+	g := &ws.gather
+	g.target = grow(g.target, n)
+	g.block = grow(g.block, n)
+	defer clear(g.block) // hold no caller memory past the call
+	target, block := g.target, g.block
+	maxBlock := 0
 	for w := 0; w < n; w++ {
-		targets[w], blocks[w] = payload(w)
-		if targets[w] >= n {
-			return nil, fmt.Errorf("fabric: gather target %d out of range", targets[w])
+		t, words := payload(w)
+		if t >= n {
+			return Gathered{}, fmt.Errorf("fabric: gather target %d out of range", t)
 		}
+		if t < 0 || len(words) == 0 {
+			t, words = -1, nil
+		}
+		target[w], block[w] = int32(t), words
+		maxBlock = max(maxBlock, len(words))
 	}
 
 	// Rounds 1-2: worker 0 assigns each sender a rank offset within its
 	// target's gather space. Each sender reports (target, count) — 2 words;
 	// worker 0 replies with the offset — 1 word.
 	if err := SendFrames(f, func(w int, sb *SendBuf) {
-		if targets[w] < 0 || len(blocks[w]) == 0 || w == 0 {
-			return
+		if w != 0 && target[w] >= 0 {
+			sb.Put(0, uint64(target[w]), uint64(len(block[w])))
 		}
-		sb.Put(0, uint64(targets[w]), uint64(len(blocks[w])))
 	}); err != nil {
-		return nil, err
+		return Gathered{}, err
 	}
-	offsets := make([]int, n)
-	totals := make([]int, n) // per target: gathered word count
-	for w := 0; w < n; w++ { // worker 0's local computation over reported counts
-		if targets[w] < 0 || len(blocks[w]) == 0 {
-			continue
+	// Worker 0's local computation over the reported counts: each sender's
+	// rank offset, each target's total (summed at goff[t+1], then prefixed
+	// into slab offsets), and the receiving targets.
+	g.rank = grow(g.rank, n)
+	g.goff = grow(g.goff, n+1)
+	rank, goff := g.rank, g.goff
+	clear(goff)
+	for w, t := range target {
+		if t >= 0 {
+			rank[w] = goff[t+1]
+			goff[t+1] += len(block[w])
 		}
-		offsets[w] = totals[targets[w]]
-		totals[targets[w]] += len(blocks[w])
 	}
+	order := g.order[:0]
+	for t := 0; t < n; t++ {
+		if goff[t+1] > 0 {
+			order = append(order, int32(t))
+		}
+		goff[t+1] += goff[t]
+	}
+	total := func(t int32) int { return goff[t+1] - goff[t] }
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(total(b), total(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	g.order = order
 	if err := SendFrames(f, func(w int, sb *SendBuf) {
 		if w != 0 {
 			return
 		}
-		for t := 1; t < n; t++ {
-			if targets[t] < 0 || len(blocks[t]) == 0 {
-				continue
+		for v := 1; v < n; v++ {
+			if target[v] >= 0 {
+				sb.Put(v, uint64(rank[v]))
 			}
-			sb.Put(t, uint64(offsets[t]))
 		}
 	}); err != nil {
-		return nil, err
+		return Gathered{}, err
 	}
 
-	// Phase 1: spread. Word k of sender w has per-target rank
-	// r = offsets[w]+k and relays through intermediate r mod n. Within one
-	// sub-round a sender touches each intermediate at most once (records of
-	// one sub-round have distinct ranks mod n).
-	type rec struct {
-		target int
-		rank   int
-		word   uint64
-	}
-	maxBlock := 0
-	for w := 0; w < n; w++ {
-		if targets[w] >= 0 && len(blocks[w]) > maxBlock {
-			maxBlock = len(blocks[w])
-		}
-	}
-	// Every record relays through rank % n, so each intermediate's queue
-	// size is known up front: carve the per-intermediate queues out of one
-	// slab instead of growing n slices.
-	heldCnt := make([]int, n+1)
-	baseSum := 0 // full cycles land on every intermediate equally
-	for w := 0; w < n; w++ {
-		if targets[w] < 0 {
-			continue
-		}
-		l := len(blocks[w])
-		baseSum += l / n
-		rem, start := l%n, offsets[w]%n
-		for k := 0; k < rem; k++ {
-			heldCnt[(start+k)%n+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		heldCnt[i+1] += heldCnt[i] + baseSum
-	}
-	slab := make([]rec, heldCnt[n])
-	held := make([][]rec, n) // per intermediate
-	for i := 0; i < n; i++ {
-		held[i] = slab[heldCnt[i]:heldCnt[i]:heldCnt[i+1]]
-	}
-	subRounds := (maxBlock + n - 1) / n
-	for s := 0; s < subRounds; s++ {
-		in, err := RoundFrames(f, func(w int, sb *SendBuf) {
-			if targets[w] < 0 {
+	// Phase 1: spread. Word k of sender w has per-target rank r = rank[w]+k
+	// and relays through intermediate r mod n as a (target, rank, word)
+	// frame, which lands in hold at (target, rank). Within one sub-round a
+	// sender touches each intermediate at most once (records of one
+	// sub-round have distinct ranks mod n).
+	g.hold = grow(g.hold, goff[n])
+	g.gath = grow(g.gath, goff[n])
+	hold, gath := g.hold, g.gath
+	spread := func(_ int, p []uint64) { hold[goff[p[0]]+int(p[1])] = p[2] }
+	for lo := 0; lo < maxBlock; lo += n {
+		if err := PlaceFrames(f, spread, func(w int, sb *SendBuf) {
+			hi := min(lo+n, len(block[w]))
+			if hi <= lo {
 				return
 			}
-			lo, hi := s*n, (s+1)*n
-			if hi > len(blocks[w]) {
-				hi = len(blocks[w])
-			}
-			if hi > lo {
-				sb.Reserve(hi-lo, 3*(hi-lo))
-			}
-			for k := lo; k < hi; k++ {
-				r := offsets[w] + k
-				inter := r % n
+			sb.Reserve(hi-lo, 3*(hi-lo))
+			t := target[w]
+			base, r := goff[t], rank[w]+lo
+			inter := r % n
+			for _, x := range block[w][lo:hi] {
 				if inter == w {
-					held[w] = append(held[w], rec{targets[w], r, blocks[w][k]})
+					hold[base+r] = x
+				} else {
+					p := sb.Begin(inter, 3)
+					p[0], p[1], p[2] = uint64(t), uint64(r), x
+				}
+				r++
+				if inter++; inter == n {
+					inter = 0
+				}
+			}
+		}); err != nil {
+			return Gathered{}, err
+		}
+	}
+
+	// Phase 2: delivery. Intermediate i holds target t's ranks i, i+n, …
+	// below t's total. Delivery round c ships chunk c of that run — its
+	// ranks from i+c·perRound·n on, at most perRound of them — as one frame
+	// of (rank, word) pairs, and the target stores each word at its rank.
+	// Targets are visited largest total first, so an intermediate stops at
+	// the first target whose run it has already drained.
+	deliver := func(to int, p []uint64) {
+		base := goff[to]
+		for j := 0; j+1 < len(p); j += 2 {
+			gath[base+int(p[j])] = p[j+1]
+		}
+	}
+	maxTotal := 0
+	if len(order) > 0 {
+		maxTotal = total(order[0])
+	}
+	for c0 := 0; c0 < maxTotal; c0 += perRound * n {
+		if err := PlaceFrames(f, deliver, func(w int, sb *SendBuf) {
+			first := c0 + w // the chunk's lowest rank
+			for _, t := range order {
+				tot := total(t)
+				if tot <= first {
+					break
+				}
+				base, k := goff[t], min(perRound, (tot-first+n-1)/n)
+				if int(t) == w {
+					for r := first; r < first+k*n; r += n {
+						gath[base+r] = hold[base+r]
+					}
 					continue
 				}
-				sb.Put(inter, uint64(targets[w]), uint64(r), blocks[w][k])
+				p := sb.Begin(int(t), 2*k)
+				for j, r := 0, first; j < 2*k; j, r = j+2, r+n {
+					p[j], p[j+1] = uint64(r), hold[base+r]
+				}
 			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			for _, m := range in[i] {
-				held[i] = append(held[i], rec{int(m.Words[0]), int(m.Words[1]), m.Words[2]})
-			}
+		}); err != nil {
+			return Gathered{}, err
 		}
 	}
 
-	// Phase 2: delivery. Each intermediate holds ≤ ⌈W_target/n⌉ records per
-	// target; it ships per-target chunks of ⌊pairWords/2⌋ (rank, word) pairs
-	// per round until drained. gathered words live in one flat slab indexed
-	// by per-target offsets.
-	for i := range held {
-		slices.SortFunc(held[i], func(a, b rec) int {
-			if a.target != b.target {
-				return a.target - b.target
-			}
-			return a.rank - b.rank
-		})
-	}
-	goff := make([]int, n+1) // slab offset per target
-	for t := 0; t < n; t++ {
-		goff[t+1] = goff[t] + totals[t]
-	}
-	gath := make([]uint64, goff[n])
-	perRound := pairWords / 2
-	if perRound < 1 {
-		return nil, fmt.Errorf("fabric: pairWords %d too small for gather delivery", pairWords)
-	}
-	cursor := make([]int, n)
-	for {
-		anyLeft := false
-		for i := range held {
-			if cursor[i] < len(held[i]) {
-				anyLeft = true
-				break
-			}
-		}
-		if !anyLeft {
-			break
-		}
-		in, err := RoundFrames(f, func(w int, sb *SendBuf) {
-			i := cursor[w]
-			for i < len(held[w]) {
-				t := held[w][i].target
-				j := i
-				for j < len(held[w]) && held[w][j].target == t && j-i < perRound {
-					j++
-				}
-				if t == w {
-					for k := i; k < j; k++ {
-						gath[goff[t]+held[w][k].rank] = held[w][k].word
-					}
-				} else {
-					payload := sb.Begin(t, 2*(j-i))
-					for k := i; k < j; k++ {
-						payload[2*(k-i)] = uint64(held[w][k].rank)
-						payload[2*(k-i)+1] = held[w][k].word
-					}
-				}
-				// Stop at the per-target chunk for this round; move to the
-				// next target's queue segment.
-				i = j
-				if j < len(held[w]) && held[w][j].target == t {
-					// Remaining records for t wait for the next round; skip
-					// past them when scanning for other targets this round.
-					for j < len(held[w]) && held[w][j].target == t {
-						j++
-					}
-					i = j
-				}
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Advance cursors: each queue consumed ≤ perRound records per target.
-		for w := 0; w < n; w++ {
-			i := cursor[w]
-			for i < len(held[w]) {
-				t := held[w][i].target
-				cnt := 0
-				j := i
-				for j < len(held[w]) && held[w][j].target == t {
-					j++
-					cnt++
-				}
-				consumed := cnt
-				if consumed > perRound {
-					consumed = perRound
-				}
-				// Compact: remove the consumed prefix of this target's queue.
-				copy(held[w][i:], held[w][i+consumed:])
-				held[w] = held[w][:len(held[w])-consumed]
-				i += cnt - consumed
-			}
-			cursor[w] = 0
-		}
-		for t := 0; t < n; t++ {
-			for _, m := range in[t] {
-				for k := 0; k+1 < len(m.Words); k += 2 {
-					gath[goff[t]+int(m.Words[k])] = m.Words[k+1]
-				}
-			}
+	// The result, a CSR over targets. Counting senders at boff[t+2] and
+	// prefixing leaves boff[t+1] at target t's first entry; filling through
+	// it as a cursor moves it to t's end, so boff[:n+1] is the CSR offsets.
+	g.boff = grow(g.boff, n+2)
+	boff := g.boff
+	clear(boff)
+	for _, t := range target {
+		if t >= 0 {
+			boff[t+2]++
 		}
 	}
-
-	// Reassemble per-sender blocks at each target. Senders are visited in
-	// ascending order, so each target's blocks arrive From-sorted.
-	out := make(map[int][]SenderBlock)
-	for w := 0; w < n; w++ {
-		if targets[w] < 0 || len(blocks[w]) == 0 {
+	for t := 2; t < n+2; t++ {
+		boff[t] += boff[t-1]
+	}
+	g.blocks = grow(g.blocks, int(boff[n+1]))
+	for w, t := range target {
+		if t < 0 {
 			continue
 		}
-		t := targets[w]
-		lo := goff[t] + offsets[w]
-		out[t] = append(out[t], SenderBlock{
-			From:  w,
-			Words: gath[lo : lo+len(blocks[w])],
-		})
+		lo := goff[t] + rank[w]
+		hi := lo + len(block[w])
+		g.blocks[boff[t+1]] = SenderBlock{From: w, Words: gath[lo:hi:hi]}
+		boff[t+1]++
 	}
-	return out, nil
+	return Gathered{Off: boff[:n+1], Blocks: g.blocks}, nil
 }

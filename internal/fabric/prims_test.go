@@ -135,7 +135,8 @@ func TestGatherMany(t *testing.T) {
 	for name, f := range testFabrics(t, 20) {
 		t.Run(name, func(t *testing.T) {
 			// Workers 0..9 send blocks to target 2; workers 10..19 to 15.
-			got, err := fabric.GatherMany(f, 4, func(w int) (int, []uint64) {
+			var ws fabric.VecScratch
+			got, err := ws.GatherMany(f, 4, func(w int) (int, []uint64) {
 				target := 2
 				if w >= 10 {
 					target = 15
@@ -149,11 +150,11 @@ func TestGatherMany(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != 2 {
-				t.Fatalf("expected 2 targets, got %d", len(got))
+			if len(got.Blocks) != 20 || len(got.Off) != 21 {
+				t.Fatalf("expected 20 blocks over 20 targets, got %d over %d", len(got.Blocks), len(got.Off)-1)
 			}
 			for _, target := range []int{2, 15} {
-				blocks := got[target]
+				blocks := got.To(target)
 				lo, hi := 0, 10
 				if target == 15 {
 					lo, hi = 10, 20
@@ -181,7 +182,8 @@ func TestGatherManyLargeBlocks(t *testing.T) {
 	// Blocks larger than n force multiple spread sub-rounds.
 	n := 8
 	nw := cclique.New(n)
-	got, err := fabric.GatherMany(nw, 4, func(w int) (int, []uint64) {
+	var ws fabric.VecScratch
+	got, err := ws.GatherMany(nw, 4, func(w int) (int, []uint64) {
 		if w != 3 {
 			return -1, nil
 		}
@@ -194,8 +196,8 @@ func TestGatherManyLargeBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := got[0]
-	if len(blocks) != 1 || len(blocks[0].Words) != 3*n+1 {
+	blocks := got.To(0)
+	if len(got.Blocks) != 1 || len(blocks) != 1 || len(blocks[0].Words) != 3*n+1 {
 		t.Fatalf("bad gather: %d blocks", len(blocks))
 	}
 	for i, x := range blocks[0].Words {

@@ -146,17 +146,18 @@ func RoundFrames(f Fabric, stage func(w int, sb *SendBuf)) ([][]Msg, error) {
 
 // ChargeOnlyFabric is an optional FrameFabric extension for rounds whose
 // inboxes no caller reads. SkipNextInboxes is a one-shot request: the
-// fabric's next Round or FrameRound stages, validates, and charges its
-// traffic exactly as usual but builds no inboxes and returns nil ones; with
-// a non-nil sum it is a combining round (see Skip.Sum). The round consumes
-// the request even when it fails, and a fabric reset drops a pending one.
+// fabric holds s until its next Round or FrameRound, which stages,
+// validates, and charges its traffic exactly as usual but builds no inboxes
+// and returns nil ones; with a Sum it is a combining round and with a Place
+// a placing round (see Skip). The round consumes the request even when it
+// fails, and a fabric reset drops a pending one.
 //
 // The request rides on the ordinary FrameRound rather than a method of its
 // own, so a wrapper that embeds a backend and intercepts FrameRound (to time
-// or count rounds) still sees every charge-only and combining round.
-// SendFrames and SumFrames are the intended callers.
+// or count rounds) still sees every charge-only, combining and placing
+// round. SendFrames, SumFrames and PlaceFrames are the intended callers.
 type ChargeOnlyFabric interface {
-	SkipNextInboxes(sum []int64)
+	SkipNextInboxes(s Skip)
 }
 
 // Skip is a ChargeOnlyFabric request as a backend holds it until its next
@@ -168,6 +169,13 @@ type Skip struct {
 	// Sum[d+s·n] (n workers) as a wrapping int64 add. A frame that would
 	// land past len(Sum) fails the round with a *SumError.
 	Sum []int64
+	// Place, when non-nil, makes the round a placing round and implies
+	// Inboxes: once the whole round has passed validation, every frame is
+	// handed to Place(to, payload), where payload aliases the staging
+	// arena and is valid until the next round. One sender's frames are
+	// placed in staging order by one goroutine; frames of different
+	// senders may be placed concurrently.
+	Place func(to int, payload []uint64)
 }
 
 // SendFrames runs one round staged as flat frames whose inboxes the caller
@@ -179,7 +187,7 @@ type Skip struct {
 // way.
 func SendFrames(f Fabric, stage func(w int, sb *SendBuf)) error {
 	if c, ok := f.(ChargeOnlyFabric); ok {
-		c.SkipNextInboxes(nil)
+		c.SkipNextInboxes(Skip{Inboxes: true})
 	}
 	_, err := RoundFrames(f, stage)
 	return err
@@ -198,7 +206,7 @@ func SendFrames(f Fabric, stage func(w int, sb *SendBuf)) error {
 // builds no inboxes; elsewhere SumFrames sums a reading round's inboxes.
 func SumFrames(f Fabric, sum []int64, stage func(w int, sb *SendBuf)) error {
 	if c, ok := f.(ChargeOnlyFabric); ok {
-		c.SkipNextInboxes(sum)
+		c.SkipNextInboxes(Skip{Sum: sum})
 		_, err := RoundFrames(f, stage)
 		return err
 	}
@@ -219,6 +227,41 @@ func SumFrames(f Fabric, sum []int64, stage func(w int, sb *SendBuf)) error {
 			for s, x := range m.Words {
 				sum[d+s*n] += int64(x)
 			}
+		}
+	}
+	return nil
+}
+
+// PlaceFrames runs one placing round: the frames travel, are validated and
+// are charged exactly as in RoundFrames, but instead of reading inboxes the
+// receivers hand every frame to place(to, payload) — the shape of a round
+// whose receivers only store what they get at positions the frames name.
+// place is called once per frame, in no particular order, and must be
+// safe for concurrent calls on frames of different senders; payload is
+// valid until the next round.
+//
+// Error contract: a round that fails validation (an out-of-range
+// destination, a broken pair budget) places nothing. A backend that
+// rejects a validated round afterwards (an MPC space error) may have
+// placed some or all of its frames, so after any error the contents of
+// place's destination are unspecified.
+//
+// On a ChargeOnlyFabric the fabric places the frames during delivery and
+// builds no inboxes; elsewhere PlaceFrames places a reading round's
+// inboxes.
+func PlaceFrames(f Fabric, place func(to int, payload []uint64), stage func(w int, sb *SendBuf)) error {
+	if c, ok := f.(ChargeOnlyFabric); ok {
+		c.SkipNextInboxes(Skip{Place: place})
+		_, err := RoundFrames(f, stage)
+		return err
+	}
+	in, err := RoundFrames(f, stage)
+	if err != nil {
+		return err
+	}
+	for d, msgs := range in {
+		for _, m := range msgs {
+			place(d, m.Words)
 		}
 	}
 	return nil
@@ -272,7 +315,8 @@ type DeliverOpts struct {
 	// errors are identical at every block count; rounds staging fewer than
 	// DeliverParallelMinWords run as one block.
 	Pool *WorkPool
-	// Skip stops Deliver after validation and accounting, with errors and
+	// Skip stops Deliver after validation and accounting (and, for a
+	// combining or placing round, summing or placing), with errors and
 	// stats exactly those of a full delivery, and returns nil inboxes.
 	Skip Skip
 }
@@ -434,8 +478,10 @@ func grow[T any](s []T, n int) []T {
 // stamped and driven off lists of what the round touched, so a round costs
 // its live traffic, not the worker domain.
 //
-// With opts.Skip, Deliver returns nil inboxes after step 2, and a combining
-// round adds the blocks' partial sums into Skip.Sum.
+// With opts.Skip, Deliver returns nil inboxes after step 2: a combining
+// round adds the blocks' partial sums into Skip.Sum, and a placing round
+// has each block hand its frames to Skip.Place once every block has
+// validated.
 func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 	rb.opts = opts
 	in, stats, err := rb.deliver()
@@ -450,8 +496,8 @@ func (rb *RoundBuffer) deliver() ([][]Msg, RoundStats, error) {
 	if opts.GroupOf != nil {
 		groups = opts.Groups
 	}
-	sum := opts.Skip.Sum
-	rb.inbox = !opts.Skip.Inboxes && sum == nil
+	sum, place := opts.Skip.Sum, opts.Skip.Place
+	rb.inbox = !opts.Skip.Inboxes && sum == nil && place == nil
 	rb.epoch++
 	rb.base = rb.slotBase
 	rb.slotBase += int64(n)
@@ -501,6 +547,9 @@ func (rb *RoundBuffer) deliver() ([][]Msg, RoundStats, error) {
 		for j, x := range rb.blocks[b].acc {
 			sum[j] += x
 		}
+	}
+	if place != nil {
+		rb.run(nb, (*RoundBuffer).place)
 	}
 	if !rb.inbox {
 		return nil, rb.stats(total, scratch), nil
@@ -762,6 +811,22 @@ func (rb *RoundBuffer) stats(total, scratch int64) RoundStats {
 		RecvLoad:     rb.recvLoad,
 		Groups:       rb.tgroups,
 		ScratchWords: scratch,
+	}
+}
+
+// place hands block b's frames to the placing round's callback, each
+// sender's in staging order.
+func (rb *RoundBuffer) place(b int) {
+	blk := &rb.blocks[b]
+	place := rb.opts.Skip.Place
+	for _, w := range rb.live[blk.lo:blk.hi] {
+		buf := rb.send[w].buf
+		for i := 0; i < len(buf); {
+			to, nw := unpackHeader(buf[i])
+			p := i + frameHeader
+			i = p + nw
+			place(to, buf[p:i:i])
+		}
 	}
 }
 

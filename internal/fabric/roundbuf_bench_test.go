@@ -20,6 +20,9 @@ import (
 //   - aggregate: 2¹⁶ senders each send a 1-word frame to each of 24 owners,
 //     the first round of AggregateVec in a sparse solve's seed selection,
 //     read and combined.
+//   - spread: every odd one of 2¹⁶ senders ships 5–17 three-word (target,
+//     rank, word) frames to consecutive intermediates, the spread round of
+//     a sparse solve's collect gather, read and placed into a slab by rank.
 func BenchmarkDeliver(b *testing.B) {
 	pool := NewWorkPool(runtime.GOMAXPROCS(0))
 	defer pool.Stop()
@@ -86,5 +89,26 @@ func BenchmarkDeliver(b *testing.B) {
 	})
 	b.Run("aggregate64k/combine", func(b *testing.B) {
 		run(b, rb, senders*owners, DeliverOpts{PairWords: 4, Skip: Skip{Sum: make([]int64, owners)}})
+	})
+
+	spread := AcquireRoundBuffer(senders)
+	defer ReleaseRoundBuffer(spread)
+	ranks, frames := 0, 0
+	for w := 1; w < senders; w += 2 {
+		sb := spread.Sender(w)
+		for k := 0; k < 5+w%13; k, ranks = k+1, ranks+1 {
+			if inter := ranks % senders; inter != w {
+				sb.Put(inter, 12345, uint64(ranks), uint64(w))
+				frames++
+			}
+		}
+	}
+	hold := make([]uint64, ranks)
+	b.Run("spread64k/read", func(b *testing.B) {
+		run(b, spread, frames, DeliverOpts{PairWords: 4})
+	})
+	b.Run("spread64k/place", func(b *testing.B) {
+		place := func(_ int, p []uint64) { hold[p[1]] = p[2] }
+		run(b, spread, frames, DeliverOpts{PairWords: 4, Skip: Skip{Place: place}})
 	})
 }

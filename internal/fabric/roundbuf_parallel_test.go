@@ -1,12 +1,14 @@
 package fabric
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -459,6 +461,131 @@ func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 		}
 		ReleaseRoundBuffer(read)
 		ReleaseRoundBuffer(comb)
+		pool.Stop()
+	}
+}
+
+// placedFrame is one frame as a placing round handed it to its callback.
+type placedFrame struct {
+	to    int
+	words []uint64
+}
+
+// placeLog records a placing round's frames. Callbacks of different
+// sender blocks run concurrently, so it locks.
+type placeLog struct {
+	mu     sync.Mutex
+	frames []placedFrame
+}
+
+func (l *placeLog) place(to int, payload []uint64) {
+	l.mu.Lock()
+	l.frames = append(l.frames, placedFrame{to, slices.Clone(payload)})
+	l.mu.Unlock()
+}
+
+// sortPlaced orders frames by destination, then payload, so two multisets
+// compare as slices.
+func sortPlaced(frames []placedFrame) {
+	slices.SortFunc(frames, func(a, b placedFrame) int {
+		if c := cmp.Compare(a.to, b.to); c != 0 {
+			return c
+		}
+		return slices.Compare(a.words, b.words)
+	})
+}
+
+// TestPlacingRoundMatchesReadingRound stages identical random, skewed and
+// sparse traffic into two buffers at block counts 1–8 (every round split)
+// in all four accounting modes, reads one and places the other, and
+// requires the multiset of placed (to, payload) frames to equal the
+// reading round's inboxes, with equal stats.
+//
+// The error contract: a round Deliver rejects — here an out-of-range frame
+// or a broken pair budget, staged mid-round so that earlier sender blocks
+// validate cleanly — fails exactly as the reading round does and places
+// nothing.
+func TestPlacingRoundMatchesReadingRound(t *testing.T) {
+	defer splitEveryRound()()
+	const n = 97
+	traffic := []struct {
+		name  string
+		stage func(*rand.Rand, int, ...*RoundBuffer)
+	}{
+		{"random", stageRandomRound},
+		{"skewed", stageSkewedRound},
+		{"sparse", stageSparseRound},
+	}
+	for width := 1; width <= 8; width++ {
+		pool := NewWorkPool(width)
+		for _, mode := range accountingModes(n) {
+			for _, tr := range traffic {
+				rng := rand.New(rand.NewSource(int64(width*7919 + len(tr.name))))
+				read, plc := AcquireRoundBuffer(n), AcquireRoundBuffer(n)
+				for round := 0; round < 6; round++ {
+					tr.stage(rng, n, read, plc)
+					opts := mode.opts
+					opts.Pool = pool
+					violation := ""
+					switch round {
+					case 4:
+						violation = "out-of-range"
+						putAll([]*RoundBuffer{read, plc}, n/2, n+3, []uint64{1})
+					case 5:
+						violation = "pair budget"
+						opts.PairWords = 4
+						for x := uint64(0); x < 5; x++ {
+							putAll([]*RoundBuffer{read, plc}, n/2, 7, []uint64{x})
+						}
+					}
+					what := fmt.Sprintf("width %d %s %s round %d", width, mode.name, tr.name, round)
+					in, rst, rerr := read.Deliver(opts)
+					var log placeLog
+					opts.Skip = Skip{Place: log.place}
+					pin, pst, perr := plc.Deliver(opts)
+					if pin != nil {
+						t.Fatalf("%s: placing round returned inboxes", what)
+					}
+					if violation != "" {
+						if rerr == nil || !reflect.DeepEqual(rerr, perr) {
+							t.Fatalf("%s (%s): reading err %v, placing err %v", what, violation, rerr, perr)
+						}
+						if len(log.frames) != 0 {
+							t.Fatalf("%s (%s): rejected round placed %d frames", what, violation, len(log.frames))
+						}
+						continue
+					}
+					if rerr != nil || perr != nil {
+						t.Fatalf("%s: reading err %v, placing err %v", what, rerr, perr)
+					}
+					var want []placedFrame
+					for d, msgs := range in {
+						for _, m := range msgs {
+							want = append(want, placedFrame{d, m.Words})
+						}
+					}
+					sortPlaced(want)
+					sortPlaced(log.frames)
+					if !slices.EqualFunc(want, log.frames, func(a, b placedFrame) bool {
+						return a.to == b.to && slices.Equal(a.words, b.words)
+					}) {
+						t.Fatalf("%s: placed %d frames that differ from the reading round's %d", what, len(log.frames), len(want))
+					}
+					if rst.TotalWords != pst.TotalWords || rst.MaxSendLoad != pst.MaxSendLoad ||
+						rst.MaxRecvLoad != pst.MaxRecvLoad || !slices.Equal(rst.Groups, pst.Groups) {
+						t.Fatalf("%s: reading stats %+v, placing %+v", what, rst, pst)
+					}
+					for _, g := range rst.Groups {
+						if rst.SendLoad[g] != pst.SendLoad[g] || rst.RecvLoad[g] != pst.RecvLoad[g] {
+							t.Fatalf("%s group %d: reading loads (%d,%d), placing (%d,%d)", what, g,
+								rst.SendLoad[g], rst.RecvLoad[g], pst.SendLoad[g], pst.RecvLoad[g])
+						}
+					}
+				}
+				ReleaseRoundBuffer(read)
+				ReleaseRoundBuffer(plc)
+			}
+		}
 		pool.Stop()
 	}
 }

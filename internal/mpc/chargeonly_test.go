@@ -35,7 +35,7 @@ func chargeOnlyClusters(t *testing.T, recycled bool, opts ...Option) (read, skip
 		if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(6-w, uint64(w)) }); err != nil {
 			t.Fatal(err)
 		}
-		c.SkipNextInboxes(nil)
+		c.SkipNextInboxes(fabric.Skip{Inboxes: true})
 		if err := c.ResetLinear(chargeOnlyN, chargeOnlyWeight, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -209,19 +209,86 @@ func TestChargeOnlyRequestIsOneShot(t *testing.T) {
 			t.Fatalf("%s: inbox 3 = %+v", what, in[3])
 		}
 	}
-	c.SkipNextInboxes(nil)
+	c.SkipNextInboxes(fabric.Skip{Inboxes: true})
 	reads("requested round", false)
 	reads("round after it", true)
 
-	c.SkipNextInboxes(nil)
+	c.SkipNextInboxes(fabric.Skip{Inboxes: true})
 	if in, err := c.Round(func(w int) []fabric.Msg { return nil }); err != nil || in != nil {
 		t.Fatalf("Round did not consume the request: %d inboxes, err %v", len(in), err)
 	}
 	reads("round after Round", true)
 
-	c.SkipNextInboxes(nil)
+	c.SkipNextInboxes(fabric.Skip{Inboxes: true})
 	if err := c.Reset([]int{0, 0, 1, 1}, 2, 100); err != nil {
 		t.Fatal(err)
 	}
 	reads("round after Reset", true)
+}
+
+// TestPlacingRequestIsOneShot: SkipNextInboxes with a Place makes exactly
+// the next round a placing round, a failed round consumes the request —
+// one Deliver rejects places nothing; one the cluster rejects after
+// delivery for its space may have placed frames, and its destination is
+// unspecified — and Reset drops a pending one.
+func TestPlacingRequestIsOneShot(t *testing.T) {
+	c, err := New([]int{0, 0, 1, 1}, 2, 100, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Release()
+	stage := func(w int, sb *fabric.SendBuf) { sb.Put(3-w, uint64(w+1)) }
+	got := make([]uint64, 4)
+	calls := 0
+	place := func(to int, payload []uint64) {
+		got[to] = payload[0]
+		calls++
+	}
+	reads := func(what string) {
+		t.Helper()
+		before := calls
+		in, err := c.FrameRound(stage)
+		if err != nil || len(in) != 4 || len(in[3]) != 1 || in[3][0].From != 0 {
+			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
+		}
+		if calls != before {
+			t.Fatalf("%s: reading round placed %d frames", what, calls-before)
+		}
+	}
+	c.SkipNextInboxes(fabric.Skip{Place: place})
+	if in, err := c.FrameRound(stage); err != nil || in != nil {
+		t.Fatalf("placing round: %d inboxes, err %v", len(in), err)
+	}
+	if want := []uint64{4, 3, 2, 1}; !reflect.DeepEqual(got, want) || calls != 4 {
+		t.Fatalf("placed %v in %d calls, want %v in 4", got, calls, want)
+	}
+	reads("round after it")
+
+	c.SkipNextInboxes(fabric.Skip{Place: place})
+	if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(7, 1) }); err == nil {
+		t.Fatal("out-of-range placing round accepted")
+	}
+	if calls != 4 {
+		t.Fatalf("rejected placing round placed %d frames", calls-4)
+	}
+	reads("round after a rejected placing round")
+
+	// 101 words from machine 0 to machine 1 break the 100-word space.
+	c.SkipNextInboxes(fabric.Skip{Place: place})
+	_, err = c.FrameRound(func(w int, sb *fabric.SendBuf) {
+		if w == 0 {
+			sb.Put(3, make([]uint64, 101)...)
+		}
+	})
+	var se *SpaceError
+	if !errors.As(err, &se) {
+		t.Fatalf("over-space placing round: err %v", err)
+	}
+	reads("round after an over-space placing round")
+
+	c.SkipNextInboxes(fabric.Skip{Place: place})
+	if err := c.Reset([]int{0, 0, 1, 1}, 2, 100); err != nil {
+		t.Fatal(err)
+	}
+	reads("round after Reset")
 }

@@ -174,11 +174,11 @@ func (c *Cluster) Workers() int { return c.virtual }
 // Reset re-initializes the cluster in place for a new solve: a fresh
 // virtual-worker → machine assignment, machine count, and per-machine space,
 // with resident data, the ledger, the peak-space watermark, and any pending
-// charge-only request cleared. The assignment and resident scratch are
-// reused (no allocation once the cluster has seen its largest
-// configuration), which is what lets one MIS cluster be recycled across
-// every pool of a low-space solve instead of building a new cluster per
-// pool. Options (parallelism, total budget) and any live round arena carry
+// charge-only, combining or placing request cleared. The assignment and
+// resident scratch are reused (no allocation once the cluster has seen its
+// largest configuration), which is what lets one MIS cluster be recycled
+// across every pool of a low-space solve instead of building a new cluster
+// per pool. Options (parallelism, total budget) and any live round arena carry
 // over; the arena is simply recycled by the next round as usual.
 func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	for w, m := range assign {
@@ -302,10 +302,10 @@ func (c *Cluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error
 }
 
 // SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
-// validated and charged as usual but returns nil inboxes, and with a
-// non-nil sum adds its frames into sum.
-func (c *Cluster) SkipNextInboxes(sum []int64) {
-	c.skip = fabric.Skip{Inboxes: true, Sum: sum}
+// validated and charged as usual but returns nil inboxes, and with a Sum
+// or a Place adds its frames into the sum or places them.
+func (c *Cluster) SkipNextInboxes(s fabric.Skip) {
+	c.skip = s
 }
 
 // FrameRound executes one synchronous round staged directly as flat frames

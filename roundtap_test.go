@@ -20,26 +20,29 @@ import (
 )
 
 // roundCount tallies the rounds a wrapper saw, how many of them came back
-// without inboxes (charge-only and combining rounds), and how many were
-// combining rounds. The wrappers see a combining request through
-// SkipNextInboxes, which they forward to the backend.
+// without inboxes (charge-only, combining and placing rounds), and how many
+// were combining and placing rounds. The wrappers see those requests
+// through SkipNextInboxes, which they forward to the backend.
 type roundCount struct {
-	rounds, chargeOnly, combining int
-	combineNext                   bool
+	rounds, chargeOnly, combining, placing int
+	next                                   fabric.Skip
 }
 
-func (c *roundCount) skipNext(inner func([]int64), sum []int64) {
-	c.combineNext = sum != nil
-	inner(sum)
+func (c *roundCount) skipNext(inner func(fabric.Skip), s fabric.Skip) {
+	c.next = s
+	inner(s)
 }
 
 func (c *roundCount) frameRound(inner func(func(int, *fabric.SendBuf)) ([][]fabric.Msg, error),
 	stage func(int, *fabric.SendBuf)) ([][]fabric.Msg, error) {
 	c.rounds++
-	if c.combineNext {
+	if c.next.Sum != nil {
 		c.combining++
-		c.combineNext = false
 	}
+	if c.next.Place != nil {
+		c.placing++
+	}
+	c.next = fabric.Skip{}
 	in, err := inner(stage)
 	if err == nil && in == nil {
 		c.chargeOnly++
@@ -68,7 +71,7 @@ func (f *tappedClique) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, 
 	return f.FrameRound(stageProduced(produce))
 }
 
-func (f *tappedClique) SkipNextInboxes(sum []int64) { f.skipNext(f.Network.SkipNextInboxes, sum) }
+func (f *tappedClique) SkipNextInboxes(s fabric.Skip) { f.skipNext(f.Network.SkipNextInboxes, s) }
 
 type tappedCluster struct {
 	*mpc.Cluster
@@ -83,13 +86,14 @@ func (f *tappedCluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg,
 	return f.FrameRound(stageProduced(produce))
 }
 
-func (f *tappedCluster) SkipNextInboxes(sum []int64) { f.skipNext(f.Cluster.SkipNextInboxes, sum) }
+func (f *tappedCluster) SkipNextInboxes(s fabric.Skip) { f.skipNext(f.Cluster.SkipNextInboxes, s) }
 
 // TestRoundTapSeesEveryRound solves a registry scenario through a tapped
 // congested clique and a tapped linear MPC cluster and requires the tap to
-// have seen exactly the rounds the ledger charged, charge-only and
-// combining ones included. The clique must run combining rounds
+// have seen exactly the rounds the ledger charged, charge-only, combining
+// and placing ones included. The clique must run combining rounds
 // (AggregateVec's first round); the grouped MPC aggregation runs none.
+// Both must run placing rounds (the collect step's gather).
 func TestRoundTapSeesEveryRound(t *testing.T) {
 	spec, err := scenario.Lookup("gnp")
 	if err != nil {
@@ -136,14 +140,17 @@ func TestRoundTapSeesEveryRound(t *testing.T) {
 			if got, want := count.rounds, f.Ledger().Rounds(); got != want || want == 0 {
 				t.Fatalf("tap saw %d rounds, ledger charged %d", got, want)
 			}
-			if count.chargeOnly <= count.combining {
+			if count.chargeOnly <= count.combining+count.placing {
 				t.Fatal("no charge-only round passed through the tap")
 			}
 			if (count.combining > 0) != tc.combining {
 				t.Fatalf("tap saw %d combining rounds", count.combining)
 			}
-			t.Logf("%d rounds, %d without inboxes, %d of them combining",
-				count.rounds, count.chargeOnly, count.combining)
+			if count.placing == 0 {
+				t.Fatal("no placing round passed through the tap")
+			}
+			t.Logf("%d rounds, %d without inboxes, %d of them combining and %d placing",
+				count.rounds, count.chargeOnly, count.combining, count.placing)
 		})
 	}
 }

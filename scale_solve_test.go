@@ -57,7 +57,8 @@ func TestScaleTierMillionNodeSolve(t *testing.T) {
 	// be the canonical encoding exactly, and the resident workspace and the
 	// transient per-round delivery volume must both stay within small
 	// constant multiples of it. The factors have headroom over measured
-	// reality (workspace ≈ 1.1×, peak round ≈ 0.7× at this size); they exist
+	// reality (workspace ≈ 1.7× with the collect gather's slabs and tables
+	// counted, peak round ≈ 0.7× at this size); they exist
 	// to catch a superlinear slab or an accidentally quadratic round, not
 	// constant drift.
 	iw := graph.InstanceWordCount(inst)
@@ -75,13 +76,15 @@ func TestScaleTierMillionNodeSolve(t *testing.T) {
 		t.Errorf("peak round %d words outside (0, 2×instance=%d]",
 			rep.Memory.PeakRoundWords, 2*iw)
 	}
-	// Delivery scratch is one reading round's locators and Msg slab plus
-	// one set of destination rows (3 words per node) per sender block, and
-	// the pool runs one block per GOMAXPROCS. Measured on a 2-vCPU box:
-	// 1.00×, 1.08× and 1.25× the instance at GOMAXPROCS 1, 2 and 4.
-	scratchBound := 2*iw + 4*int64(runtime.GOMAXPROCS(0))*int64(inst.G.N())
+	// No round on the congested-clique coloring path builds inboxes, so
+	// delivery scratch is one set of destination rows (3 words per node)
+	// per sender block, plus a combining round's accumulators, and the pool
+	// runs one block per GOMAXPROCS. Measured on a 2-vCPU box: 6,291,504
+	// words (0.17× the instance) at GOMAXPROCS 2. A reading round's
+	// locators and Msg slab would break the bound.
+	scratchBound := 4 * int64(runtime.GOMAXPROCS(0)) * int64(inst.G.N())
 	if rep.Memory.DeliveryScratchWords == 0 || rep.Memory.DeliveryScratchWords > scratchBound {
-		t.Errorf("delivery scratch %d words outside (0, 2×instance + 4·GOMAXPROCS·n = %d]",
+		t.Errorf("delivery scratch %d words outside (0, 4·GOMAXPROCS·n = %d]",
 			rep.Memory.DeliveryScratchWords, scratchBound)
 	}
 }
