@@ -6,9 +6,18 @@
 // (h₁, h₂) ∈ H₁ × H₂ whose realized cost 𝔮(h₁, h₂) meets a target Q known
 // to dominate E[𝔮] (paper Lemma 3.8 / Lemma 4.4). Candidates are drawn in a
 // fixed order from the families and evaluated in batches of width 𝔫^δ: per
-// batch, every worker computes its exact local cost for every candidate and
-// one O(1)-round vector aggregation (fabric.AggregateVec) sums them; the
-// first candidate at or below target is fixed and broadcast.
+// batch, every worker computes its exact local contribution for every
+// candidate and one O(1)-round vector aggregation (fabric.AggregateVec)
+// sums them; the first candidate at or below target is fixed and
+// broadcast. Where the cost has no a-priori target (Definition 4.1 chunk
+// badness at finite scale, the MIS phase potential), the same batches run
+// over a fixed budget and the argmin is fixed instead.
+//
+// There is one selector, VecSelector, and one batch shape: a Prepare hook
+// tabulates the batch's hash values once, and one local callback per
+// worker per batch scores every candidate from those tables. The core
+// partition, the low-space partition and the MIS phases all select
+// through it.
 //
 // This replaces the paper's bit-prefix conditional expectations, whose
 // conditionals have no closed form for polynomial hash families, with an
@@ -21,7 +30,7 @@ package derand
 
 import (
 	"errors"
-	"fmt"
+	"unsafe"
 
 	"ccolor/internal/fabric"
 	"ccolor/internal/hashing"
@@ -37,9 +46,9 @@ type Pair struct {
 type Stats struct {
 	Batches int // aggregation batches executed (rounds ≈ 2 per batch)
 	// Candidates counts candidates in enumeration order up to and
-	// including the selected one; SelectBest and an exhausted search count
-	// every candidate. It is not the number evaluated: the fabric selectors
-	// score each batch's full width, Batches × width candidates in all.
+	// including the selected one; SelectMin and an exhausted search count
+	// every candidate. It is not the number evaluated: each batch scores
+	// its full width, Batches × width candidates in all.
 	Candidates int
 	Cost       int64 // realized cost of the selected pair
 }
@@ -49,27 +58,10 @@ type Stats struct {
 // true expectation bound) or a pathological instance.
 var ErrExhausted = errors.New("derand: no candidate met the cost target")
 
-// Selector selects hash pairs against per-worker local cost functions.
-type Selector struct {
-	F1, F2     hashing.Family
-	BatchWidth int // candidates evaluated per aggregation batch (𝔫^δ)
-	MaxBatches int // search horizon; 0 means DefaultMaxBatches
-	Salt       uint64
-	// WS, when set, backs candidate enumeration and cost aggregation with
-	// session-reusable buffers; nil falls back to per-call transients.
-	WS *Workspace
-	// Prepare, when set, runs once per batch after candidate enumeration
-	// and before any LocalCost call, so callers can precompute shared
-	// per-candidate tables (node→bin / color→bin hash evaluations) the
-	// cost callbacks then read. Single-threaded; tables must be read-only
-	// once cost evaluation starts.
-	Prepare func(cands []Pair)
-}
-
 // Workspace holds the selection engine's reusable buffers: the batch's
 // candidate pairs (hashing.MemberInto slots — zero coefficient allocation
-// after warmup), the per-worker local cost slab, and the fabric
-// aggregation scratch. One workspace serves any number of Selector /
+// after warmup), the per-worker local contribution slab, and the fabric
+// aggregation and broadcast scratch. One workspace serves any number of
 // VecSelector runs sequentially; solver sessions retain one per solve
 // stack so the derandomization hot path stops allocating in steady state.
 //
@@ -80,8 +72,9 @@ type Selector struct {
 type Workspace struct {
 	cands []Pair
 	coeff []uint64 // coefficient slab, one MemberInto slot per hash
-	vals  []int64  // workers×vlen local-contribution slab
+	vals  []int64  // windows×vlen local-contribution slab
 	agg   fabric.VecScratch
+	word  [1]uint64 // the winner broadcast's payload
 }
 
 // fillCandidates enumerates the batch's candidates [base, base+width) into
@@ -110,16 +103,24 @@ func (ws *Workspace) fillCandidates(f1, f2 hashing.Family, base uint64, width in
 	return ws.cands
 }
 
-// workerVals returns the workers×vlen slab; worker w's window is
-// [w·vlen, (w+1)·vlen). Distinct windows keep the ungrouped fabrics'
+// workerVals returns the windows×vlen slab; window w is
+// [w·vlen, (w+1)·vlen). One window per worker keeps the ungrouped fabrics'
 // concurrent local callbacks race-free without per-call allocation.
-func (ws *Workspace) workerVals(workers, vlen int) []int64 {
-	need := workers * vlen
+func (ws *Workspace) workerVals(windows, vlen int) []int64 {
+	need := windows * vlen
 	if cap(ws.vals) < need {
 		ws.vals = make([]int64, need)
 	}
 	ws.vals = ws.vals[:need]
 	return ws.vals
+}
+
+// MemoryWords reports the workspace's retained footprint in 64-bit words:
+// the candidate slots and coefficient slab, the contribution slab, and the
+// aggregation scratch, at their capacities.
+func (ws *Workspace) MemoryWords() int64 {
+	pairWords := int64(unsafe.Sizeof(Pair{}) / 8)
+	return int64(cap(ws.cands))*pairWords + int64(cap(ws.coeff)+cap(ws.vals)) + ws.agg.MemoryWords()
 }
 
 // materialize rebuilds candidate idx with owned coefficient storage: the
@@ -132,151 +133,6 @@ func materialize(f1, f2 hashing.Family, idx uint64) Pair {
 // DefaultMaxBatches bounds the search; expected batches is ~1 when the
 // target dominates the expectation.
 const DefaultMaxBatches = 64
-
-// LocalCost computes worker w's exact contribution to 𝔮 for a fully
-// specified candidate pair.
-type LocalCost func(w int, p Pair) int64
-
-// Select runs the distributed selection over the fabric: per batch, every
-// worker evaluates LocalCost for each candidate; costs are aggregated with
-// one O(1)-round vector sum; the first candidate with total cost ≤ target
-// wins. The winning pair's index is then broadcast (1 round) so all workers
-// can reconstruct the seed, exactly as the paper's agreed O(log 𝔫)-bit seed.
-func (s *Selector) Select(f fabric.Fabric, pairWords int, target int64, cost LocalCost) (Pair, Stats, error) {
-	width := s.BatchWidth
-	if width < 1 {
-		width = 1
-	}
-	maxWidth := f.Workers() * pairWords
-	if width > maxWidth {
-		width = maxWidth
-	}
-	maxBatches := s.MaxBatches
-	if maxBatches == 0 {
-		maxBatches = DefaultMaxBatches
-	}
-	var st Stats
-	ws := s.WS
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	slab := ws.workerVals(f.Workers(), width)
-	for batch := 0; batch < maxBatches; batch++ {
-		cands := ws.fillCandidates(s.F1, s.F2, uint64(batch*width)+s.Salt, width)
-		if s.Prepare != nil {
-			s.Prepare(cands)
-		}
-		totals, err := ws.agg.AggregateVec(f, pairWords, width, func(w int) []int64 {
-			vals := slab[w*width : (w+1)*width]
-			for i, p := range cands {
-				vals[i] = cost(w, p)
-			}
-			return vals
-		})
-		if err != nil {
-			return Pair{}, st, fmt.Errorf("derand: aggregate batch %d: %w", batch, err)
-		}
-		st.Batches++
-		for i, total := range totals {
-			st.Candidates++
-			if total <= target {
-				st.Cost = total
-				winner := materialize(s.F1, s.F2, cands[i].Index)
-				if err := fabric.Broadcast(f, pairWords, 0, []uint64{winner.Index}); err != nil {
-					return Pair{}, st, fmt.Errorf("derand: broadcast winner: %w", err)
-				}
-				return winner, st, nil
-			}
-		}
-	}
-	return Pair{}, st, fmt.Errorf("%w (target %d after %d candidates)", ErrExhausted, target, st.Candidates)
-}
-
-// SelectBest evaluates exactly budgetBatches batches of candidates and
-// returns the one with minimum total cost (ties broken by enumeration
-// order). Used where the cost has no a-priori expectation target — e.g.
-// Definition 4.1 chunk badness at finite scale, or the MIS phase potential
-// — while remaining deterministic and O(1)-round per batch.
-func (s *Selector) SelectBest(f fabric.Fabric, pairWords int, budgetBatches int, cost LocalCost) (Pair, Stats, error) {
-	width := s.BatchWidth
-	if width < 1 {
-		width = 1
-	}
-	maxWidth := f.Workers() * pairWords
-	if width > maxWidth {
-		width = maxWidth
-	}
-	if budgetBatches < 1 {
-		budgetBatches = 1
-	}
-	var st Stats
-	var bestIdx uint64
-	bestCost := int64(1<<62 - 1)
-	haveBest := false
-	ws := s.WS
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	slab := ws.workerVals(f.Workers(), width)
-	for batch := 0; batch < budgetBatches; batch++ {
-		cands := ws.fillCandidates(s.F1, s.F2, uint64(batch*width)+s.Salt, width)
-		if s.Prepare != nil {
-			s.Prepare(cands)
-		}
-		totals, err := ws.agg.AggregateVec(f, pairWords, width, func(w int) []int64 {
-			vals := slab[w*width : (w+1)*width]
-			for i, p := range cands {
-				vals[i] = cost(w, p)
-			}
-			return vals
-		})
-		if err != nil {
-			return Pair{}, st, fmt.Errorf("derand: aggregate batch %d: %w", batch, err)
-		}
-		st.Batches++
-		for i, total := range totals {
-			st.Candidates++
-			if !haveBest || total < bestCost {
-				bestCost = total
-				bestIdx = cands[i].Index
-				haveBest = true
-			}
-		}
-	}
-	st.Cost = bestCost
-	best := materialize(s.F1, s.F2, bestIdx)
-	if err := fabric.Broadcast(f, pairWords, 0, []uint64{best.Index}); err != nil {
-		return Pair{}, st, fmt.Errorf("derand: broadcast winner: %w", err)
-	}
-	return best, st, nil
-}
-
-// SelectLocal is the communication-free variant used by centrally-executed
-// baselines and tests: it evaluates the same candidate order against a
-// global cost function.
-func (s *Selector) SelectLocal(target int64, cost func(p Pair) int64) (Pair, Stats, error) {
-	width := s.BatchWidth
-	if width < 1 {
-		width = 1
-	}
-	maxBatches := s.MaxBatches
-	if maxBatches == 0 {
-		maxBatches = DefaultMaxBatches
-	}
-	var st Stats
-	for t := uint64(0); t < uint64(maxBatches*width); t++ {
-		idx := t + s.Salt
-		p := Pair{H1: s.F1.Member(mix(idx, 1)), H2: s.F2.Member(mix(idx, 2)), Index: idx}
-		st.Candidates++
-		if c := cost(p); c <= target {
-			st.Cost = c
-			st.Batches = (int(t) / width) + 1
-			return p, st, nil
-		}
-	}
-	st.Batches = maxBatches
-	return Pair{}, st, fmt.Errorf("%w (target %d after %d candidates)", ErrExhausted, target, st.Candidates)
-}
 
 // mix derives independent sub-streams for the two families from a candidate
 // index (splitmix64 on a salted input).

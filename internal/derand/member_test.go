@@ -111,9 +111,9 @@ func TestMemberIntoAliasing(t *testing.T) {
 }
 
 // TestSelectionStableUnderSharedScratch: Select's result must not depend
-// on whether the grouped-fabric shared cost scratch is in play — the same
-// (families, width, cost) selects the same candidate index either way.
-// SelectLocal evaluates the identical enumeration without any fabric.
+// on where the cost is evaluated — the fabric selection, with the cost held
+// by one worker, picks the candidate a plain scan of the enumeration
+// (index Salt, Salt+1, … through Member) picks.
 func TestSelectionStableUnderSharedScratch(t *testing.T) {
 	f1, f2 := testFamilies(t)
 	cost := func(p Pair) int64 {
@@ -123,22 +123,25 @@ func TestSelectionStableUnderSharedScratch(t *testing.T) {
 		return 5
 	}
 	nw := cclique.New(8)
-	sel := &Selector{F1: f1, F2: f2, BatchWidth: 4}
-	fabricPair, _, err := sel.Select(nw, 4, 0, func(w int, p Pair) int64 {
+	sel := &VecSelector{F1: f1, F2: f2, PerCand: 1, BatchWidth: 4, Salt: 3}
+	res, err := sel.Select(nw, 4, 0, perCandidate(func(w int, p Pair) int64 {
 		if w != 0 {
 			return 0
 		}
 		return cost(p)
-	})
+	}), Total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localPair, _, err := sel.SelectLocal(0, cost)
-	if err != nil {
-		t.Fatal(err)
+	idx := sel.Salt
+	for cost(Pair{H1: f1.Member(mix(idx, 1)), H2: f2.Member(mix(idx, 2))}) > 0 {
+		idx++
 	}
-	if fabricPair.Index != localPair.Index {
-		t.Fatalf("fabric selection chose index %d, local chose %d — enumeration drifted",
-			fabricPair.Index, localPair.Index)
+	if res.Pair.Index != idx {
+		t.Fatalf("fabric selection chose index %d, the enumeration scan %d — enumeration drifted",
+			res.Pair.Index, idx)
+	}
+	if res.Stats.Candidates != int(idx-sel.Salt)+1 {
+		t.Fatalf("counted %d candidates, the scan %d", res.Stats.Candidates, idx-sel.Salt+1)
 	}
 }

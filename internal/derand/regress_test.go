@@ -16,12 +16,12 @@ import (
 // recordStream runs sel.Select on an 8-worker clique and captures, from
 // worker 0's cost callback, the (index, h1(probe), h2(probe)) triple of
 // every candidate evaluated, in evaluation order.
-func recordStream(t *testing.T, sel *Selector, target int64) ([][3]uint64, Pair) {
+func recordStream(t *testing.T, sel *VecSelector, target int64) ([][3]uint64, Pair) {
 	t.Helper()
 	nw := cclique.New(8)
 	var mu sync.Mutex
 	var stream [][3]uint64
-	pair, _, err := sel.Select(nw, 4, target, func(w int, p Pair) int64 {
+	res, err := sel.Select(nw, 4, target, perCandidate(func(w int, p Pair) int64 {
 		if w == 0 {
 			mu.Lock()
 			stream = append(stream, [3]uint64{p.Index, uint64(p.H1.Eval(17)), uint64(p.H2.Eval(23))})
@@ -31,19 +31,19 @@ func recordStream(t *testing.T, sel *Selector, target int64) ([][3]uint64, Pair)
 			return 1
 		}
 		return 0
-	})
+	}), Total)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stream, pair
+	return stream, res.Pair
 }
 
 // TestWorkspacePairStreamMatchesMember: with and without a Workspace, the
 // candidate stream seen by the cost callbacks is the Member enumeration.
 func TestWorkspacePairStreamMatchesMember(t *testing.T) {
 	f1, f2 := testFamilies(t)
-	mk := func(ws *Workspace) *Selector {
-		return &Selector{F1: f1, F2: f2, BatchWidth: 4, MaxBatches: 8, Salt: 11, WS: ws}
+	mk := func(ws *Workspace) *VecSelector {
+		return &VecSelector{F1: f1, F2: f2, PerCand: 1, BatchWidth: 4, MaxBatches: 8, Salt: 11, WS: ws}
 	}
 	bare, bareWin := recordStream(t, mk(nil), 2)
 	ws := &Workspace{}
@@ -85,21 +85,22 @@ func TestWinnerOwnsCoefficients(t *testing.T) {
 	f1, f2 := testFamilies(t)
 	ws := &Workspace{}
 	nw := cclique.New(8)
-	sel := &Selector{F1: f1, F2: f2, BatchWidth: 4, WS: ws}
-	pair, _, err := sel.SelectBest(nw, 4, 2, func(w int, p Pair) int64 {
+	sel := &VecSelector{F1: f1, F2: f2, PerCand: 1, BatchWidth: 4, WS: ws}
+	res, err := sel.SelectMin(nw, 4, 2, perCandidate(func(w int, p Pair) int64 {
 		return p.H1.Eval(int64(w))
-	})
+	}), Total)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pair := res.Pair
 	want := make([]int64, 16)
 	for x := range want {
 		want[x] = pair.H1.Eval(int64(x))
 	}
 	// Churn: later selections overwrite every workspace slot.
 	for round := 0; round < 3; round++ {
-		sel2 := &Selector{F1: f1, F2: f2, BatchWidth: 4, Salt: uint64(round + 100), WS: ws}
-		if _, _, err := sel2.SelectBest(nw, 4, 2, func(w int, p Pair) int64 { return 0 }); err != nil {
+		sel2 := &VecSelector{F1: f1, F2: f2, PerCand: 1, BatchWidth: 4, Salt: uint64(round + 100), WS: ws}
+		if _, err := sel2.SelectMin(nw, 4, 2, perCandidate(func(w int, p Pair) int64 { return 0 }), Total); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,24 +161,24 @@ func TestVecTotalsMatchReference(t *testing.T) {
 	}
 }
 
-// TestSelectBestStableAcrossWorkspaceReuse: repeated SelectBest runs on one
+// TestSelectBestStableAcrossWorkspaceReuse: repeated SelectMin runs on one
 // workspace (the MIS per-phase pattern) stay deterministic.
 func TestSelectBestStableAcrossWorkspaceReuse(t *testing.T) {
 	f1, f2 := testFamilies(t)
 	ws := &Workspace{}
 	run := func() (uint64, int64) {
 		nw := cclique.New(6)
-		sel := &Selector{F1: f1, F2: f2, BatchWidth: 8, WS: ws}
-		pair, st, err := sel.SelectBest(nw, 4, 2, func(w int, p Pair) int64 {
+		sel := &VecSelector{F1: f1, F2: f2, PerCand: 1, BatchWidth: 8, WS: ws}
+		res, err := sel.SelectMin(nw, 4, 2, perCandidate(func(w int, p Pair) int64 {
 			if w != 0 {
 				return 0
 			}
 			return p.H1.Eval(17)
-		})
+		}), Total)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pair.Index, st.Cost
+		return res.Pair.Index, res.Stats.Cost
 	}
 	i1, c1 := run()
 	for k := 0; k < 4; k++ {

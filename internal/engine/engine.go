@@ -161,12 +161,14 @@ type MemoryBudget struct {
 	// (n + Σp(v)). Set-problem solves ignore palettes and charge only the
 	// graph.
 	InstanceWords int64
-	// WorkspaceWords is the core coloring workspace's footprint after the
-	// solve (palette slabs, candidate masks, aggregation buffers, the
-	// collect gather's tables and slabs) — the dominant resident term of
-	// ModelCClique/ModelMPC coloring runs. Zero for set problems and for
-	// ModelLowSpace, whose pool solver works in per-machine chunks by
-	// construction.
+	// WorkspaceWords is the coloring solver's retained workspace after the
+	// solve — the dominant resident term of coloring runs. For
+	// ModelCClique/ModelMPC it is the core workspace (palette slabs,
+	// candidate masks, aggregation buffers, the collect gather's tables
+	// and slabs); for ModelLowSpace the low-space session's adjacency and
+	// palette slabs, pool scratch and MIS reduction, and the MIS workspace
+	// with its per-batch priority table (n·BatchWidth words at the largest
+	// pool). Zero for set problems.
 	WorkspaceWords int64
 	// PeakRoundWords is the largest total word volume any single fabric
 	// round moved — the transient delivery footprint of the solve.
@@ -514,6 +516,7 @@ func (s *Session) solveLowSpace(inst *graph.Instance, o *Options) (*Report, erro
 		PeakSpace:     tr.PeakMachineWords,
 		Memory: MemoryBudget{
 			InstanceWords:    graph.InstanceWordCount(inst),
+			WorkspaceWords:   s.ls.MemoryWords(),
 			PeakRoundWords:   tr.PeakRoundWords,
 			MachineSpace:     tr.SpaceWords,
 			PeakMachineWords: tr.PeakMachineWords,

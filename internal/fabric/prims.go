@@ -26,6 +26,10 @@ import (
 // GatherMany's spread and delivery rounds, whose receivers only store each
 // word at the position its frame names, are placing rounds (PlaceFrames):
 // the fabric hands every frame to the gather's store during delivery.
+// Broadcast, AggregateVec and GatherMany are VecScratch methods with
+// package-level wrappers: a grouped broadcast walks its tree down the same
+// retained representative tables the grouped aggregation builds, so a warm
+// broadcast allocates no per-worker table and reads no map.
 //
 // The multi-target gather below is the restricted routing pattern the
 // coloring algorithm needs (per-sender blocks of ≤ O(𝔫) words, per-target
@@ -51,32 +55,6 @@ type Capacitated interface {
 	CapacityWords() int64
 }
 
-// groupReps returns, per worker, whether it is its group's representative
-// (lowest-indexed member), and the list of representatives. For ungrouped
-// fabrics every worker is its own representative.
-func groupReps(f Fabric) (isRep []bool, reps []int) {
-	n := f.Workers()
-	isRep = make([]bool, n)
-	g, ok := f.(Grouped)
-	if !ok {
-		reps = make([]int, n)
-		for w := 0; w < n; w++ {
-			isRep[w] = true
-			reps[w] = w
-		}
-		return isRep, reps
-	}
-	seen := make([]bool, maxGroupID(f.Workers(), g)+1)
-	for w := 0; w < n; w++ {
-		if !seen[g.GroupOf(w)] {
-			seen[g.GroupOf(w)] = true
-			isRep[w] = true
-			reps = append(reps, w)
-		}
-	}
-	return isRep, reps
-}
-
 // maxGroupID scans the group ids so flat tables can replace maps (group ids
 // are machine indices on every in-tree fabric, so the scan is cheap and the
 // tables stay O(workers)).
@@ -93,26 +71,34 @@ func maxGroupID(n int, g Grouped) int {
 // Broadcast sends words from worker src to all workers. For payloads of at
 // most pairWords words it takes 1 round; for payloads up to 𝔫·pairWords it
 // takes 2 (distribute chunks, then all-to-all chunk exchange). On grouped
-// fabrics only group representatives are addressed; members share locally.
+// fabrics only group representatives are addressed, down a fan-out-bounded
+// tree; members share locally.
 func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
+	var ws VecScratch
+	return ws.Broadcast(f, pairWords, src, words)
+}
+
+// Broadcast is the scratch-reusing form: identical rounds and frames as the
+// package-level function, with a grouped fabric's representative tables
+// drawn from (and retained in) ws, so a warm broadcast allocates no
+// per-worker table. words is read during the rounds' staging.
+func (ws *VecScratch) Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 	n := f.Workers()
-	if _, grouped := f.(Grouped); grouped {
-		return broadcastTree(f, src, words)
+	if g, grouped := f.(Grouped); grouped {
+		ws.repTables(n, g)
+		return ws.broadcastTree(f, src, words)
 	}
 	if len(words) <= pairWords {
-		_, reps := groupReps(f)
-		err := SendFrames(f, func(w int, sb *SendBuf) {
+		return SendFrames(f, func(w int, sb *SendBuf) {
 			if w != src {
 				return
 			}
-			for _, t := range reps {
-				if t == src {
-					continue
+			for t := 0; t < n; t++ {
+				if t != src {
+					sb.Put(t, words...)
 				}
-				sb.Put(t, words...)
 			}
 		})
-		return err
 	}
 	if len(words) > n*pairWords {
 		return fmt.Errorf("fabric: broadcast payload %d exceeds %d*%d", len(words), n, pairWords)
@@ -157,13 +143,13 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 }
 
 // VecScratch holds the flat worker/group tables, accumulator slab, and
-// reduction-tree state behind AggregateVec, and the tables and slabs behind
-// GatherMany. The zero value is ready for use; solver sessions retain one
-// across solves (via derand.Workspace / the core and lowspace workspaces)
-// so the grouped aggregation path and the gather run without per-call map,
-// accumulator or slab allocation in steady state. AggregateVec's totals
-// are freshly allocated on every call; GatherMany's result aliases the
-// scratch.
+// reduction-tree state behind AggregateVec and Broadcast, and the tables
+// and slabs behind GatherMany. The zero value is ready for use; solver
+// sessions retain one across solves (via derand.Workspace / the core and
+// lowspace workspaces) so the grouped aggregation and broadcast paths and
+// the gather run without per-call map, table, accumulator or slab
+// allocation in steady state. AggregateVec's totals are freshly allocated
+// on every call; GatherMany's result aliases the scratch.
 type VecScratch struct {
 	reps    []int   // group representatives, ascending worker order
 	slot    []int32 // worker -> dense group slot (valid for representatives)
@@ -347,9 +333,17 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 
 // broadcastTree delivers words from src to every group representative via
 // a fan-out-bounded tree (members of each group then share locally, for
-// free). O(1) rounds for constant tree depth.
-func broadcastTree(f Fabric, src int, words []uint64) error {
-	_, reps := groupReps(f)
+// free). O(1) rounds for constant tree depth. It reads the representative
+// tables repTables built.
+//
+// Level by level over the representatives in index order: at the level
+// with reach r, rep j holds the payload iff j < r, and it serves reps
+// [max(r, j·branch), min((j+1)·branch, R)) — each rep i ≥ r below
+// r·branch is served by rep i/branch. A holder finds its index through
+// ws.slot, so each staging callback costs O(1) plus its frames.
+func (ws *VecScratch) broadcastTree(f Fabric, src int, words []uint64) error {
+	reps := ws.reps
+	r := len(reps)
 	branch := branchFactor(f, len(words))
 	// Round 0: src hands the payload to the representative tree root
 	// (skipped when src is the root).
@@ -364,30 +358,19 @@ func broadcastTree(f Fabric, src int, words []uint64) error {
 			return err
 		}
 	}
-	// Down-tree over representatives in index order: level k holds reps
-	// with index < branch^k.
-	have := map[int]bool{root: true}
-	for reach := 1; reach < len(reps); reach *= branch {
+	for reach := 1; reach < r; reach *= branch {
 		if err := SendFrames(f, func(w int, sb *SendBuf) {
-			if !have[w] {
+			// slot is stale for non-representatives; reps[j] == w rejects
+			// them.
+			j := int(ws.slot[w])
+			if j >= reach || reps[j] != w {
 				return
 			}
-			for i, t := range reps {
-				if i < reach || have[t] {
-					continue
-				}
-				// rep i is served by rep i/branch at this level.
-				if i/branch < reach && reps[i/branch] == w && i < reach*branch {
-					sb.Put(t, words...)
-				}
+			for i := max(reach, j*branch); i < min((j+1)*branch, r); i++ {
+				sb.Put(reps[i], words...)
 			}
 		}); err != nil {
 			return err
-		}
-		for i, t := range reps {
-			if i < reach*branch {
-				have[t] = true
-			}
 		}
 	}
 	return nil
@@ -407,12 +390,11 @@ func branchFactor(f Fabric, vlen int) int {
 	return b
 }
 
-// groupTables (re)builds the flat representative/member tables for a
-// grouped fabric: reps in ascending worker order, each group's dense slot
-// in first-appearance (= rep) order, and the member list as a CSR keyed by
-// slot, members ascending within each group — the exact iteration order the
-// old map-based path produced.
-func (ws *VecScratch) groupTables(n int, g Grouped) {
+// repTables (re)builds the flat representative tables for a grouped
+// fabric: reps in ascending worker order, and each group's dense slot in
+// first-appearance (= rep) order, as gdense by group id and as slot by
+// representative.
+func (ws *VecScratch) repTables(n int, g Grouped) {
 	ws.gdense = grow(ws.gdense, maxGroupID(n, g)+1)
 	clear(ws.gdense)
 	ws.slot = grow(ws.slot, n)
@@ -425,7 +407,14 @@ func (ws *VecScratch) groupTables(n int, g Grouped) {
 		}
 	}
 	ws.reps = reps
-	r := len(reps)
+}
+
+// groupTables (re)builds the representative tables and the member list as
+// a CSR keyed by slot, members ascending within each group — the exact
+// iteration order the old map-based path produced.
+func (ws *VecScratch) groupTables(n int, g Grouped) {
+	ws.repTables(n, g)
+	r := len(ws.reps)
 	ws.moff = grow(ws.moff, r+1)
 	clear(ws.moff)
 	for w := 0; w < n; w++ {

@@ -19,6 +19,7 @@ package lowspace
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"ccolor/internal/derand"
 	"ccolor/internal/fabric"
@@ -130,6 +131,17 @@ type solver struct {
 	palSlab    []graph.Color
 	perMachine []int64
 
+	// all is the top call's node list. stack holds every active
+	// colorReduce call's pool, each above its ancestors': a call pushes its
+	// pool, its recursive calls push theirs above it and pop them on
+	// return, and the call colors its pool before popping it. high is the
+	// high-degree set of the call whose partition is running; partition is
+	// done with it before any recursive call starts, so every call reuses
+	// it. All three persist across session solves.
+	all   []int32
+	stack []int32
+	high  []int32
+
 	colorDomain int64
 	trace       *Trace
 
@@ -153,10 +165,9 @@ type poolScratch struct {
 	pals    []graph.Palette // truncated palette views into solver pal
 	pairs   []msgPair       // announce/notify staging
 
-	// Partition's per-batch hash tabulation (Selector.Prepare): node→bin
-	// in high-local index order and — for small color domains — color→bin,
-	// one stride per candidate; candBase maps Pair.Index to table slots.
-	candBase  uint64
+	// Partition's per-batch hash tabulation (VecSelector.Prepare):
+	// node→bin in high-local index order and — for small color domains —
+	// color→bin, one stride per candidate.
 	nodeBins  []int32
 	colorBins []int32
 
@@ -199,6 +210,30 @@ func (ss *Session) Release() {
 	if ss.s.ws.misCluster != nil {
 		ss.s.ws.misCluster.Release()
 	}
+}
+
+// MemoryWords reports the session's retained workspace in 64-bit words
+// after a solve: the solver's adjacency and palette slabs and per-node
+// tables, the pool scratch with its MIS reduction, the MIS workspace — its
+// per-batch priority table, n·BatchWidth words at the largest pool,
+// included — and the derandomization and multicast scratch, at their
+// capacities. Round arenas go back to a shared pool after each solve and
+// are not counted, nor are the clusters' own tables.
+func (ss *Session) MemoryWords() int64 {
+	s, ws, mws := &ss.s, &ss.s.ws, &ss.s.mws
+	const headerWords = 3 // one slice header
+	words := int64(cap(s.palSlab) + cap(s.stamp) + cap(s.machine) + cap(s.perMachine) +
+		cap(ws.col) + cap(ws.assign))
+	words += int64(cap(s.adj)+cap(s.pal)+cap(ws.adj)+cap(ws.pals)) * headerWords
+	words += int64(cap(ws.pairs)) * int64(unsafe.Sizeof(msgPair{})/8)
+	for _, l := range mws.rounds[:cap(mws.rounds)] {
+		words += int64(cap(l.snd)+cap(l.rcv)) + 2*headerWords
+	}
+	i32 := cap(s.adjSlab) + cap(s.idxOf) + cap(s.all) + cap(s.stack) + cap(s.high) +
+		cap(ws.live) + cap(ws.off) + cap(ws.adjFlat) + cap(ws.nodeBins) + cap(ws.colorBins) +
+		cap(mws.roundOf) + cap(mws.order) + cap(mws.rstart)
+	words += int64(i32) / 2
+	return words + ws.red.MemoryWords() + ws.mis.MemoryWords() + s.sel.MemoryWords()
 }
 
 // Solve colors the instance in the low-space MPC model and returns the
@@ -331,12 +366,12 @@ func (ss *Session) Solve(inst *graph.Instance, p Params) (graph.Coloring, *Trace
 	}
 	s.colorDomain = maxColor + 1
 
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
+	s.all = graph.Grow(s.all, n)
+	for i := range s.all {
+		s.all[i] = int32(i)
 	}
 	defer ss.Release() // return round arenas to the shared pool
-	crit, err := s.colorReduce(all, 0)
+	crit, err := s.colorReduce(s.all, 0)
 	if err != nil {
 		return nil, s.trace, err
 	}
@@ -365,24 +400,24 @@ func (s *solver) colorReduce(nodes []int32, depth int) (int, error) {
 	if depth > 64 {
 		return 0, fmt.Errorf("lowspace: recursion depth %d", depth)
 	}
-	live := nodes[:0:0]
+	// Stamp the call's live (uncolored) nodes. Membership is stamp-based:
+	// no per-call set allocation, and the stamp is only read before the
+	// recursive calls below re-stamp it.
+	s.curStamp++
+	inCall := s.curStamp
+	live := 0
 	for _, v := range nodes {
 		if s.color[v] == graph.NoColor {
-			live = append(live, v)
+			s.stamp[v] = inCall
+			live++
 		}
 	}
-	if len(live) == 0 {
+	if live == 0 {
 		return 0, nil
 	}
 
-	// Split into the low-degree pool G0 and the high-degree remainder.
-	// Membership is stamp-based: no per-call set allocation, and the stamp
-	// is only read before the recursive calls below re-stamp it.
-	s.curStamp++
-	inCall := s.curStamp
-	for _, v := range live {
-		s.stamp[v] = inCall
-	}
+	// Split into the low-degree pool G0, pushed onto the solver's stack,
+	// and the high-degree remainder.
 	degIn := func(v int32) int {
 		d := 0
 		for _, u := range s.adj[v] {
@@ -392,14 +427,20 @@ func (s *solver) colorReduce(nodes []int32, depth int) (int, error) {
 		}
 		return d
 	}
-	var pool, high []int32
-	for _, v := range live {
+	base := len(s.stack)
+	defer func() { s.stack = s.stack[:base] }()
+	high := s.high[:0]
+	for _, v := range nodes {
+		if s.color[v] != graph.NoColor {
+			continue
+		}
 		if degIn(v) <= s.tau {
-			pool = append(pool, v)
+			s.stack = append(s.stack, v)
 		} else {
 			high = append(high, v)
 		}
 	}
+	s.high = high
 
 	critical := 0
 	s.cluster.Ledger().SetDepth(depth) // recursion depth for trace spans
@@ -410,7 +451,7 @@ func (s *solver) colorReduce(nodes []int32, depth int) (int, error) {
 		}
 		critical += rounds
 		s.trace.PartitionRounds += rounds
-		pool = append(pool, badNodes...)
+		s.stack = append(s.stack, badNodes...) // the pool is the stack's top
 		s.trace.BadNodes += len(badNodes)
 
 		// Phase 1: bins 1..B−1 recurse in parallel (critical = max).
@@ -437,7 +478,7 @@ func (s *solver) colorReduce(nodes []int32, depth int) (int, error) {
 	// Color the pool through the MIS reduction (§4.1). The recursive calls
 	// above moved the recorded depth; restore this call's before its pool.
 	s.cluster.Ledger().SetDepth(depth)
-	c, err := s.colorPool(pool)
+	c, err := s.colorPool(s.stack[base:])
 	if err != nil {
 		return 0, err
 	}

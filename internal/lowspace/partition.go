@@ -81,8 +81,8 @@ func (s *solver) partition(high []int32, depth int) ([][]int32, []int32, int, er
 		return nil, nil, 0, err
 	}
 
-	// The cost callbacks read the candidate hashes only through per-batch
-	// bin tables (Selector.Prepare): node→bin over the high set always, and
+	// The cost callback reads the candidate hashes only through per-batch
+	// bin tables (VecSelector.Prepare): node→bin over the high set always, and
 	// color→bin over the dense color domain when it is small enough that
 	// tabulating beats rescanning (list instances draw colors from a
 	// universe far larger than Σ|pal|, so they keep per-color evaluation).
@@ -149,15 +149,15 @@ func (s *solver) partition(high []int32, depth int) ([][]int32, []int32, int, er
 		}
 	}
 
-	sel := &derand.Selector{
+	sel := &derand.VecSelector{
 		F1:         f1,
 		F2:         f2,
+		PerCand:    1,
 		BatchWidth: s.p.BatchWidth,
 		MaxBatches: s.p.MaxBatches,
 		Salt:       uint64(depth)*0x9e3779b9 + uint64(len(high)),
 		WS:         &s.sel,
 		Prepare: func(cands []derand.Pair) {
-			ws.candBase = cands[0].Index
 			ws.nodeBins = graph.Grow(ws.nodeBins, len(cands)*len(high))
 			ws.colorBins = graph.Grow(ws.colorBins, len(cands)*ctw)
 			for i, pr := range cands {
@@ -173,22 +173,24 @@ func (s *solver) partition(high []int32, depth int) ([][]int32, []int32, int, er
 	// exists in expectation. At finite scale chunk concentration is loose,
 	// so we take the deterministic argmin over a fixed candidate budget and
 	// demote nodes whose chunks still misbehave (measured as BadNodes).
-	pair, st, err := sel.SelectBest(s.cluster, pairWords, 2, func(w int, pr derand.Pair) int64 {
+	res, err := sel.SelectMin(s.cluster, pairWords, 2, func(w int, cands []derand.Pair, out []int64) {
 		v := int32(w)
 		if s.stamp[v] != inHigh {
-			return 0
+			return
 		}
-		slot := int(pr.Index - ws.candBase)
-		var cb []int32
-		if ctw > 0 {
-			cb = ws.colorBins[slot*ctw : (slot+1)*ctw]
+		for i, pr := range cands {
+			var cb []int32
+			if ctw > 0 {
+				cb = ws.colorBins[i*ctw : (i+1)*ctw]
+			}
+			out[i] = badChunks(v, ws.nodeBins[i*len(high):(i+1)*len(high)], cb, pr.H2)
 		}
-		return badChunks(v, ws.nodeBins[slot*len(high):(slot+1)*len(high)], cb, pr.H2)
-	})
+	}, derand.Total)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("lowspace: seed selection at depth %d: %w", depth, err)
 	}
-	s.trace.SeedCandidates += st.Candidates
+	pair := res.Pair
+	s.trace.SeedCandidates += res.Stats.Candidates
 
 	// Classify: any bad chunk machine, or a restricted palette that would
 	// not strictly exceed the in-bin degree, demotes the node to the pool.

@@ -1,12 +1,19 @@
 // Package mis is the maximal-independent-set substrate the paper's
 // low-space MPC result relies on (§4.1): the Luby reduction from
 // (deg+1)-list coloring to MIS, and MIS algorithms — a sequential greedy
-// baseline, randomized Luby, and a deterministic fabric-based variant whose
-// per-phase randomness is a c-wise independent seed fixed by the same
+// baseline and a deterministic fabric-based variant whose per-phase
+// randomness is a c-wise independent seed fixed by the same
 // derandomization engine as the coloring algorithm. The deterministic
 // variant stands in for the Czumaj–Davies–Parter SPAA'20 algorithm [7]: it
 // exposes the same interface and a measured round envelope the Theorem 1.4
 // experiment fits against.
+//
+// Each phase scores a batch of seed candidates through one per-batch
+// priority table (tabulate): every live node's priority is evaluated once
+// per candidate, each clique block's (priority, id) minimum is found once
+// per candidate, and only that minimum is checked against its conflict
+// edges. The per-worker cost callback then reads its node's packed join
+// bits, and the winner's joiners are the table's column for it.
 package mis
 
 import (
@@ -99,7 +106,179 @@ func (t graphTopo) Conflicts(v int32) []int32          { return t.g.Neighbors(v)
 // state. The zero value is ready for use.
 type Workspace struct {
 	in, live, joined []bool
+	deg              []int64          // per live node: its live degree this phase
+	table                             // the phase's per-batch priority table
 	sel              derand.Workspace // phase seed selection buffers
+}
+
+// table is one batch's priority table. prio is node-major: node v's row
+// prio[v·width : (v+1)·width] holds h_i(v) for every candidate i of the
+// batch. joins packs, per node, one bit per candidate: bit i of v's row
+// (stride words) is set iff v joins the MIS under candidate i. The prio
+// rows of nodes that are not live are stale and never read; their join
+// rows are zero.
+type table struct {
+	prio   []int64
+	joins  []uint64
+	best   []int32 // per candidate: the current block's argmin
+	bestP  []int64 // per candidate: the argmin's priority
+	base   uint64  // Pair.Index of the batch's first candidate
+	width  int     // candidates in the batch
+	stride int     // join words per node
+}
+
+// joined reports whether v joins under candidate i of the tabulated batch.
+func (tb *table) joined(v, i int) bool {
+	return tb.joins[v*tb.stride+i>>6]>>(i&63)&1 != 0
+}
+
+// MemoryWords reports the workspace's retained footprint in 64-bit words —
+// the flags, the degrees, the priority table (n·BatchWidth words at the
+// largest pool seen), the join bits and the selection buffers — at their
+// capacities.
+func (ws *Workspace) MemoryWords() int64 {
+	words := int64(cap(ws.deg) + cap(ws.prio) + cap(ws.joins) + cap(ws.bestP))
+	words += int64(cap(ws.in)+cap(ws.live)+cap(ws.joined)) / 8
+	words += int64(cap(ws.best)) / 2
+	return words + ws.sel.MemoryWords()
+}
+
+// blockEnd returns the end of the clique block that starts at lo. Plain
+// graph topologies report empty blocks; each node is then its own block.
+func blockEnd[T topology](t T, lo int) int {
+	_, hi := t.CliqueBlock(int32(lo))
+	return max(int(hi), lo+1)
+}
+
+// liveDegrees sets deg[x] for every live node x to its live degree: its
+// block's live count less one, plus its live conflicts. It does not depend
+// on the phase's hash, so one pass per phase serves every candidate.
+func liveDegrees[T topology](t T, live []bool, deg []int64) {
+	for lo, n := 0, t.N(); lo < n; {
+		hi := blockEnd(t, lo)
+		c := int64(0)
+		for u := lo; u < hi; u++ {
+			if live[u] {
+				c++
+			}
+		}
+		for x := lo; x < hi; x++ {
+			if !live[x] {
+				continue
+			}
+			d := c - 1
+			for _, u := range t.Conflicts(int32(x)) {
+				if live[u] {
+					d++
+				}
+			}
+			deg[x] = d
+		}
+		lo = hi
+	}
+}
+
+// tabulate fills tb for the batch cands. A live node v joins under
+// candidate h iff (h(v), v) is below (h(u), u) for every live neighbour u:
+// within v's clique block that means v is the block's (priority, id)
+// argmin, so each block's argmin is found once per candidate, and only it
+// is compared against its live conflicts. Priorities are evaluated once
+// per live node and candidate, n·B evaluations per batch.
+func tabulate[T topology](t T, live []bool, tb *table, cands []derand.Pair) {
+	n, b := t.N(), len(cands)
+	stride := (b + 63) / 64
+	tb.base, tb.width, tb.stride = cands[0].Index, b, stride
+	tb.prio = graph.Grow(tb.prio, n*b)
+	tb.joins = graph.Grow(tb.joins, n*stride)
+	tb.best = graph.Grow(tb.best, b)
+	tb.bestP = graph.Grow(tb.bestP, b)
+	prio, joins, best, bestP := tb.prio, tb.joins, tb.best, tb.bestP
+	clear(joins)
+	for v := 0; v < n; v++ {
+		if !live[v] {
+			continue
+		}
+		row := prio[v*b : (v+1)*b]
+		for i := range row {
+			row[i] = cands[i].H1.Eval(int64(v))
+		}
+	}
+	for lo := 0; lo < n; {
+		hi := blockEnd(t, lo)
+		// The block's (priority, id) argmin under every candidate. Members
+		// ascend, so only a strictly smaller priority replaces the best.
+		found := false
+		for u := lo; u < hi; u++ {
+			if !live[u] {
+				continue
+			}
+			row := prio[u*b : (u+1)*b]
+			if !found {
+				copy(bestP, row)
+				for i := range best {
+					best[i] = int32(u)
+				}
+				found = true
+				continue
+			}
+			for i, p := range row {
+				if p < bestP[i] {
+					bestP[i], best[i] = p, int32(u)
+				}
+			}
+		}
+		if found {
+			for i, x := range best {
+				joins[int(x)*stride+i>>6] |= 1 << (i & 63)
+			}
+			for x := lo; x < hi; x++ {
+				jrow := joins[x*stride : (x+1)*stride]
+				if !anySet(jrow) {
+					continue // not a live argmin under any candidate
+				}
+				px := prio[x*b : (x+1)*b]
+				for _, u := range t.Conflicts(int32(x)) {
+					if live[u] && !clearBeaten(jrow, px, prio[int(u)*b:(int(u)+1)*b], int(u) < x) {
+						break // x joins under no candidate
+					}
+				}
+			}
+		}
+		lo = hi
+	}
+}
+
+// clearBeaten clears in x's join row the bit of every candidate under
+// which the conflict u ranks below x — a smaller priority, or an equal one
+// and the smaller id (uFirst) — and reports whether any bit is left.
+// Priorities lie in [0, Range), far below 2⁶², so pu − px − [uFirst] is
+// negative exactly when u ranks below x, and its sign bit is the
+// candidate's mask bit: no branch on the data.
+func clearBeaten(row []uint64, px, pu []int64, uFirst bool) bool {
+	var tie int64
+	if uFirst {
+		tie = 1
+	}
+	pu = pu[:len(px)]
+	var left uint64
+	for w := range row {
+		var m uint64
+		for i := w * 64; i < min((w+1)*64, len(px)); i++ {
+			m |= uint64(pu[i]-px[i]-tie) >> 63 << (i & 63)
+		}
+		row[w] &^= m
+		left |= row[w]
+	}
+	return left != 0
+}
+
+func anySet(row []uint64) bool {
+	for _, w := range row {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // SolveDet computes an MIS deterministically over the fabric (one virtual
@@ -131,6 +310,37 @@ func SolveDetSubset(f fabric.Fabric, pairWords int, g *graph.Graph, active []boo
 // aliases it (valid until the next solve on the same workspace).
 func SolveDetReduction(f fabric.Fabric, pairWords int, r *Reduction, p Params, ws *Workspace) ([]bool, Stats, error) {
 	return solveDet(f, pairWords, r, nil, p, ws)
+}
+
+// phaseSelector returns one phase's seed search over t. Each phase's seed
+// is the deterministic argmin of the negated potential −Σ_{v joins}
+// (d_live(v)+1) over a fixed candidate budget: Prepare tabulates the batch
+// into ws's table, and a live node contributes −(d_live+1), read from
+// ws.deg, to every candidate it joins under. Some node always holds the
+// globally minimal priority, so every candidate makes progress; the argmin
+// maximizes it. The caller sets Salt per phase.
+func phaseSelector[T topology](t T, live []bool, ws *Workspace, prio hashing.Family, p Params) (*derand.VecSelector, derand.LocalVec) {
+	tb := &ws.table
+	sel := &derand.VecSelector{
+		F1:         prio,
+		F2:         prio, // unused second slot; same family keeps seeds aligned
+		PerCand:    1,
+		BatchWidth: p.BatchWidth,
+		MaxBatches: p.MaxBatches,
+		WS:         &ws.sel,
+		Prepare:    func(cands []derand.Pair) { tabulate(t, live, tb, cands) },
+	}
+	local := func(w int, cands []derand.Pair, out []int64) {
+		if !live[w] {
+			return
+		}
+		for i := range out {
+			if tb.joined(w, i) {
+				out[i] = -(ws.deg[w] + 1)
+			}
+		}
+	}
+	return sel, local
 }
 
 func solveDet[T topology](f fabric.Fabric, pairWords int, t T, active []bool, p Params, ws *Workspace) ([]bool, Stats, error) {
@@ -166,86 +376,38 @@ func solveDet[T topology](f fabric.Fabric, pairWords int, t T, active []bool, p 
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	ws.deg = graph.Grow(ws.deg, n)
 	var st Stats
 
-	joinsUnder := func(v int32, h hashing.Hash) bool {
-		if !live[v] {
-			return false
-		}
-		pv := h.Eval(int64(v))
-		lo, hi := t.CliqueBlock(v)
-		for u := lo; u < hi; u++ {
-			if u == v || !live[u] {
-				continue
-			}
-			pu := h.Eval(int64(u))
-			if pu < pv || (pu == pv && u < v) {
-				return false
-			}
-		}
-		for _, u := range t.Conflicts(v) {
-			if !live[u] {
-				continue
-			}
-			pu := h.Eval(int64(u))
-			if pu < pv || (pu == pv && u < v) {
-				return false
-			}
-		}
-		return true
-	}
-	liveDeg := func(v int32) int64 {
-		d := int64(0)
-		lo, hi := t.CliqueBlock(v)
-		for u := lo; u < hi; u++ {
-			if u != v && live[u] {
-				d++
-			}
-		}
-		for _, u := range t.Conflicts(v) {
-			if live[u] {
-				d++
-			}
-		}
-		return d
-	}
-
+	tb := &ws.table
+	sel, local := phaseSelector(t, live, ws, prio, p)
 	for liveCount > 0 {
 		st.Phases++
 		if st.Phases > 64*(n+2) {
 			return nil, st, fmt.Errorf("mis: phase budget exhausted with %d live nodes", liveCount)
 		}
-		// Select the phase seed as the deterministic argmin of the negated
-		// potential −Σ_{v joins}(d_live(v)+1) over a fixed candidate
-		// budget. Some node always holds the globally minimal priority, so
-		// every candidate makes progress; the argmin maximizes it.
-		sel := &derand.Selector{
-			F1:         prio,
-			F2:         prio, // unused second slot; same family keeps seeds aligned
-			BatchWidth: p.BatchWidth,
-			MaxBatches: p.MaxBatches,
-			Salt:       p.Salt + uint64(st.Phases)*0x9e3779b97f4a7c15,
-			WS:         &ws.sel,
-		}
+		liveDegrees(t, live, ws.deg)
+		sel.Salt = p.Salt + uint64(st.Phases)*0x9e3779b97f4a7c15
 		f.Ledger().SetPhase("mis:select")
-		pair, stats, err := sel.SelectBest(f, pairWords, 1, func(w int, pr derand.Pair) int64 {
-			v := int32(w)
-			if !live[v] || !joinsUnder(v, pr.H1) {
-				return 0
-			}
-			return -(liveDeg(v) + 1)
-		})
+		res, err := sel.SelectMin(f, pairWords, 1, local, derand.Total)
 		if err != nil {
 			return nil, st, fmt.Errorf("mis: seed selection (phase %d): %w", st.Phases, err)
 		}
-		st.SeedCandidates += stats.Candidates
-		st.SeedBatches += stats.Batches
-		chosen := pair.H1
+		st.SeedCandidates += res.Stats.Candidates
+		st.SeedBatches += res.Stats.Batches
+
+		// The winner's joiners are its column of the batch's table; a
+		// winner outside the tabulated batch gets a one-candidate table.
+		col := int(res.Pair.Index - tb.base)
+		if res.Pair.Index < tb.base || col >= tb.width {
+			tabulate(t, live, tb, []derand.Pair{res.Pair})
+			col = 0
+		}
+		for v := 0; v < n; v++ {
+			joined[v] = tb.joined(v, col)
+		}
 
 		// Apply the phase: joiners announce to neighbors (one round).
-		for v := 0; v < n; v++ {
-			joined[v] = joinsUnder(int32(v), chosen)
-		}
 		f.Ledger().SetPhase("mis:announce")
 		if err := fabric.SendFrames(f, func(w int, sb *fabric.SendBuf) {
 			v := int32(w)
@@ -291,59 +453,4 @@ func solveDet[T topology](f fabric.Fabric, pairWords int, t T, active []bool, p 
 		}
 	}
 	return in, st, nil
-}
-
-// SolveLuby is the classic randomized baseline: per phase, uniform random
-// priorities; local minima join. Deterministically seeded for
-// reproducibility; round structure matches SolveDet without seed search.
-func SolveLuby(g *graph.Graph, seed uint64) ([]bool, int) {
-	n := g.N()
-	rng := graph.NewRand(seed)
-	in := make([]bool, n)
-	live := make([]bool, n)
-	liveCount := n
-	for v := range live {
-		live[v] = true
-	}
-	phases := 0
-	for liveCount > 0 {
-		phases++
-		prio := make([]uint64, n)
-		for v := range prio {
-			prio[v] = rng.Uint64()
-		}
-		var joiners []int32
-		for v := 0; v < n; v++ {
-			if !live[v] {
-				continue
-			}
-			minLocal := true
-			for _, u := range g.Neighbors(int32(v)) {
-				if !live[u] {
-					continue
-				}
-				if prio[u] < prio[v] || (prio[u] == prio[v] && u < int32(v)) {
-					minLocal = false
-					break
-				}
-			}
-			if minLocal {
-				joiners = append(joiners, int32(v))
-			}
-		}
-		for _, v := range joiners {
-			in[v] = true
-			if live[v] {
-				live[v] = false
-				liveCount--
-			}
-			for _, u := range g.Neighbors(v) {
-				if live[u] {
-					live[u] = false
-					liveCount--
-				}
-			}
-		}
-	}
-	return in, phases
 }

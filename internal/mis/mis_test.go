@@ -50,20 +50,6 @@ func TestSolveDet(t *testing.T) {
 	t.Logf("phases=%d candidates=%d rounds=%d", st.Phases, st.SeedCandidates, nw.Ledger().Rounds())
 }
 
-func TestSolveLuby(t *testing.T) {
-	g, err := graph.RandomRegular(200, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, phases := SolveLuby(g, 42)
-	if err := Verify(g, in); err != nil {
-		t.Fatal(err)
-	}
-	if phases < 1 {
-		t.Fatal("no phases")
-	}
-}
-
 func TestReductionColoring(t *testing.T) {
 	g, err := graph.GNP(80, 0.08, 3)
 	if err != nil {

@@ -57,6 +57,13 @@ func (r *Reduction) Degree(x int32) int {
 	return int(r.first[v+1]-r.first[v]) - 1 + int(r.confOff[x+1]-r.confOff[x])
 }
 
+// MemoryWords reports the reduction's retained storage in 64-bit words, at
+// capacity.
+func (r *Reduction) MemoryWords() int64 {
+	i32 := cap(r.owner) + cap(r.first) + cap(r.confOff) + cap(r.conf) + cap(r.cur)
+	return int64(cap(r.colorOf)) + int64(i32)/2
+}
+
 // BuildReduction constructs the reduction for an instance.
 func BuildReduction(inst *graph.Instance) *Reduction {
 	n := inst.G.N()
