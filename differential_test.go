@@ -17,6 +17,7 @@ package ccolor_test
 // (scenario, n, seed) the fuzzer reaches must uphold the same properties.
 
 import (
+	"runtime"
 	"testing"
 
 	"ccolor"
@@ -205,6 +206,32 @@ func TestScaleDifferentialSmoke(t *testing.T) {
 		}
 		if a.ColoringFP[string(ccolor.ModelCClique)] != a.ColoringFP[string(ccolor.ModelMPC)] {
 			t.Errorf("cclique and mpc disagree at n=2^16:\n%s", a)
+		}
+	})
+	// An MPC round builds no inboxes, runs no combining round and has no
+	// pair budget, so its delivery scratch is only its sender blocks' group
+	// rows: 3 words per machine per block, at most one block per pool
+	// worker (GOMAXPROCS). At the default space factor this instance fits
+	// on one machine, where the bound would hold trivially, so the solve
+	// runs at space factor 8 (5 machines). Measured on a 2-vCPU box at
+	// GOMAXPROCS 2: 30 words.
+	t.Run("mpc-delivery-scratch", func(t *testing.T) {
+		rep, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelMPC, MPCSpaceFactor: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verify.ListColoring(inst, rep.Coloring); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Machines < 2 || rep.WordsMoved == 0 {
+			t.Fatalf("%d machines moved %d words; the bound needs cross-machine rounds", rep.Machines, rep.WordsMoved)
+		}
+		bound := 3 * int64(runtime.GOMAXPROCS(0)) * int64(rep.Machines)
+		t.Logf("%d machines, %d words moved, delivery scratch %d words (bound %d)",
+			rep.Machines, rep.WordsMoved, rep.Memory.DeliveryScratchWords, bound)
+		if rep.Memory.DeliveryScratchWords == 0 || rep.Memory.DeliveryScratchWords > bound {
+			t.Errorf("delivery scratch %d words outside (0, 3·GOMAXPROCS·machines = %d]",
+				rep.Memory.DeliveryScratchWords, bound)
 		}
 	})
 	for _, prob := range []ccolor.Problem{ccolor.ProblemMIS, ccolor.ProblemRulingSet} {

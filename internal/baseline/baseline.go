@@ -84,18 +84,16 @@ func RandTrial(f fabric.Fabric, pairWords int, inst *graph.Instance, seed uint64
 		}
 		// Round 1: exchange proposals with neighbors.
 		f.Ledger().SetPhase("trial:propose")
-		if _, err := f.Round(func(w int) []fabric.Msg {
+		if err := fabric.SendFrames(f, func(w int, sb *fabric.SendBuf) {
 			v := int32(w)
 			if pick[v] == graph.NoColor {
-				return nil
+				return
 			}
-			var out []fabric.Msg
 			for _, u := range g.Neighbors(v) {
 				if col[u] == graph.NoColor {
-					out = append(out, fabric.Msg{To: int(u), Words: []uint64{uint64(pick[v])}})
+					sb.Put(int(u), uint64(pick[v]))
 				}
 			}
-			return out
 		}); err != nil {
 			return nil, st, fmt.Errorf("baseline: propose: %w", err)
 		}
@@ -116,16 +114,14 @@ func RandTrial(f fabric.Fabric, pairWords int, inst *graph.Instance, seed uint64
 		}
 		// Round 2: keepers announce; neighbors prune.
 		f.Ledger().SetPhase("trial:commit")
-		if _, err := f.Round(func(w int) []fabric.Msg {
+		if err := fabric.SendFrames(f, func(w int, sb *fabric.SendBuf) {
 			v := int32(w)
 			if !keep[v] {
-				return nil
+				return
 			}
-			var out []fabric.Msg
 			for _, u := range g.Neighbors(v) {
-				out = append(out, fabric.Msg{To: int(u), Words: []uint64{uint64(pick[v])}})
+				sb.Put(int(u), uint64(pick[v]))
 			}
-			return out
 		}); err != nil {
 			return nil, st, fmt.Errorf("baseline: commit: %w", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ccolor/internal/fabric"
+	"ccolor/internal/fabric/fabrictest"
 )
 
 // randomTraffic draws one round's frames per sender: up to five frames to
@@ -55,7 +56,7 @@ func sameLedger(t *testing.T, what string, a, b *fabric.Ledger) {
 	if a.Rounds() != b.Rounds() || a.WordsMoved() != b.WordsMoved() ||
 		a.MaxSendLoad() != b.MaxSendLoad() || a.MaxRecvLoad() != b.MaxRecvLoad() ||
 		a.PeakRoundWords() != b.PeakRoundWords() {
-		t.Fatalf("%s: ledgers differ:\n reading %v peak=%d\n without inboxes %v peak=%d",
+		t.Fatalf("%s: ledgers differ:\n read back %v peak=%d\n not read %v peak=%d",
 			what, a, a.PeakRoundWords(), b, b.PeakRoundWords())
 	}
 	if !reflect.DeepEqual(a.PhaseProfile(), b.PhaseProfile()) {
@@ -64,9 +65,10 @@ func sameLedger(t *testing.T, what string, a, b *fabric.Ledger) {
 }
 
 // TestChargeOnlyRoundMatchesReadingRound runs identical traffic through a
-// network that reads its inboxes and one whose rounds are charge-only
-// (fabric.SendFrames), at parallelism 1 and 4 with every round split into
-// sender blocks, and requires the two ledgers to agree after every round.
+// network whose rounds are read back as inboxes (fabrictest.Inboxes) and
+// one whose rounds are charge-only (fabric.SendFrames), at parallelism 1
+// and 4 with every round split into sender blocks, and requires the two
+// ledgers to agree after every round.
 func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 	oldCut := fabric.DeliverParallelMinWords
 	fabric.DeliverParallelMinWords = 1
@@ -80,12 +82,12 @@ func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 			read.Ledger().SetPhase(phase)
 			skip.Ledger().SetPhase(phase)
 			stage := stageMsgs(randomTraffic(rng, n))
-			in, err := fabric.RoundFrames(read, stage)
+			in, err := fabrictest.Inboxes(read, stage)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(in) != n {
-				t.Fatalf("parallelism %d round %d: reading round returned %d inboxes", par, round, len(in))
+				t.Fatalf("parallelism %d round %d: read back %d inboxes", par, round, len(in))
 			}
 			if err := fabric.SendFrames(skip, stage); err != nil {
 				t.Fatal(err)
@@ -98,8 +100,8 @@ func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 }
 
 // TestChargeOnlyRoundErrors: a charge-only round rejects exactly what a
-// reading round rejects, with the same typed error, charges nothing for
-// it, and still consumes the request, so the next round reads.
+// round read back as inboxes rejects, with the same typed error, charges
+// nothing for it, and leaves the network ready for the next round.
 func TestChargeOnlyRoundErrors(t *testing.T) {
 	oldCut := fabric.DeliverParallelMinWords
 	fabric.DeliverParallelMinWords = 1
@@ -120,7 +122,7 @@ func TestChargeOnlyRoundErrors(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			read := New(n, WithMsgWords(2), WithParallelism(par))
 			skip := New(n, WithMsgWords(2), WithParallelism(par))
-			_, rerr := fabric.RoundFrames(read, stageMsgs(withRing(frames)))
+			_, rerr := fabrictest.Inboxes(read, stageMsgs(withRing(frames)))
 			serr := fabric.SendFrames(skip, stageMsgs(withRing(frames)))
 			if rerr == nil || serr == nil {
 				t.Fatalf("%s: reading err %v, charge-only err %v", tc.name, rerr, serr)
@@ -134,7 +136,7 @@ func TestChargeOnlyRoundErrors(t *testing.T) {
 			if skip.Ledger().Rounds() != 0 {
 				t.Fatalf("%s: failed round was charged", tc.name)
 			}
-			in, err := skip.FrameRound(stageMsgs([][]fabric.Msg{0: {{To: 1, Words: []uint64{7}}}, n - 1: nil}))
+			in, err := fabrictest.Inboxes(skip, stageMsgs([][]fabric.Msg{0: {{To: 1, Words: []uint64{7}}}, n - 1: nil}))
 			if err != nil || len(in) != n || len(in[1]) != 1 {
 				t.Fatalf("%s: round after the failed charge-only round: %d inboxes, err %v", tc.name, len(in), err)
 			}
@@ -144,49 +146,53 @@ func TestChargeOnlyRoundErrors(t *testing.T) {
 	}
 }
 
-// TestChargeOnlyRequestIsOneShot: SkipNextInboxes affects exactly the next
-// round, through FrameRound or Round, and Reset drops a pending request.
+// TestChargeOnlyRequestIsOneShot: the zero Sink is the charge-only
+// request. Every round returns nil inboxes and is charged; a charge-only
+// request replaces a pending placing one, so the next round places
+// nothing; and Reset drops a pending request.
 func TestChargeOnlyRequestIsOneShot(t *testing.T) {
 	const n = 4
 	nw := New(n, WithParallelism(1))
 	defer nw.Release()
 	stage := func(w int, sb *fabric.SendBuf) { sb.Put((w+1)%n, uint64(w)) }
-	reads := func(what string, want bool) {
+	calls := 0
+	place := func(int, int, []uint64) { calls++ }
+	chargeOnly := func(what string) {
 		t.Helper()
+		rounds := nw.Ledger().Rounds()
 		in, err := nw.FrameRound(stage)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || in != nil {
+			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
 		}
-		if got := in != nil; got != want {
-			t.Fatalf("%s: round returned inboxes = %v, want %v", what, got, want)
-		}
-		if want && (len(in[1]) != 1 || in[1][0].From != 0 || in[1][0].Words[0] != 0) {
-			t.Fatalf("%s: inbox 1 = %+v", what, in[1])
+		if calls != 0 || nw.Ledger().Rounds() != rounds+1 {
+			t.Fatalf("%s: %d frames placed, %d rounds charged", what, calls, nw.Ledger().Rounds()-rounds)
 		}
 	}
-	nw.SkipNextInboxes(fabric.Skip{Inboxes: true})
-	reads("requested round", false)
-	reads("round after it", true)
+	chargeOnly("round with no request")
+	nw.SetSink(fabric.Sink{})
+	chargeOnly("requested round")
 
-	nw.SkipNextInboxes(fabric.Skip{Inboxes: true})
-	if in, err := nw.Round(func(w int) []fabric.Msg { return nil }); err != nil || in != nil {
-		t.Fatalf("Round did not consume the request: %d inboxes, err %v", len(in), err)
-	}
-	reads("round after Round", true)
+	nw.SetSink(fabric.Sink{Place: place})
+	nw.SetSink(fabric.Sink{})
+	chargeOnly("round after a replaced placing request")
 
-	nw.SkipNextInboxes(fabric.Skip{Inboxes: true})
+	nw.SetSink(fabric.Sink{Place: place})
 	nw.Reset(n)
-	reads("round after Reset", true)
+	chargeOnly("round after Reset")
 	if nw.Ledger().Rounds() != 1 {
 		t.Fatalf("rounds after reset = %d, want 1", nw.Ledger().Rounds())
+	}
+	in, err := fabrictest.Inboxes(nw, stage)
+	if err != nil || len(in[1]) != 1 || in[1][0].From != 0 || in[1][0].Words[0] != 0 {
+		t.Fatalf("read back after the charge-only rounds: err %v, inbox 1 = %+v", err, in[1])
 	}
 }
 
 // TestCombiningRoundMatchesReadingRound runs identical traffic through a
-// network that reads its inboxes and one whose rounds are combining rounds
-// (fabric.SumFrames), at parallelism 1 and 4 with every round split into
-// sender blocks, and requires the sums to equal the reading round's inbox
-// sums and the two ledgers to agree after every round.
+// network whose rounds are read back as inboxes (fabrictest.Inboxes) and
+// one whose rounds are combining rounds (fabric.SumFrames), at parallelism
+// 1 and 4 with every round split into sender blocks, and requires the sums
+// to equal the inbox sums and the two ledgers to agree after every round.
 func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 	oldCut := fabric.DeliverParallelMinWords
 	fabric.DeliverParallelMinWords = 1
@@ -198,7 +204,7 @@ func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 		comb := New(n, WithParallelism(par))
 		for round := 0; round < 6; round++ {
 			stage := stageMsgs(randomTraffic(rng, n))
-			in, err := fabric.RoundFrames(read, stage)
+			in, err := fabrictest.Inboxes(read, stage)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,89 +230,90 @@ func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 	}
 }
 
-// TestCombiningRequestIsOneShot: SkipNextInboxes with a sum makes exactly
-// the next round a combining round, a failed round consumes the request
-// too, and Reset drops a pending one.
+// TestCombiningRequestIsOneShot: SetSink with a sum makes exactly the
+// next round a combining round, a failed round consumes the request too,
+// and Reset drops a pending one.
 func TestCombiningRequestIsOneShot(t *testing.T) {
 	const n = 4
 	nw := New(n, WithParallelism(1))
 	defer nw.Release()
 	stage := func(w int, sb *fabric.SendBuf) { sb.Put((w+1)%n, uint64(w+1)) }
 	sum := make([]int64, n)
-	reads := func(what string) {
+	plain := func(what string) {
 		t.Helper()
 		in, err := nw.FrameRound(stage)
-		if err != nil || len(in) != n || len(in[1]) != 1 || in[1][0].Words[0] != 1 {
+		if err != nil || in != nil {
 			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
 		}
 		if want := []int64{4, 1, 2, 3}; !reflect.DeepEqual(sum, want) {
 			t.Fatalf("%s: sum %v, want %v", what, sum, want)
 		}
 	}
-	nw.SkipNextInboxes(fabric.Skip{Sum: sum})
+	nw.SetSink(fabric.Sink{Sum: sum})
 	if in, err := nw.FrameRound(stage); err != nil || in != nil {
 		t.Fatalf("combining round: %d inboxes, err %v", len(in), err)
 	}
-	reads("round after it")
+	plain("round after it")
 
-	nw.SkipNextInboxes(fabric.Skip{Sum: sum})
+	nw.SetSink(fabric.Sink{Sum: sum})
 	_, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(n+1, 1) })
 	if err == nil {
 		t.Fatal("out-of-range combining round accepted")
 	}
-	reads("round after a failed combining round")
+	plain("round after a failed combining round")
 
 	short := make([]int64, 2) // frames to nodes 2 and 3 land past it
-	nw.SkipNextInboxes(fabric.Skip{Sum: short})
+	nw.SetSink(fabric.Sink{Sum: short})
 	_, err = nw.FrameRound(stage)
 	var se *fabric.SumError
 	if !errors.As(err, &se) || se.From != 1 || se.To != 2 || !reflect.DeepEqual(short, []int64{0, 0}) {
 		t.Fatalf("overflowing combining round: err %v, sum %v", err, short)
 	}
-	reads("round after an overflowing combining round")
+	plain("round after an overflowing combining round")
 
-	nw.SkipNextInboxes(fabric.Skip{Sum: sum})
+	nw.SetSink(fabric.Sink{Sum: sum})
 	nw.Reset(n)
-	reads("round after Reset")
+	plain("round after Reset")
 	if nw.Ledger().Rounds() != 1 {
 		t.Fatalf("rounds after reset = %d, want 1", nw.Ledger().Rounds())
 	}
 }
 
-// TestPlacingRequestIsOneShot: SkipNextInboxes with a Place makes exactly
-// the next round a placing round, a failed round consumes the request and
-// places nothing, and Reset drops a pending one.
+// TestPlacingRequestIsOneShot: SetSink with a Place makes exactly the next
+// round a placing round, a failed round consumes the request and places
+// nothing, and Reset drops a pending one.
 func TestPlacingRequestIsOneShot(t *testing.T) {
 	const n = 4
 	nw := New(n, WithParallelism(1))
 	defer nw.Release()
 	stage := func(w int, sb *fabric.SendBuf) { sb.Put((w+1)%n, uint64(w+1)) }
 	got := make([]uint64, n)
+	from := make([]int, n)
 	calls := 0
-	place := func(to int, payload []uint64) {
-		got[to] = payload[0]
+	place := func(f, to int, payload []uint64) {
+		got[to], from[to] = payload[0], f
 		calls++
 	}
-	reads := func(what string) {
+	plain := func(what string) {
 		t.Helper()
 		in, err := nw.FrameRound(stage)
-		if err != nil || len(in) != n || len(in[1]) != 1 || in[1][0].Words[0] != 1 {
+		if err != nil || in != nil {
 			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
 		}
 		if calls != n {
 			t.Fatalf("%s: %d frames placed in all, want %d", what, calls, n)
 		}
 	}
-	nw.SkipNextInboxes(fabric.Skip{Place: place})
+	nw.SetSink(fabric.Sink{Place: place})
 	if in, err := nw.FrameRound(stage); err != nil || in != nil {
 		t.Fatalf("placing round: %d inboxes, err %v", len(in), err)
 	}
-	if want := []uint64{4, 1, 2, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("placed %v, want %v", got, want)
+	if want, wantFrom := []uint64{4, 1, 2, 3}, []int{3, 0, 1, 2}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(from, wantFrom) {
+		t.Fatalf("placed %v from %v, want %v from %v", got, from, want, wantFrom)
 	}
-	reads("round after it")
+	plain("round after it")
 
-	nw.SkipNextInboxes(fabric.Skip{Place: place})
+	nw.SetSink(fabric.Sink{Place: place})
 	_, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
 		stage(w, sb)
 		if w == 2 {
@@ -316,11 +323,11 @@ func TestPlacingRequestIsOneShot(t *testing.T) {
 	if err == nil {
 		t.Fatal("out-of-range placing round accepted")
 	}
-	reads("round after a failed placing round")
+	plain("round after a failed placing round")
 
-	nw.SkipNextInboxes(fabric.Skip{Place: place})
+	nw.SetSink(fabric.Sink{Place: place})
 	nw.Reset(n)
-	reads("round after Reset")
+	plain("round after Reset")
 	if nw.Ledger().Rounds() != 1 {
 		t.Fatalf("rounds after reset = %d, want 1", nw.Ledger().Rounds())
 	}

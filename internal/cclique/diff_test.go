@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"ccolor/internal/fabric"
+	"ccolor/internal/fabric/fabrictest"
 )
 
 // refRound is the pre-flat-buffer delivery semantics, kept as a reference
-// oracle for the differential test below.
+// oracle for the differential test below: a round's frames, read back as
+// inboxes, must be the messages it was given.
 func refRound(n, msgWords int, produce func(w int) []fabric.Msg) ([][]fabric.Msg, int64, error) {
 	out := make([][]fabric.Msg, n)
 	for v := 0; v < n; v++ {
@@ -28,7 +30,7 @@ func refRound(n, msgWords int, produce func(w int) []fabric.Msg) ([][]fabric.Msg
 		}
 	}
 	for v := range inboxes {
-		fabric.SortInbox(inboxes[v])
+		fabrictest.SortInbox(inboxes[v])
 	}
 	return inboxes, totalWords, nil
 }
@@ -60,7 +62,7 @@ func TestRoundMatchesReference(t *testing.T) {
 		want, wantWords, refErr := refRound(n, DefaultMsgWords, produce)
 
 		nw := New(n, WithParallelism(1))
-		got, err := nw.Round(produce)
+		got, err := readRound(nw, produce)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("trial %d: err=%v refErr=%v", trial, err, refErr)
 		}

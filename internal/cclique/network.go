@@ -28,20 +28,15 @@ type Network struct {
 	workers  int              // goroutine pool width
 	pool     *fabric.WorkPool // parked round-staging workers (lazy)
 
-	// live is the round buffer backing the most recent round's inboxes; it
-	// is recycled when the next round starts (see fabric.RoundBuffer's
-	// lifetime contract).
+	// live is the most recent round's buffer, kept until the next round
+	// starts so its arenas recycle (and its placed payloads stay valid until
+	// then, as fabric.Sink promises).
 	live *fabric.RoundBuffer
-	// skip is the pending fabric.ChargeOnlyFabric request, consumed by the
-	// next round.
-	skip fabric.Skip
+	// sink is the pending fabric.Sink request, consumed by the next round.
+	sink fabric.Sink
 }
 
-var (
-	_ fabric.Fabric           = (*Network)(nil)
-	_ fabric.FrameFabric      = (*Network)(nil)
-	_ fabric.ChargeOnlyFabric = (*Network)(nil)
-)
+var _ fabric.Fabric = (*Network)(nil)
 
 // Option configures a Network.
 type Option func(*Network)
@@ -78,23 +73,23 @@ func New(n int, opts ...Option) *Network {
 func (nw *Network) Workers() int { return nw.n }
 
 // Reset re-arms the network for a new solve on n nodes: the node count is
-// re-dimensioned, the ledger cleared, and any pending charge-only,
-// combining or placing request dropped, while the configured options (word
-// budget, parallelism) and any live round arena carry over — the next round
-// simply recycles it at the new width, exactly as rounds always do. This is
+// re-dimensioned, the ledger cleared, and any pending combining or placing
+// request dropped, while the configured options (word budget, parallelism)
+// and any live round arena carry over — the next round simply recycles it
+// at the new width, exactly as rounds always do. This is
 // what lets a solver session reuse one Network across solves instead of
 // paying cclique.New per call; it mirrors mpc.Cluster.Reset.
 func (nw *Network) Reset(n int) {
 	nw.n = n
 	nw.ledger.Reset()
-	nw.skip = fabric.Skip{}
+	nw.sink = fabric.Sink{}
 }
 
 // Release returns the network's round arenas to the shared pool for reuse
 // by other fabrics and parks its staging goroutines. Call it once the
-// solve is done; the last round's inboxes become invalid. The network
-// remains usable — the next round simply acquires a fresh buffer (and
-// respawns workers on demand).
+// solve is done; the last round's placed payloads become invalid. The
+// network remains usable — the next round simply acquires a fresh buffer
+// (and respawns workers on demand).
 func (nw *Network) Release() {
 	if nw.live != nil {
 		fabric.ReleaseRoundBuffer(nw.live)
@@ -123,31 +118,19 @@ func (e *BandwidthError) Error() string {
 		e.From, e.Words, e.To, e.Budget)
 }
 
-// Round executes one synchronous round. produce runs for every node in a
-// bounded goroutine pool; returned messages are validated (destination in
-// range, per-ordered-pair total ≤ MsgWords) and delivered sorted by sender.
-// Inboxes are zero-copy views into pooled arenas, valid until the next
-// round on this network.
-func (nw *Network) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
-	return nw.FrameRound(func(w int, sb *fabric.SendBuf) {
-		for _, m := range produce(w) {
-			sb.Put(m.To, m.Words...)
-		}
-	})
+// SetSink implements fabric.Fabric: the next round sums or places its
+// frames as s asks, and is charge-only with the zero Sink.
+func (nw *Network) SetSink(s fabric.Sink) {
+	nw.sink = s
 }
 
-// SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
-// validated and charged as usual but returns nil inboxes, and with a Sum
-// or a Place adds its frames into the sum or places them.
-func (nw *Network) SkipNextInboxes(s fabric.Skip) {
-	nw.skip = s
-}
-
-// FrameRound executes one synchronous round staged directly as flat frames
-// (fabric.FrameFabric), avoiding per-message allocation entirely.
+// FrameRound executes one synchronous round staged as flat frames. Staging
+// runs for every node on the network's pool; the frames are validated
+// (destination in range, per-ordered-pair total ≤ MsgWords), charged, and
+// summed or placed as the pending Sink asks. It returns nil inboxes.
 func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
-	skip := nw.skip
-	nw.skip = fabric.Skip{}
+	sink := nw.sink
+	nw.sink = fabric.Sink{}
 	if nw.live != nil {
 		fabric.ReleaseRoundBuffer(nw.live)
 		nw.live = nil
@@ -157,10 +140,10 @@ func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric
 	nw.runParallel(func(v int) {
 		stage(v, rb.Sender(v))
 	})
-	inboxes, stats, err := rb.Deliver(fabric.DeliverOpts{
+	stats, err := rb.Deliver(fabric.DeliverOpts{
 		PairWords: nw.msgWords,
 		Pool:      nw.pool,
-		Skip:      skip,
+		Sink:      sink,
 	})
 	if err != nil {
 		var re *fabric.RouteError
@@ -174,7 +157,7 @@ func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric
 	}
 	nw.ledger.AddRound(stats.TotalWords, stats.MaxSendLoad, stats.MaxRecvLoad)
 	nw.ledger.ObserveScratch(stats.ScratchWords)
-	return inboxes, nil
+	return nil, nil
 }
 
 // runParallel executes f(v) for every node v on the network's parked

@@ -5,11 +5,18 @@ import (
 	"testing"
 
 	"ccolor/internal/fabric"
+	"ccolor/internal/fabric/fabrictest"
 )
+
+// readRound runs one round of produce's messages and reads its frames back
+// as sorted inboxes.
+func readRound(f fabric.Fabric, produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
+	return fabrictest.Inboxes(f, fabrictest.Stage(produce))
+}
 
 func TestRoundDeliversSorted(t *testing.T) {
 	nw := New(4)
-	in, err := nw.Round(func(w int) []fabric.Msg {
+	in, err := readRound(nw, func(w int) []fabric.Msg {
 		// Everyone sends their ID to worker 0.
 		if w == 0 {
 			return nil
@@ -31,7 +38,7 @@ func TestRoundDeliversSorted(t *testing.T) {
 
 func TestBandwidthEnforced(t *testing.T) {
 	nw := New(3, WithMsgWords(2))
-	_, err := nw.Round(func(w int) []fabric.Msg {
+	_, err := readRound(nw, func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
@@ -49,7 +56,7 @@ func TestBandwidthEnforced(t *testing.T) {
 func TestBandwidthAcrossMessages(t *testing.T) {
 	// Two messages to the same destination share the per-pair budget.
 	nw := New(3, WithMsgWords(2))
-	_, err := nw.Round(func(w int) []fabric.Msg {
+	_, err := readRound(nw, func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
@@ -65,7 +72,7 @@ func TestBandwidthAcrossMessages(t *testing.T) {
 
 func TestOutOfRangeDestination(t *testing.T) {
 	nw := New(2)
-	if _, err := nw.Round(func(w int) []fabric.Msg {
+	if _, err := readRound(nw, func(w int) []fabric.Msg {
 		return []fabric.Msg{{To: 5, Words: []uint64{1}}}
 	}); err == nil {
 		t.Fatal("out-of-range destination accepted")
@@ -75,7 +82,7 @@ func TestOutOfRangeDestination(t *testing.T) {
 func TestLedgerCounts(t *testing.T) {
 	nw := New(4)
 	for r := 0; r < 3; r++ {
-		if _, err := nw.Round(func(w int) []fabric.Msg {
+		if _, err := readRound(nw, func(w int) []fabric.Msg {
 			return []fabric.Msg{{To: (w + 1) % 4, Words: []uint64{uint64(w)}}}
 		}); err != nil {
 			t.Fatal(err)
@@ -105,11 +112,11 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 	}
 	serial := New(16, WithParallelism(1))
 	parallel := New(16, WithParallelism(8))
-	a, err := serial.Round(produce)
+	a, err := readRound(serial, produce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.Round(produce)
+	b, err := readRound(parallel, produce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,7 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 func TestResetRecyclesNetwork(t *testing.T) {
 	nw := New(4, WithMsgWords(2), WithParallelism(1))
 	run := func(n int) (rounds int, words int64, inboxes int) {
-		in, err := nw.Round(func(w int) []fabric.Msg {
+		in, err := readRound(nw, func(w int) []fabric.Msg {
 			if w == 0 {
 				return []fabric.Msg{{To: n - 1, Words: []uint64{uint64(n)}}}
 			}
@@ -167,7 +174,7 @@ func TestResetRecyclesNetwork(t *testing.T) {
 	// Shrink below the original size: destinations beyond the new n must be
 	// rejected, proving the old width is gone.
 	nw.Reset(2)
-	if _, err := nw.Round(func(w int) []fabric.Msg {
+	if _, err := readRound(nw, func(w int) []fabric.Msg {
 		if w == 0 {
 			return []fabric.Msg{{To: 5, Words: []uint64{1}}}
 		}

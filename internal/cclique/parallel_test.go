@@ -36,11 +36,11 @@ func TestRoundParallelismDeterminism(t *testing.T) {
 	parallel := New(n)
 
 	for r := 0; r < rounds; r++ {
-		inS, err := serial.Round(produceAllToAll(n))
+		inS, err := readRound(serial, produceAllToAll(n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		inP, err := parallel.Round(produceAllToAll(n))
+		inP, err := readRound(parallel, produceAllToAll(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +126,11 @@ func TestRoundParallelismDeterminismScenarios(t *testing.T) {
 			serial := New(g.N(), WithParallelism(1))
 			parallel := New(g.N(), WithParallelism(8))
 			for r := 0; r < rounds; r++ {
-				inS, err := serial.Round(produceFromGraph(g, r))
+				inS, err := readRound(serial, produceFromGraph(g, r))
 				if err != nil {
 					t.Fatal(err)
 				}
-				inP, err := parallel.Round(produceFromGraph(g, r))
+				inP, err := readRound(parallel, produceFromGraph(g, r))
 				if err != nil {
 					t.Fatal(err)
 				}

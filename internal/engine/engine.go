@@ -175,9 +175,9 @@ type MemoryBudget struct {
 	PeakRoundWords int64
 	// DeliveryScratchWords is the largest scratch any single round's
 	// delivery used: the sender blocks' per-destination and per-group rows
-	// and combining accumulators, plus a reading round's locators and Msg
-	// slab. It grows with the pool width, one row set per block. Zero for
-	// ModelLowSpace coloring, whose pool clusters do not report it.
+	// and combining accumulators. It grows with the pool width, one row set
+	// per block. Zero for ModelLowSpace coloring, whose pool clusters do
+	// not report it.
 	DeliveryScratchWords int64
 	// MachineSpace and PeakMachineWords are the MPC-family per-machine
 	// budget and measured peak per-machine residency (zero for

@@ -77,32 +77,32 @@ type sentFrame struct {
 // staged frames sender by sender, each sender's in staging order, and the
 // words the ledger charged. Embedding the cluster keeps it Grouped and
 // Capacitated, so the primitives take their grouped paths through it.
+// With tamper set, it may change a staged frame in place before delivery;
+// the recorded frames are the tampered ones.
 type frameTap struct {
 	*mpc.Cluster
 	rounds [][]sentFrame
 	words  []int64
+	tamper func(round, w int, staged []fabric.Msg)
 }
 
 func (ft *frameTap) FrameRound(stage func(int, *fabric.SendBuf)) ([][]fabric.Msg, error) {
+	round := len(ft.rounds)
 	perSender := make([][]sentFrame, ft.Workers())
 	before := ft.Ledger().WordsMoved()
 	in, err := ft.Cluster.FrameRound(func(w int, sb *fabric.SendBuf) {
 		stage(w, sb)
-		for _, m := range fabric.StagedFrames(sb) {
+		staged := fabric.StagedFrames(sb)
+		if ft.tamper != nil {
+			ft.tamper(round, w, staged)
+		}
+		for _, m := range staged {
 			perSender[w] = append(perSender[w], sentFrame{w, m.To, slices.Clone(m.Words)})
 		}
 	})
 	ft.rounds = append(ft.rounds, slices.Concat(perSender...))
 	ft.words = append(ft.words, ft.Ledger().WordsMoved()-before)
 	return in, err
-}
-
-func (ft *frameTap) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
-	return ft.FrameRound(func(w int, sb *fabric.SendBuf) {
-		for _, m := range produce(w) {
-			sb.Put(m.To, m.Words...)
-		}
-	})
 }
 
 // TestBroadcastTreeMatchesReference: the grouped broadcast stages exactly

@@ -4,6 +4,12 @@
 // primitives are written once against this interface, mirroring the paper's
 // §1.2 observation that CONGESTED CLIQUE is the linear-space MPC instance of
 // the same algorithm.
+//
+// Every round has one shape: workers stage frames, the fabric validates and
+// charges them, and the receivers take, sum or store what was sent. No round
+// builds inboxes; the paper's §2.1 broadcasts are charge-only rounds, its
+// Lemma 2.1 aggregations combining or placing rounds, and the rank-based
+// gather (Cor. 3.10, Lemma 3.14) placing rounds.
 package fabric
 
 import (
@@ -13,34 +19,43 @@ import (
 	"ccolor/internal/telemetry"
 )
 
-// Msg is one message in a synchronous round: Words is the payload, counted
-// in O(log 𝔫)-bit machine words against the model's bandwidth/space budget.
+// Msg is one frame as a sender staged it: Words is the payload, counted in
+// O(log 𝔫)-bit machine words against the model's bandwidth/space budget.
+// FrameRound's result type carries it; tests read staged and placed frames
+// as Msgs.
 type Msg struct {
 	To    int
-	From  int // filled in by the fabric on delivery
+	From  int
 	Words []uint64
 }
 
 // Fabric is a synchronous message-passing substrate with w workers.
 //
-// Round executes one synchronous round: produce is invoked (possibly
-// concurrently) for every worker and returns that worker's outgoing
-// messages; the fabric validates them against the model's limits and
-// returns per-worker inboxes, sorted by sender. Implementations must charge
-// exactly one round per Round call.
+// FrameRound executes one synchronous round: stage is invoked (possibly
+// concurrently) once per worker to write that worker's outgoing frames
+// into its SendBuf, and the fabric validates them against the model's
+// limits and charges them to its ledger. What delivery does with the
+// frames is the pending Sink: a one-shot request that SetSink makes for
+// the next FrameRound, which consumes it even when the round fails (a
+// backend reset drops a pending one). With no request the round is
+// charge-only. Implementations charge exactly one round per FrameRound
+// call and return nil inboxes; the result keeps its type so that wrappers
+// embedding a backend (round taps) keep compiling.
 //
-// Lifetime contract: the returned inboxes (including every Msg.Words) may
-// alias pooled arenas and are only valid until the next Round/FrameRound
-// call on the same fabric. Callers that need message data across rounds
-// must copy it out before issuing the next round.
+// The request rides on the ordinary FrameRound rather than a method of its
+// own, so a wrapper that embeds a backend and intercepts FrameRound (to time
+// or count rounds) still sees every round. SendFrames, SumFrames and
+// PlaceFrames are the intended callers.
 type Fabric interface {
 	// Workers returns the number of computational entities (nodes in the
-	// congested clique, machines in MPC).
+	// congested clique, virtual workers hosted on machines in MPC).
 	Workers() int
-	// Round runs one synchronous communication round.
-	Round(produce func(w int) []Msg) ([][]Msg, error)
 	// Ledger returns the round/traffic accounting for this fabric.
 	Ledger() *Ledger
+	// FrameRound runs one synchronous round staged as flat frames.
+	FrameRound(stage func(w int, sb *SendBuf)) ([][]Msg, error)
+	// SetSink sets what the next round does with its frames.
+	SetSink(s Sink)
 }
 
 // PhaseStats is one phase's accumulated traffic profile: rounds executed,
@@ -183,7 +198,8 @@ func (l *Ledger) PeakRoundWords() int64 { return l.peakRound }
 func (l *Ledger) ObserveScratch(words int64) { l.peakScratch = max(l.peakScratch, words) }
 
 // PeakScratchWords returns the largest delivery scratch, in words, any
-// single round used: sender-block rows, locators and the Msg slab.
+// single round used: the sender blocks' destination and group rows and
+// combining accumulators.
 func (l *Ledger) PeakScratchWords() int64 { return l.peakScratch }
 
 // ByPhase returns a copy of the per-phase round counts. Phases that ran no
@@ -238,24 +254,4 @@ func (l *Ledger) String() string {
 			k, ps.Rounds, ps.Words, ps.MaxSend, ps.MaxRecv)
 	}
 	return s
-}
-
-// SortInbox orders messages by sender then payload for deterministic
-// processing; fabrics call it before delivery.
-func SortInbox(in []Msg) {
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].From != in[j].From {
-			return in[i].From < in[j].From
-		}
-		return lessWords(in[i].Words, in[j].Words)
-	})
-}
-
-func lessWords(a, b []uint64) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -10,11 +10,13 @@ import (
 
 	"ccolor/internal/cclique"
 	"ccolor/internal/fabric"
+	"ccolor/internal/fabric/fabrictest"
 	"ccolor/internal/mpc"
 )
 
 // referenceGather is GatherMany's test oracle: the gather as it ran on
-// reading rounds. It copies every spread inbox into per-intermediate
+// reading rounds, with each round's inboxes read back through
+// fabrictest.Inboxes. It copies every spread inbox into per-intermediate
 // record queues, sorts them by (target, rank), and per delivery round
 // ships the first ⌊pairWords/2⌋ records of every (intermediate, target)
 // run, compacting the queue after each round. GatherMany must reproduce
@@ -73,7 +75,7 @@ func referenceGather(f fabric.Fabric, pairWords int, payload func(w int) (int, [
 	}
 	held := make([][]rec, n)
 	for s := 0; s < (maxBlock+n-1)/n; s++ {
-		in, err := fabric.RoundFrames(f, func(w int, sb *fabric.SendBuf) {
+		in, err := fabrictest.Inboxes(f, func(w int, sb *fabric.SendBuf) {
 			if targets[w] < 0 {
 				return
 			}
@@ -114,7 +116,7 @@ func referenceGather(f fabric.Fabric, pairWords int, payload func(w int) (int, [
 		return nil, fmt.Errorf("fabric: pairWords %d too small for gather delivery", pairWords)
 	}
 	for slices.ContainsFunc(held, func(q []rec) bool { return len(q) > 0 }) {
-		in, err := fabric.RoundFrames(f, func(w int, sb *fabric.SendBuf) {
+		in, err := fabrictest.Inboxes(f, func(w int, sb *fabric.SendBuf) {
 			q := held[w]
 			for i := 0; i < len(q); {
 				t := q[i].target
@@ -174,13 +176,6 @@ func referenceGather(f fabric.Fabric, pairWords int, payload func(w int) (int, [
 	return out, nil
 }
 
-// tappable is a backend a gatherTap can wrap: GatherMany's placing rounds
-// and the oracle's charge-only rounds need the ChargeOnlyFabric request.
-type tappable interface {
-	fabric.FrameFabric
-	fabric.ChargeOnlyFabric
-}
-
 // stagedFrame is one staged frame as a gatherTap saw it.
 type stagedFrame struct{ from, to, words int }
 
@@ -188,7 +183,7 @@ type stagedFrame struct{ from, to, words int }
 // it staged, sorted, and the words the ledger charged for it. With tamper
 // set, it may change a staged frame in place before delivery.
 type gatherTap struct {
-	tappable
+	fabric.Fabric
 	frames [][]stagedFrame
 	words  []int64
 	tamper func(round, w int, staged []fabric.Msg)
@@ -198,7 +193,7 @@ func (g *gatherTap) FrameRound(stage func(int, *fabric.SendBuf)) ([][]fabric.Msg
 	round := len(g.frames)
 	perSender := make([][]stagedFrame, g.Workers())
 	before := g.Ledger().WordsMoved()
-	in, err := g.tappable.FrameRound(func(w int, sb *fabric.SendBuf) {
+	in, err := g.Fabric.FrameRound(func(w int, sb *fabric.SendBuf) {
 		stage(w, sb)
 		staged := fabric.StagedFrames(sb)
 		if g.tamper != nil {
@@ -217,26 +212,20 @@ func (g *gatherTap) FrameRound(stage func(int, *fabric.SendBuf)) ([][]fabric.Msg
 	return in, err
 }
 
-func (g *gatherTap) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
-	return g.FrameRound(func(w int, sb *fabric.SendBuf) {
-		for _, m := range produce(w) {
-			sb.Put(m.To, m.Words...)
-		}
-	})
-}
-
 // gatherBackends builds an n-worker congested clique with the given
 // pair budget and a grouped MPC cluster (four workers per machine), both
 // staging on four goroutines.
-func gatherBackends(t *testing.T, n, msgWords int) map[string]func() tappable {
+func gatherBackends(t *testing.T, n, msgWords int) map[string]func() fabric.Fabric {
 	t.Helper()
 	assign := make([]int, n)
 	for i := range assign {
 		assign[i] = i / 4
 	}
-	return map[string]func() tappable{
-		"cclique": func() tappable { return cclique.New(n, cclique.WithMsgWords(msgWords), cclique.WithParallelism(4)) },
-		"mpc": func() tappable {
+	return map[string]func() fabric.Fabric{
+		"cclique": func() fabric.Fabric {
+			return cclique.New(n, cclique.WithMsgWords(msgWords), cclique.WithParallelism(4))
+		},
+		"mpc": func() fabric.Fabric {
 			c, err := mpc.New(assign, (n+3)/4, 1<<16, mpc.WithParallelism(4))
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +236,7 @@ func gatherBackends(t *testing.T, n, msgWords int) map[string]func() tappable {
 }
 
 // release hands a backend's arenas back and parks its workers.
-func release(f tappable) {
+func release(f fabric.Fabric) {
 	if r, ok := f.(interface{ Release() }); ok {
 		r.Release()
 	}
@@ -325,7 +314,7 @@ func TestGatherManyMatchesReference(t *testing.T) {
 		for _, pw := range []int{2, 4, 8} {
 			for name, mk := range gatherBackends(t, tc.n, max(4, pw)) {
 				what := fmt.Sprintf("%s/pairWords=%d/%s", tc.name, pw, name)
-				ref, got := &gatherTap{tappable: mk()}, &gatherTap{tappable: mk()}
+				ref, got := &gatherTap{Fabric: mk()}, &gatherTap{Fabric: mk()}
 				ref.Ledger().SetPhase("collect:gather")
 				got.Ledger().SetPhase("collect:gather")
 				want, err := referenceGather(ref, pw, tc.payload)
@@ -372,50 +361,10 @@ func TestGatherManyMatchesReference(t *testing.T) {
 					!reflect.DeepEqual(gl.PhaseProfile(), rl.PhaseProfile()) {
 					t.Fatalf("%s: ledger\n%s\noracle\n%s", what, gl, rl)
 				}
-				release(ref.tappable)
-				release(got.tappable)
+				release(ref.Fabric)
+				release(got.Fabric)
 			}
 		}
-	}
-}
-
-// plainFabric hides every optional extension of the fabric it wraps, so
-// rounds go through Fabric.Round: PlaceFrames places a reading round's
-// inboxes and SendFrames drops them.
-type plainFabric struct{ fabric.Fabric }
-
-// TestGatherManyOnPlainFabric: on a fabric without the FrameFabric and
-// ChargeOnlyFabric extensions the gather returns the same blocks and
-// charges the same ledger as on the congested clique it wraps.
-func TestGatherManyOnPlainFabric(t *testing.T) {
-	var ws, plainWS fabric.VecScratch
-	for _, tc := range gatherCases() {
-		nw, inner := cclique.New(tc.n), cclique.New(tc.n)
-		want, err := ws.GatherMany(nw, 4, tc.payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := plainWS.GatherMany(plainFabric{inner}, 4, tc.payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for target := range tc.n {
-			wb, gb := want.To(target), got.To(target)
-			if len(wb) != len(gb) {
-				t.Fatalf("%s target %d: %d blocks on the plain fabric, %d on the clique", tc.name, target, len(gb), len(wb))
-			}
-			for i := range wb {
-				if gb[i].From != wb[i].From || !slices.Equal(gb[i].Words, wb[i].Words) {
-					t.Fatalf("%s target %d block %d differs on the plain fabric", tc.name, target, i)
-				}
-			}
-		}
-		if gl, wl := inner.Ledger(), nw.Ledger(); gl.Rounds() != wl.Rounds() || gl.WordsMoved() != wl.WordsMoved() ||
-			gl.MaxSendLoad() != wl.MaxSendLoad() || gl.MaxRecvLoad() != wl.MaxRecvLoad() {
-			t.Fatalf("%s: plain fabric ledger\n%s\nclique\n%s", tc.name, gl, wl)
-		}
-		nw.Release()
-		inner.Release()
 	}
 }
 
@@ -440,7 +389,7 @@ func TestGatherManyWordsTravelOnlyInFrames(t *testing.T) {
 	}
 	for name, mk := range gatherBackends(t, n, pw) {
 		var ws fabric.VecScratch
-		clean := &gatherTap{tappable: mk()}
+		clean := &gatherTap{Fabric: mk()}
 		want, err := ws.GatherMany(clean, pw, payload)
 		if err != nil {
 			t.Fatal(err)
@@ -458,7 +407,7 @@ func TestGatherManyWordsTravelOnlyInFrames(t *testing.T) {
 			// word) pairs.
 			var target, rank int
 			tampered := false
-			f := &gatherTap{tappable: mk(), tamper: func(round, w int, staged []fabric.Msg) {
+			f := &gatherTap{Fabric: mk(), tamper: func(round, w int, staged []fabric.Msg) {
 				if round != tc.round || w != 7 || len(staged) == 0 {
 					return
 				}
@@ -490,9 +439,9 @@ func TestGatherManyWordsTravelOnlyInFrames(t *testing.T) {
 					}
 				}
 			}
-			release(f.tappable)
+			release(f.Fabric)
 		}
-		release(clean.tappable)
+		release(clean.Fabric)
 	}
 }
 

@@ -14,18 +14,16 @@ import (
 // words between any ordered worker pair per round. MPC fabrics enforce
 // their own (space) limits on top.
 //
-// All primitives stage their traffic as flat frames (RoundFrames), which
-// runs allocation-free on FrameFabric backends and falls back to classic
-// []Msg rounds on any other Fabric; message content, inbox order, and
-// ledger charges are identical on both paths. Rounds whose receivers learn
-// the payload without reading an inbox (a broadcast's words, an owner's
-// summed elements, a gather's offsets) go through SendFrames, which charges
-// the same round but builds no inboxes. AggregateVec's first round, whose
-// owners only add up what they receive, is a combining round (SumFrames):
-// the fabric sums the frames during delivery instead of building inboxes.
-// GatherMany's spread and delivery rounds, whose receivers only store each
-// word at the position its frame names, are placing rounds (PlaceFrames):
-// the fabric hands every frame to the gather's store during delivery.
+// All primitives stage their traffic as flat frames and run one of the
+// three round kinds. Rounds whose receivers learn the payload without
+// storing anything (a broadcast's words, an owner's summed elements, a
+// gather's offsets) are charge-only rounds (SendFrames). AggregateVec's
+// first round on an ungrouped fabric, whose owners only add up what they
+// receive, is a combining round (SumFrames): the fabric sums the frames
+// during delivery. The levels of the grouped reduction tree and
+// GatherMany's spread and delivery rounds, whose receivers store each
+// frame where it names, are placing rounds (PlaceFrames): the fabric hands
+// every frame to the primitive's store during delivery.
 // Broadcast, AggregateVec and GatherMany are VecScratch methods with
 // package-level wrappers: a grouped broadcast walks its tree down the same
 // retained representative tables the grouped aggregation builds, so a warm
@@ -142,9 +140,9 @@ func (ws *VecScratch) Broadcast(f Fabric, pairWords int, src int, words []uint64
 	return err
 }
 
-// VecScratch holds the flat worker/group tables, accumulator slab, and
-// reduction-tree state behind AggregateVec and Broadcast, and the tables
-// and slabs behind GatherMany. The zero value is ready for use; solver
+// VecScratch holds the flat worker/group tables, accumulator and receive
+// slabs, and reduction-tree state behind AggregateVec and Broadcast, and
+// the tables and slabs behind GatherMany. The zero value is ready for use; solver
 // sessions retain one across solves (via derand.Workspace / the core and
 // lowspace workspaces) so the grouped aggregation and broadcast paths and
 // the gather run without per-call map, table, accumulator or slab
@@ -158,6 +156,8 @@ type VecScratch struct {
 	mcur    []int32 // CSR fill cursors
 	members []int32 // group members, slot-major, ascending worker order
 	acc     []int64 // slots×vlen accumulator slab
+	recv    []int64 // slots×vlen reduction-level receive windows, by sender slot
+	vlen    int     // the running grouped aggregate's vector length
 	have    []bool  // worker -> holds the result (tree distribution)
 	levels  []int   // flattened reduction-tree levels (level 0 = reps)
 	loff    []int32 // per-level offsets into levels
@@ -180,11 +180,11 @@ const (
 )
 
 // MemoryWords reports the scratch's retained footprint in 64-bit words:
-// the aggregation's tables and accumulators and the gather's tables and
-// slabs, at their capacities.
+// the aggregation's tables, accumulators and receive windows and the
+// gather's tables and slabs, at their capacities.
 func (ws *VecScratch) MemoryWords() int64 {
 	g := &ws.gather
-	words := int64(cap(ws.reps) + cap(ws.acc) + cap(ws.levels) + cap(ws.have)/8 +
+	words := int64(cap(ws.reps) + cap(ws.acc) + cap(ws.recv) + cap(ws.levels) + cap(ws.have)/8 +
 		cap(g.rank) + cap(g.goff) + cap(g.hold) + cap(g.gath))
 	words += int64(cap(g.block))*sliceWords + int64(cap(g.blocks))*senderBlockWords
 	i32 := cap(ws.slot) + cap(ws.gdense) + cap(ws.moff) + cap(ws.mcur) + cap(ws.members) +
@@ -376,6 +376,13 @@ func (ws *VecScratch) broadcastTree(f Fabric, src int, words []uint64) error {
 	return nil
 }
 
+// window returns representative w's vlen-word window of an acc- or
+// recv-shaped slab.
+func (ws *VecScratch) window(slab []int64, w int) []int64 {
+	s := int(ws.slot[w]) * ws.vlen
+	return slab[s : s+ws.vlen]
+}
+
 // branchFactor picks the reduction-tree fan-in for a grouped fabric so one
 // level's inbound traffic (fan-in · vlen words) stays within half the
 // capacity.
@@ -438,6 +445,12 @@ func (ws *VecScratch) groupTables(n int, g Grouped) {
 // same tree — Lemma 2.1's constant-round, space-respecting pattern.
 // combineInto fills slot's machine-locally combined vector into a zeroed
 // slab window; its error stops the aggregate before any round.
+//
+// Each reduction level is a placing round: a block member's frame lands in
+// that member's own window of the recv slab (indexed by the sender's
+// representative slot, since a leader hears from several members and
+// frames of different sender blocks are placed concurrently), and after
+// the round each leader adds its members' windows into its accumulator.
 func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot int, combined []int64) error) ([]int64, error) {
 	reps := ws.reps
 	r := len(reps)
@@ -450,9 +463,13 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 			return nil, err
 		}
 	}
-	accOf := func(w int) []int64 {
-		s := ws.slot[w]
-		return ws.acc[int(s)*vlen : (int(s)+1)*vlen]
+	ws.vlen = vlen
+	ws.recv = grow(ws.recv, r*vlen)
+	store := func(from, _ int, payload []uint64) {
+		dst := ws.window(ws.recv, from)
+		for k, x := range payload {
+			dst[k] = int64(x)
+		}
 	}
 	// Reduce up: levels of blocks of `branch` representatives, flattened
 	// into one levels buffer with per-level offsets. Per-level block
@@ -478,12 +495,12 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 				ws.sendTo[cur[j]] = int32(cur[i]) + 1
 			}
 		}
-		in, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		err := PlaceFrames(f, store, func(w int, sb *SendBuf) {
 			// Block members (non-leaders) send their accumulator to the
 			// block leader.
 			if t := ws.sendTo[w]; t != 0 {
 				payload := sb.Begin(int(t-1), vlen)
-				for k, x := range accOf(w) {
+				for k, x := range ws.window(ws.acc, w) {
 					payload[k] = uint64(x)
 				}
 			}
@@ -501,11 +518,15 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 			return nil, err
 		}
 		for i := 0; i < len(cur); i += branch {
+			end := i + branch
+			if end > len(cur) {
+				end = len(cur)
+			}
 			leader := cur[i]
-			for _, m := range in[leader] {
-				dst := accOf(leader)
-				for k, x := range m.Words {
-					dst[k] += int64(x)
+			dst := ws.window(ws.acc, leader)
+			for j := i + 1; j < end; j++ {
+				for k, x := range ws.window(ws.recv, cur[j]) {
+					dst[k] += x
 				}
 			}
 			ws.levels = append(ws.levels, leader)
@@ -514,7 +535,7 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 	}
 	// Distribute down: leaders push the final vector to their blocks.
 	root := ws.levels[len(ws.levels)-1]
-	result := append([]int64(nil), accOf(root)...)
+	result := append([]int64(nil), ws.window(ws.acc, root)...)
 	ws.have = grow(ws.have, f.Workers())
 	clear(ws.have)
 	ws.have[root] = true
@@ -621,7 +642,7 @@ type gatherScratch struct {
 // O(𝔫) words — the regime Corollary 3.10 and Lemma 3.14 guarantee for the
 // coloring algorithm. The spread and delivery rounds are placing rounds
 // (PlaceFrames): each frame's words land in ws's slabs at the (target,
-// rank) the frame names, and no inbox is built.
+// rank) the frame names.
 func (ws *VecScratch) GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (Gathered, error) {
 	n := f.Workers()
 	perRound := pairWords / 2 // (rank, word) records per delivery frame
@@ -705,7 +726,7 @@ func (ws *VecScratch) GatherMany(f Fabric, pairWords int, payload func(w int) (i
 	g.hold = grow(g.hold, goff[n])
 	g.gath = grow(g.gath, goff[n])
 	hold, gath := g.hold, g.gath
-	spread := func(_ int, p []uint64) { hold[goff[p[0]]+int(p[1])] = p[2] }
+	spread := func(_, _ int, p []uint64) { hold[goff[p[0]]+int(p[1])] = p[2] }
 	for lo := 0; lo < maxBlock; lo += n {
 		if err := PlaceFrames(f, spread, func(w int, sb *SendBuf) {
 			hi := min(lo+n, len(block[w]))
@@ -739,7 +760,7 @@ func (ws *VecScratch) GatherMany(f Fabric, pairWords int, payload func(w int) (i
 	// of (rank, word) pairs, and the target stores each word at its rank.
 	// Targets are visited largest total first, so an intermediate stops at
 	// the first target whose run it has already drained.
-	deliver := func(to int, p []uint64) {
+	deliver := func(_, to int, p []uint64) {
 		base := goff[to]
 		for j := 0; j+1 < len(p); j += 2 {
 			gath[base+int(p[j])] = p[j+1]

@@ -15,18 +15,12 @@ import (
 //	header, payload...
 //
 // where the single header word packs the destination in its low half and
-// the payload length in its high half (see packHeader). Delivery is one
-// counting sort over destinations, split into sender blocks (see Deliver).
-// Inbox Msg.Words are zero-copy views into the staging arenas, and the
-// arenas are recycled across rounds through a sync.Pool, so the
-// steady-state round executes with no per-message heap allocation on the
-// fabric side.
-//
-// Lifetime contract: the inboxes returned by a FrameFabric round (including
-// the classic Round adapter over it) reference pooled arenas and are valid
-// only until the next Round/FrameRound call on the same fabric. Every
-// consumer that needs data across rounds must copy it out — all in-tree
-// callers already do.
+// the payload length in its high half (see packHeader). Delivery validates
+// and charges the frames in sender blocks (see Deliver), then sums or
+// places them when the round's Sink asks for it; nothing is copied out of
+// the arenas, and the arenas are recycled across rounds through a
+// sync.Pool, so the steady-state round executes with no per-message heap
+// allocation on the fabric side.
 
 // frameHeader is the number of header words per frame. The sender is
 // implied by whose arena a frame sits in, and destination and payload
@@ -45,29 +39,15 @@ func unpackHeader(h uint64) (to, n int) {
 	return int(int32(uint32(h))), int(h >> 32)
 }
 
-// FrameFabric is implemented by fabrics whose rounds can be staged directly
-// as flat frames, bypassing []Msg materialization on the send side. The
-// communication primitives in this package use it when available and fall
-// back to Fabric.Round otherwise; semantics (message content, inbox order,
-// ledger charges) are identical on both paths.
-type FrameFabric interface {
-	Fabric
-	// FrameRound runs one synchronous round: stage is invoked (possibly
-	// concurrently) once per worker to write that worker's outgoing frames.
-	FrameRound(stage func(w int, sb *SendBuf)) ([][]Msg, error)
-}
-
 // SendBuf stages one worker's outgoing frames for one round in a contiguous
 // arena. It is handed to staging callbacks by FrameRound; the zero value is
 // ready for use after reset.
 type SendBuf struct {
-	from int
 	buf  []uint64
 	nmsg int
 }
 
-func (sb *SendBuf) reset(from int) {
-	sb.from = from
+func (sb *SendBuf) reset() {
 	sb.buf = sb.buf[:0]
 	sb.nmsg = 0
 }
@@ -77,7 +57,7 @@ func (sb *SendBuf) reset(from int) {
 // must be filled before the next Begin/Put on the same SendBuf: a later
 // reservation may grow the arena and reallocate it, detaching earlier
 // payload slices. Destination validation happens at delivery, in staging
-// order, so the error behavior matches the classic per-message path.
+// order.
 func (sb *SendBuf) Begin(to, n int) []uint64 {
 	sb.buf = append(sb.buf, packHeader(to, n))
 	l := len(sb.buf)
@@ -110,161 +90,66 @@ func (sb *SendBuf) Reserve(frames, words int) {
 	}
 }
 
-// messages materializes the staged frames as a []Msg — the fallback path
-// for fabrics without native frame support.
-func (sb *SendBuf) messages() []Msg {
-	if sb.nmsg == 0 {
-		return nil
-	}
-	out := make([]Msg, 0, sb.nmsg)
-	for i := 0; i < len(sb.buf); {
-		to, nw := unpackHeader(sb.buf[i])
-		out = append(out, Msg{To: to, Words: sb.buf[i+frameHeader : i+frameHeader+nw]})
-		i += frameHeader + nw
-	}
-	return out
-}
-
-// RoundFrames runs one round staged as flat frames: natively on a
-// FrameFabric, or materialized through Fabric.Round otherwise. Algorithm
-// code can use it in place of Fabric.Round without tying itself to any
-// backend: semantics (message content, inbox order, ledger charges) are
-// identical on both paths.
-func RoundFrames(f Fabric, stage func(w int, sb *SendBuf)) ([][]Msg, error) {
-	if ff, ok := f.(FrameFabric); ok {
-		return ff.FrameRound(stage)
-	}
-	n := f.Workers()
-	bufs := make([]SendBuf, n)
-	return f.Round(func(w int) []Msg {
-		sb := &bufs[w]
-		sb.reset(w)
-		stage(w, sb)
-		return sb.messages()
-	})
-}
-
-// ChargeOnlyFabric is an optional FrameFabric extension for rounds whose
-// inboxes no caller reads. SkipNextInboxes is a one-shot request: the
-// fabric holds s until its next Round or FrameRound, which stages,
-// validates, and charges its traffic exactly as usual but builds no inboxes
-// and returns nil ones; with a Sum it is a combining round and with a Place
-// a placing round (see Skip). The round consumes the request even when it
-// fails, and a fabric reset drops a pending one.
-//
-// The request rides on the ordinary FrameRound rather than a method of its
-// own, so a wrapper that embeds a backend and intercepts FrameRound (to time
-// or count rounds) still sees every charge-only, combining and placing
-// round. SendFrames, SumFrames and PlaceFrames are the intended callers.
-type ChargeOnlyFabric interface {
-	SkipNextInboxes(s Skip)
-}
-
-// Skip is a ChargeOnlyFabric request as a backend holds it until its next
-// round and hands it to Deliver. The zero value builds inboxes.
-type Skip struct {
-	Inboxes bool // charge-only: build no inboxes
-	// Sum, when non-nil, makes the round a combining round and implies
-	// Inboxes: word s of every frame addressed to worker d is added into
-	// Sum[d+s·n] (n workers) as a wrapping int64 add. A frame that would
-	// land past len(Sum) fails the round with a *SumError.
+// Sink is a round's request as a backend holds it until its next round
+// and hands it to Deliver: what delivery does with the validated frames.
+// The zero value is a charge-only round, whose receivers learn the state
+// from the simulation directly: the frames are validated and charged, and
+// nothing else happens to them.
+type Sink struct {
+	// Sum, when non-nil, makes the round a combining round: word s of every
+	// frame addressed to worker d is added into Sum[d+s·n] (n workers) as a
+	// wrapping int64 add. A frame that would land past len(Sum) fails the
+	// round with a *SumError.
 	Sum []int64
-	// Place, when non-nil, makes the round a placing round and implies
-	// Inboxes: once the whole round has passed validation, every frame is
-	// handed to Place(to, payload), where payload aliases the staging
-	// arena and is valid until the next round. One sender's frames are
-	// placed in staging order by one goroutine; frames of different
-	// senders may be placed concurrently.
-	Place func(to int, payload []uint64)
+	// Place, when non-nil, makes the round a placing round: once the whole
+	// round has passed validation, every frame is handed to Place(from, to,
+	// payload), where payload aliases the staging arena and is valid until
+	// the next round. One sender's frames are placed in staging order by one
+	// goroutine; frames of different senders may be placed concurrently.
+	Place func(from, to int, payload []uint64)
 }
 
-// SendFrames runs one round staged as flat frames whose inboxes the caller
-// does not read: the receivers learn the transmitted state from the
-// simulation directly, and the round exists so that its traffic is charged
-// to the ledger and checked against the model's limits. On a
-// ChargeOnlyFabric it skips inbox construction; elsewhere it is RoundFrames
-// with the inboxes dropped. Errors and ledger charges are identical either
-// way.
+// SendFrames runs one charge-only round: the receivers learn the
+// transmitted state from the simulation directly, and the round exists so
+// that its traffic is charged to the ledger and checked against the
+// model's limits.
 func SendFrames(f Fabric, stage func(w int, sb *SendBuf)) error {
-	if c, ok := f.(ChargeOnlyFabric); ok {
-		c.SkipNextInboxes(Skip{Inboxes: true})
-	}
-	_, err := RoundFrames(f, stage)
+	f.SetSink(Sink{})
+	_, err := f.FrameRound(stage)
 	return err
 }
 
 // SumFrames runs one combining round: the frames travel, are validated and
-// are charged exactly as in RoundFrames, but the receivers sum them instead
-// of reading inboxes. Word s of a frame addressed to worker d is added into
-// sum[d+s·n], n = f.Workers(), as a wrapping int64 add, so element j gathers
-// every frame sent to its owner j mod n. Wrapping sums do not depend on
-// order, so the result is the same at every pool width. A frame that would
-// land past len(sum) fails the round with a *SumError and leaves sum as it
-// was.
-//
-// On a ChargeOnlyFabric the fabric adds the frames during delivery and
-// builds no inboxes; elsewhere SumFrames sums a reading round's inboxes.
+// are charged as in any round, and the fabric adds them into sum during
+// delivery. Word s of a frame addressed to worker d is added into
+// sum[d+s·n], n = f.Workers(), as a wrapping int64 add, so element j
+// gathers every frame sent to its owner j mod n. Wrapping sums do not
+// depend on order, so the result is the same at every pool width. A frame
+// that would land past len(sum) fails the round with a *SumError and
+// leaves sum as it was.
 func SumFrames(f Fabric, sum []int64, stage func(w int, sb *SendBuf)) error {
-	if c, ok := f.(ChargeOnlyFabric); ok {
-		c.SkipNextInboxes(Skip{Sum: sum})
-		_, err := RoundFrames(f, stage)
-		return err
-	}
-	in, err := RoundFrames(f, stage)
-	if err != nil {
-		return err
-	}
-	n := len(in)
-	for d, msgs := range in {
-		for _, m := range msgs {
-			if nw := len(m.Words); nw > 0 && d+(nw-1)*n >= len(sum) {
-				return &SumError{From: m.From, To: d, Words: nw, Len: len(sum)}
-			}
-		}
-	}
-	for d, msgs := range in {
-		for _, m := range msgs {
-			for s, x := range m.Words {
-				sum[d+s*n] += int64(x)
-			}
-		}
-	}
-	return nil
+	f.SetSink(Sink{Sum: sum})
+	_, err := f.FrameRound(stage)
+	return err
 }
 
 // PlaceFrames runs one placing round: the frames travel, are validated and
-// are charged exactly as in RoundFrames, but instead of reading inboxes the
-// receivers hand every frame to place(to, payload) — the shape of a round
-// whose receivers only store what they get at positions the frames name.
-// place is called once per frame, in no particular order, and must be
-// safe for concurrent calls on frames of different senders; payload is
-// valid until the next round.
+// are charged as in any round, and the fabric hands every frame to
+// place(from, to, payload) during delivery — the shape of a round whose
+// receivers only store what they get at positions the frames name. place
+// is called once per frame, in no particular order, and must be safe for
+// concurrent calls on frames of different senders; payload is valid until
+// the next round.
 //
 // Error contract: a round that fails validation (an out-of-range
 // destination, a broken pair budget) places nothing. A backend that
 // rejects a validated round afterwards (an MPC space error) may have
 // placed some or all of its frames, so after any error the contents of
 // place's destination are unspecified.
-//
-// On a ChargeOnlyFabric the fabric places the frames during delivery and
-// builds no inboxes; elsewhere PlaceFrames places a reading round's
-// inboxes.
-func PlaceFrames(f Fabric, place func(to int, payload []uint64), stage func(w int, sb *SendBuf)) error {
-	if c, ok := f.(ChargeOnlyFabric); ok {
-		c.SkipNextInboxes(Skip{Place: place})
-		_, err := RoundFrames(f, stage)
-		return err
-	}
-	in, err := RoundFrames(f, stage)
-	if err != nil {
-		return err
-	}
-	for d, msgs := range in {
-		for _, m := range msgs {
-			place(d, m.Words)
-		}
-	}
-	return nil
+func PlaceFrames(f Fabric, place func(from, to int, payload []uint64), stage func(w int, sb *SendBuf)) error {
+	f.SetSink(Sink{Place: place})
+	_, err := f.FrameRound(stage)
+	return err
 }
 
 // RouteError reports a frame rejected at delivery: an out-of-range
@@ -311,14 +196,14 @@ type DeliverOpts struct {
 	// happens.
 	FreeIntraGroup bool
 	// Pool, when non-nil, lets Deliver split the senders into one block per
-	// pool worker and run its passes concurrently. Inboxes, stats, and
-	// errors are identical at every block count; rounds staging fewer than
-	// DeliverParallelMinWords run as one block.
+	// pool worker and run its passes concurrently. Stats, sums, placed
+	// frames and errors are identical at every block count; rounds staging
+	// fewer than DeliverParallelMinWords run as one block.
 	Pool *WorkPool
-	// Skip stops Deliver after validation and accounting (and, for a
-	// combining or placing round, summing or placing), with errors and
-	// stats exactly those of a full delivery, and returns nil inboxes.
-	Skip Skip
+	// Sink is what the round does with its validated frames: nothing, sum
+	// them, or place them. Errors and stats do not depend on it, except
+	// that a combining round also rejects frames that land past its sum.
+	Sink Sink
 }
 
 // RoundStats is the traffic profile of one delivered round. SendLoad and
@@ -334,15 +219,15 @@ type RoundStats struct {
 	RecvLoad    []int64
 	Groups      []int32 // groups with nonzero charged traffic, ascending
 	// ScratchWords is the delivery scratch the round used, in 64-bit
-	// words: the sender blocks' destination rows, group rows and
-	// accumulators, plus the locators and Msg slab of a reading round.
+	// words: the sender blocks' destination rows, group rows and combining
+	// accumulators.
 	ScratchWords int64
 }
 
 // RoundBuffer holds the pooled arenas and scratch state for flat rounds.
-// Backends acquire one per round (releasing the previous round's buffer,
-// whose inbox data is dead by the lifetime contract) so arenas recycle
-// across rounds and across fabrics.
+// Backends acquire one per round, releasing the previous round's buffer
+// (whose placed payloads are dead by then), so arenas recycle across rounds
+// and across fabrics.
 type RoundBuffer struct {
 	n    int
 	send []SendBuf
@@ -350,31 +235,20 @@ type RoundBuffer struct {
 	// The current round, as the block passes read it.
 	opts    DeliverOpts
 	base    int64 // destSlot stamps: this round's sender w stamps base+w+1
-	inbox   bool  // the round builds inboxes (no Skip)
 	perDest bool  // blocks keep destination rows (see Deliver)
-	wide    bool  // locators are split into loc offsets and locFrom senders
 
-	live      []int32        // senders that staged anything, ascending
-	blocks    []deliverBlock // one per pool worker at most; rows persist
-	slotBase  int64          // base of the next round
-	epoch     int64          // per round: destStamp, gStamp and groupSlot stamps
-	destStamp []int64        // per destination: epoch of last touch
-	off       []int32        // per destination: inbox offset in msgs
-	touched   []int32        // destinations with frames this round
-	prevTouch []int32        // last round's touched list (inbox entries to reset)
-	chunk     []int          // materialize chunk c covers touched[chunk[c]:chunk[c+1]]
-	gStamp    []int64        // per group: epoch of last charged traffic
-	tgroups   []int32        // groups with charged traffic this round
-	sendLoad  []int64
-	recvLoad  []int64
-	loc       []uint64 // counting-sorted frame locators: sender<<32 | payload offset
-	locFrom   []int32  // wide-path senders (offsets no longer fit the packing)
-	msgs      []Msg    // header slab; inboxes are windows into it
-	inboxes   [][]Msg  // full-length backing; untouched entries stay empty
+	live     []int32        // senders that staged anything, ascending
+	blocks   []deliverBlock // one per pool worker at most; rows persist
+	slotBase int64          // base of the next round
+	epoch    int64          // per round: gStamp and groupSlot stamps
+	gStamp   []int64        // per group: epoch of last charged traffic
+	tgroups  []int32        // groups with charged traffic this round
+	sendLoad []int64
+	recvLoad []int64
 }
 
 // deliverBlock is one block of contiguous senders, live[lo:hi]: its
-// validation, counts and loads, and its share of the scatter.
+// validation, loads and partial sums.
 type deliverBlock struct {
 	lo, hi int
 	slots  []destSlot  // per destination (when perDest)
@@ -391,7 +265,6 @@ type destSlot struct {
 	stamp int64 // base + the last sender to reach it + 1; ≤ base: not reached this round
 	recv  int64 // words the block's senders sent here this round
 	pair  int32 // that last sender's running word total to this destination
-	cnt   int32 // frames the block sent here; after the prefix, its write cursor
 }
 
 // groupSlot is one block's charged traffic for one group.
@@ -404,22 +277,16 @@ type groupSlot struct {
 const (
 	destSlotWords  = int64(unsafe.Sizeof(destSlot{}) / 8)
 	groupSlotWords = int64(unsafe.Sizeof(groupSlot{}) / 8)
-	msgWords       = int64(unsafe.Sizeof(Msg{}) / 8)
 )
-
-// locOffsetLimit is the first arena offset that no longer fits the packed
-// sender<<32|offset locator. Arenas at or past it (≥32 GiB staged by one
-// sender) take the wide path: full-width offsets in loc with senders in a
-// parallel slab. A var so tests can exercise the wide path without staging
-// 2³² words.
-var locOffsetLimit uint64 = 1 << 32
 
 // DeliverParallelMinWords is the staged-word total below which Deliver
 // runs a round as one block whatever DeliverOpts.Pool says: waking parked
-// workers costs more than a small round's counting sort. BenchmarkDeliver
-// brackets it: split over two workers, the 2k-word announce round at n=64
-// loses, and the 32k-word one at n=256 wins. A var so tests can split tiny
-// deterministic rounds.
+// workers costs more than a small round's validation pass.
+// BenchmarkDeliver's charge-only announce rounds bracket it. Over six
+// runs on a 2-vCPU box (GOMAXPROCS 2), splitting over two workers lost on
+// the 2k-word round at n=64 in five (medians 16.6 vs 12.0 µs) and won on
+// the 32k-word one at n=256 in five (174 vs 209 µs), with wide run-to-run
+// spread. A var so tests can split tiny deterministic rounds.
 var DeliverParallelMinWords = 1 << 14
 
 var roundBufPool = sync.Pool{New: func() any { return new(RoundBuffer) }}
@@ -436,13 +303,13 @@ func AcquireRoundBuffer(n int) *RoundBuffer {
 	}
 	rb.send = rb.send[:n]
 	for w := 0; w < n; w++ {
-		rb.send[w].reset(w)
+		rb.send[w].reset()
 	}
 	return rb
 }
 
 // ReleaseRoundBuffer returns a buffer to the pool. The caller must not touch
-// the buffer, or any inboxes delivered from it, afterwards.
+// the buffer, or any payload placed from it, afterwards.
 func ReleaseRoundBuffer(rb *RoundBuffer) { roundBufPool.Put(rb) }
 
 // Sender returns worker w's staging arena for the current round.
@@ -457,160 +324,79 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Deliver validates and routes the staged frames, returning per-worker
-// inboxes sorted exactly as SortInbox orders them: by sender, then by
-// lexicographic payload. It is a counting sort over destinations, split
-// into blocks of contiguous senders with about equal staged words, at most
-// one per pool worker:
+// Deliver validates and charges the staged frames, then hands them to the
+// round's Sink. It splits the senders into blocks of contiguous senders
+// with about equal staged words, at most one per pool worker:
 //
 //  1. one scan of the arenas lists the senders that staged anything;
 //  2. each block validates its frames in staging order, stopping at its
-//     first violation, and counts frames, words and loads into its rows;
-//  3. a prefix over (destination, block) gives every block disjoint write
-//     offsets in each inbox, lower blocks first;
-//  4. blocks scatter their frames' locators, then runs of destinations
-//     materialize their inboxes and order equal-sender runs by payload.
+//     first violation, and counts words and loads into its rows — and, in
+//     a combining round, adds the frames into its own accumulator;
+//  3. once every block has validated, the accumulators are added into
+//     Sink.Sum, or each block hands its frames to Sink.Place.
 //
-// Blocks are ascending sender intervals, so every inbox comes out in
-// sender order and the lowest block that reports a violation holds the
-// first one in staging order: results do not depend on the block count,
-// and one block is the serial case. Per-destination and per-group state is
-// stamped and driven off lists of what the round touched, so a round costs
-// its live traffic, not the worker domain.
-//
-// With opts.Skip, Deliver returns nil inboxes after step 2: a combining
-// round adds the blocks' partial sums into Skip.Sum, and a placing round
-// has each block hand its frames to Skip.Place once every block has
-// validated.
-func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
+// Blocks are ascending sender intervals, so the lowest block that reports
+// a violation holds the first one in staging order: results do not depend
+// on the block count, and one block is the serial case. Per-destination
+// and per-group state is stamped and driven off lists of what the round
+// touched, so a round costs its live traffic, not the worker domain.
+func (rb *RoundBuffer) Deliver(opts DeliverOpts) (RoundStats, error) {
 	rb.opts = opts
-	in, stats, err := rb.deliver()
+	stats, err := rb.deliver()
 	rb.opts = DeliverOpts{} // hold no caller memory past the round
-	return in, stats, err
+	return stats, err
 }
 
-func (rb *RoundBuffer) deliver() ([][]Msg, RoundStats, error) {
+func (rb *RoundBuffer) deliver() (RoundStats, error) {
 	n := rb.n
 	opts := &rb.opts
 	groups := n
 	if opts.GroupOf != nil {
 		groups = opts.Groups
 	}
-	sum, place := opts.Skip.Sum, opts.Skip.Place
-	rb.inbox = !opts.Skip.Inboxes && sum == nil && place == nil
+	sum := opts.Sink.Sum
 	rb.epoch++
 	rb.base = rb.slotBase
 	rb.slotBase += int64(n)
-	// Reset the inbox entries the previous round on this buffer populated;
-	// everything else is empty by invariant.
-	for _, d := range rb.prevTouch {
-		rb.inboxes[d] = nil
-	}
-	rb.prevTouch = rb.prevTouch[:0]
-	rb.touched = rb.touched[:0]
 	rb.tgroups = rb.tgroups[:0]
-	rb.inboxes = grow(rb.inboxes, n) // every old entry was just reset
-	rb.destStamp = grow(rb.destStamp, n)
-	rb.off = grow(rb.off, n)
 	rb.gStamp = grow(rb.gStamp, groups)
 	rb.sendLoad = grow(rb.sendLoad, groups)
 	rb.recvLoad = grow(rb.recvLoad, groups)
 
 	// Step 1: the round's only pass over all n arenas.
-	staged, maxArena, nmsg := 0, 0, 0
+	staged := 0
 	rb.live = rb.live[:0]
 	for w := range rb.send[:n] {
 		if l := len(rb.send[w].buf); l > 0 {
 			rb.live = append(rb.live, int32(w))
 			staged += l
-			maxArena = max(maxArena, l)
-			nmsg += rb.send[w].nmsg
 		}
 	}
 	nb := 1
 	if p := opts.Pool; p != nil && staged >= DeliverParallelMinWords {
 		nb = max(1, min(p.Workers(), len(rb.live)))
 	}
-	// Destination rows carry the inbox counts, the pair budgets and the
-	// ungrouped receive loads; a grouped round with none of those skips them.
-	rb.perDest = rb.inbox || opts.GroupOf == nil || opts.PairWords > 0
+	// Destination rows carry the pair budgets and the ungrouped receive
+	// loads; a grouped round with no pair budget skips them.
+	rb.perDest = opts.GroupOf == nil || opts.PairWords > 0
 	scratch := rb.splitBlocks(nb, staged, groups, len(sum))
 
 	rb.run(nb, (*RoundBuffer).count) // step 2
 	for b := range nb {
 		if err := rb.blocks[b].err; err != nil {
-			return nil, RoundStats{}, err
+			return RoundStats{}, err
 		}
 	}
 	total := rb.mergeLoads(nb)
-	for b := range nb {
+	for b := range nb { // step 3
 		for j, x := range rb.blocks[b].acc {
 			sum[j] += x
 		}
 	}
-	if place != nil {
+	if opts.Sink.Place != nil {
 		rb.run(nb, (*RoundBuffer).place)
 	}
-	if !rb.inbox {
-		return nil, rb.stats(total, scratch), nil
-	}
-
-	// Step 3. Destinations are laid out in the slab in ascending order.
-	ep := rb.epoch
-	for b := range nb {
-		for _, d := range rb.blocks[b].touch {
-			if rb.destStamp[d] != ep {
-				rb.destStamp[d] = ep
-				rb.touched = append(rb.touched, d)
-			}
-		}
-	}
-	if !slices.IsSorted(rb.touched) {
-		slices.Sort(rb.touched)
-	}
-	run := int32(0)
-	for _, d := range rb.touched {
-		rb.off[d] = run
-		for b := range nb {
-			if sl := &rb.blocks[b].slots[d]; sl.stamp > rb.base {
-				c := sl.cnt
-				sl.cnt = run
-				run += c
-			}
-		}
-	}
-
-	// Step 4. The scattered (random-order) stores are 8-byte pointer-free
-	// locators — sender and payload offset packed in one word — which stay
-	// cache-resident and take no write barriers; the 40-byte Msg structs are
-	// then materialized in a sequential sweep over the sorted locators.
-	// Scattering the Msg structs directly was measured and lost. If any
-	// sender's arena outgrew the packed offset range, senders ride in a
-	// parallel slab instead (the wide path).
-	rb.wide = uint64(maxArena) >= locOffsetLimit
-	rb.loc = grow(rb.loc, nmsg)
-	rb.msgs = grow(rb.msgs, nmsg)
-	scratch += int64(nmsg) * (1 + msgWords)
-	if rb.wide {
-		rb.locFrom = grow(rb.locFrom, nmsg)
-		scratch += int64(nmsg+1) / 2
-	}
-	rb.run(nb, (*RoundBuffer).scatter)
-	// Materialize in nb runs of destinations with about equal frame counts.
-	rb.chunk = append(rb.chunk[:0], 0)
-	for ti, d := range rb.touched {
-		for len(rb.chunk) < nb && int(rb.off[d])*nb >= len(rb.chunk)*nmsg {
-			rb.chunk = append(rb.chunk, ti)
-		}
-	}
-	for len(rb.chunk) <= nb {
-		rb.chunk = append(rb.chunk, len(rb.touched))
-	}
-	rb.run(nb, (*RoundBuffer).materialize)
-	// The touched list becomes next round's inbox-reset list (swap so both
-	// stay allocation-free in steady state).
-	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
-	return rb.inboxes, rb.stats(total, scratch), nil
+	return rb.stats(total, scratch), nil
 }
 
 // run executes pass(rb, b) for every block, on the pool when there are
@@ -656,7 +442,7 @@ func (rb *RoundBuffer) splitBlocks(nb, staged, groups, sumLen int) int64 {
 			words += int64(groups) * groupSlotWords
 		}
 		blk.acc = blk.acc[:0]
-		if rb.opts.Skip.Sum != nil {
+		if rb.opts.Sink.Sum != nil {
 			blk.acc = grow(blk.acc, sumLen)
 			clear(blk.acc)
 			words += int64(sumLen)
@@ -672,10 +458,10 @@ func (rb *RoundBuffer) count(b int) {
 	n, base, ep := rb.n, rb.base, rb.epoch
 	pairWords := int64(rb.opts.PairWords)
 	groupOf, free := rb.opts.GroupOf, rb.opts.FreeIntraGroup
-	inbox, perDest, slots, acc := rb.inbox, rb.perDest, blk.slots, blk.acc
+	perDest, slots, acc := rb.perDest, blk.slots, blk.acc
 	sumLen := -1 // not a combining round
-	if rb.opts.Skip.Sum != nil {
-		sumLen = len(rb.opts.Skip.Sum)
+	if rb.opts.Sink.Sum != nil {
+		sumLen = len(rb.opts.Sink.Sum)
 	}
 	touch := blk.touch[:0]
 	blk.gtouch, blk.err = blk.gtouch[:0], nil
@@ -700,7 +486,7 @@ senders:
 				sl := &slots[to]
 				if sl.stamp != st {
 					if sl.stamp <= base {
-						sl.recv, sl.cnt = 0, 0
+						sl.recv = 0
 						touch = append(touch, int32(to))
 					}
 					sl.stamp, sl.pair = st, 0
@@ -714,9 +500,6 @@ senders:
 					sl.pair = int32(pw)
 				}
 				sl.recv += int64(nw)
-				if inbox { // only reading rounds use cnt; the store slowed skipped ones ~25%
-					sl.cnt++
-				}
 			}
 			if sumLen >= 0 {
 				if nw > 0 && to+(nw-1)*n >= sumLen {
@@ -818,93 +601,15 @@ func (rb *RoundBuffer) stats(total, scratch int64) RoundStats {
 // sender's in staging order.
 func (rb *RoundBuffer) place(b int) {
 	blk := &rb.blocks[b]
-	place := rb.opts.Skip.Place
-	for _, w := range rb.live[blk.lo:blk.hi] {
+	place := rb.opts.Sink.Place
+	for _, w32 := range rb.live[blk.lo:blk.hi] {
+		w := int(w32)
 		buf := rb.send[w].buf
 		for i := 0; i < len(buf); {
 			to, nw := unpackHeader(buf[i])
 			p := i + frameHeader
 			i = p + nw
-			place(to, buf[p:i:i])
+			place(w, to, buf[p:i:i])
 		}
-	}
-}
-
-// scatter is step 4 for block b: write each frame's locator at the block's
-// cursor in its destination's inbox. Staging order visits each sender's
-// frames in order, so every inbox fills by ascending sender.
-func (rb *RoundBuffer) scatter(b int) {
-	blk := &rb.blocks[b]
-	slots, wide := blk.slots, rb.wide
-	for _, w := range rb.live[blk.lo:blk.hi] {
-		buf := rb.send[w].buf
-		for i := 0; i < len(buf); {
-			to, nw := unpackHeader(buf[i])
-			p := i + frameHeader
-			i = p + nw
-			sl := &slots[to]
-			idx := sl.cnt
-			sl.cnt++
-			if wide {
-				rb.loc[idx] = uint64(p)
-				rb.locFrom[idx] = w
-			} else {
-				rb.loc[idx] = uint64(w)<<32 | uint64(uint32(p))
-			}
-		}
-	}
-}
-
-// materialize builds the inboxes of the destinations in chunk c from their
-// locators and orders equal-sender runs by payload (SortInbox's tie-break;
-// runs are per ordered pair and tiny).
-func (rb *RoundBuffer) materialize(c int) {
-	for ti := rb.chunk[c]; ti < rb.chunk[c+1]; ti++ {
-		d := rb.touched[ti]
-		lo, hi := int(rb.off[d]), len(rb.msgs)
-		if ti+1 < len(rb.touched) {
-			hi = int(rb.off[rb.touched[ti+1]])
-		}
-		in := rb.msgs[lo:hi]
-		for k := range in {
-			var from, p int
-			if rb.wide {
-				from, p = int(rb.locFrom[lo+k]), int(rb.loc[lo+k])
-			} else {
-				l := rb.loc[lo+k]
-				from, p = int(l>>32), int(uint32(l))
-			}
-			buf := rb.send[from].buf
-			_, nw := unpackHeader(buf[p-1])
-			in[k] = Msg{To: int(d), From: from, Words: buf[p : p+nw : p+nw]}
-		}
-		rb.inboxes[d] = in
-		for i := 1; i < len(in); {
-			if in[i].From != in[i-1].From {
-				i++
-				continue
-			}
-			j := i - 1
-			for i < len(in) && in[i].From == in[j].From {
-				i++
-			}
-			insertionSortByWords(in[j:i])
-		}
-	}
-}
-
-// insertionSortByWords orders an equal-sender run lexicographically by
-// payload. Runs are bounded by the per-pair message count (a small constant
-// under the bandwidth budget), so insertion sort wins over sort.Slice and
-// allocates nothing.
-func insertionSortByWords(run []Msg) {
-	for i := 1; i < len(run); i++ {
-		m := run[i]
-		j := i - 1
-		for j >= 0 && lessWords(m.Words, run[j].Words) {
-			run[j+1] = run[j]
-			j--
-		}
-		run[j+1] = m
 	}
 }

@@ -7,22 +7,22 @@ import (
 	"testing"
 )
 
-// BenchmarkDeliver times RoundBuffer.Deliver alone on staged rounds of two
-// shapes. Deliver only reads the arenas, so each round is staged once and
-// delivered b.N times, as one block (no pool) and split over a pool of
+// BenchmarkDeliver times RoundBuffer.Deliver alone on staged rounds of
+// three shapes. Deliver only reads the arenas, so each round is staged once
+// and delivered b.N times, as one block (no pool) and split over a pool of
 // GOMAXPROCS workers whatever the round's size.
 //
 //   - announce: every node of an n-node clique sends a 1-word frame to n/4
-//     random distinct nodes, the dense solve's announce round, read and
-//     charge-only. n=2048 is about a million frames. n=256 (32k staged
-//     words) and n=64 (2k words) bracket DeliverParallelMinWords: a round
-//     below it runs as one block because one block wins there.
+//     random distinct nodes, the dense solve's announce round, charge-only.
+//     n=2048 is about a million frames. n=256 (32k staged words) and n=64
+//     (2k words) bracket DeliverParallelMinWords: a round below it runs as
+//     one block because one block wins there.
 //   - aggregate: 2¹⁶ senders each send a 1-word frame to each of 24 owners,
 //     the first round of AggregateVec in a sparse solve's seed selection,
-//     read and combined.
+//     combined.
 //   - spread: every odd one of 2¹⁶ senders ships 5–17 three-word (target,
 //     rank, word) frames to consecutive intermediates, the spread round of
-//     a sparse solve's collect gather, read and placed into a slab by rank.
+//     a sparse solve's collect gather, placed into a slab by rank.
 func BenchmarkDeliver(b *testing.B) {
 	pool := NewWorkPool(runtime.GOMAXPROCS(0))
 	defer pool.Stop()
@@ -39,10 +39,10 @@ func BenchmarkDeliver(b *testing.B) {
 					defer splitEveryRound()()
 				}
 				for i := 0; i < b.N; i++ {
-					if opts.Skip.Sum != nil {
-						clear(opts.Skip.Sum)
+					if opts.Sink.Sum != nil {
+						clear(opts.Sink.Sum)
 					}
-					if _, _, err := rb.Deliver(opts); err != nil {
+					if _, err := rb.Deliver(opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -60,15 +60,9 @@ func BenchmarkDeliver(b *testing.B) {
 				sb.Put(to, uint64(w))
 			}
 		}
-		for _, chargeOnly := range []bool{false, true} {
-			kind := "read"
-			if chargeOnly {
-				kind = "charge-only"
-			}
-			b.Run(fmt.Sprintf("announce%d/%s", n, kind), func(b *testing.B) {
-				run(b, rb, n*fanout, DeliverOpts{PairWords: 4, Skip: Skip{Inboxes: chargeOnly}})
-			})
-		}
+		b.Run(fmt.Sprintf("announce%d/charge-only", n), func(b *testing.B) {
+			run(b, rb, n*fanout, DeliverOpts{PairWords: 4})
+		})
 		ReleaseRoundBuffer(rb)
 	}
 
@@ -84,11 +78,8 @@ func BenchmarkDeliver(b *testing.B) {
 			}
 		}
 	}
-	b.Run("aggregate64k/read", func(b *testing.B) {
-		run(b, rb, senders*owners, DeliverOpts{PairWords: 4})
-	})
 	b.Run("aggregate64k/combine", func(b *testing.B) {
-		run(b, rb, senders*owners, DeliverOpts{PairWords: 4, Skip: Skip{Sum: make([]int64, owners)}})
+		run(b, rb, senders*owners, DeliverOpts{PairWords: 4, Sink: Sink{Sum: make([]int64, owners)}})
 	})
 
 	spread := AcquireRoundBuffer(senders)
@@ -104,11 +95,8 @@ func BenchmarkDeliver(b *testing.B) {
 		}
 	}
 	hold := make([]uint64, ranks)
-	b.Run("spread64k/read", func(b *testing.B) {
-		run(b, spread, frames, DeliverOpts{PairWords: 4})
-	})
 	b.Run("spread64k/place", func(b *testing.B) {
-		place := func(_ int, p []uint64) { hold[p[1]] = p[2] }
-		run(b, spread, frames, DeliverOpts{PairWords: 4, Skip: Skip{Place: place}})
+		place := func(_, _ int, p []uint64) { hold[p[1]] = p[2] }
+		run(b, spread, frames, DeliverOpts{PairWords: 4, Sink: Sink{Place: place}})
 	})
 }

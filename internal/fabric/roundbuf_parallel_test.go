@@ -1,35 +1,32 @@
 package fabric
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 )
 
 // referenceRound is the oracle's view of one delivered round.
 type referenceRound struct {
-	in         [][]Msg
+	frames     [][]Msg // per sender, in staging order
 	total      int64
 	send, recv map[int]int64 // per charged group
 	sum        []int64       // combining rounds only
 }
 
-// referenceDeliver is Deliver's test oracle, written without its counting
-// sort, sender blocks or stamps: it materializes every sender's frames in
-// staging order, stops at the first violation, appends each frame to its
-// destination's inbox, orders every inbox with SortInbox, and sums loads
-// (and a combining round's payload) directly.
+// referenceDeliver is Deliver's test oracle, written without its sender
+// blocks or stamps: it reads every sender's frames in staging order, stops
+// at the first violation, and sums loads (and a combining round's payload)
+// directly. Its frames are what a placing round must place.
 func referenceDeliver(rb *RoundBuffer, opts DeliverOpts) (referenceRound, error) {
 	n := rb.n
-	r := referenceRound{in: make([][]Msg, n), send: map[int]int64{}, recv: map[int]int64{}}
-	if opts.Skip.Sum != nil {
-		r.sum = make([]int64, len(opts.Skip.Sum))
+	r := referenceRound{frames: make([][]Msg, n), send: map[int]int64{}, recv: map[int]int64{}}
+	if opts.Sink.Sum != nil {
+		r.sum = make([]int64, len(opts.Sink.Sum))
 	}
 	for w := 0; w < n; w++ {
 		pair := map[int]int{}
@@ -62,29 +59,51 @@ func referenceDeliver(rb *RoundBuffer, opts DeliverOpts) (referenceRound, error)
 				r.recv[gw] += 0
 				r.total += int64(nw)
 			}
-			r.in[m.To] = append(r.in[m.To], Msg{To: m.To, From: w, Words: m.Words})
+			m.From = w
+			r.frames[w] = append(r.frames[w], m)
 		}
-	}
-	for _, in := range r.in {
-		SortInbox(in)
 	}
 	return r, nil
 }
 
+// placeLog records a placing round's frames per sender, in the order they
+// were placed, with copied payloads. One goroutine places each sender's
+// frames, so the per-sender lists need no lock.
+type placeLog [][]Msg
+
+func newPlaceLog(n int) placeLog { return make(placeLog, n) }
+
+func (l placeLog) place(from, to int, payload []uint64) {
+	l[from] = append(l[from], Msg{To: to, From: from, Words: slices.Clone(payload)})
+}
+
+// sameFrames reports whether two per-sender frame lists are equal frame
+// for frame, treating empty and nil payloads and lists alike.
+func sameFrames(a, b [][]Msg) bool {
+	return slices.EqualFunc(a, b, func(x, y []Msg) bool {
+		return slices.EqualFunc(x, y, func(m, o Msg) bool {
+			return m.To == o.To && m.From == o.From && slices.Equal(m.Words, o.Words)
+		})
+	})
+}
+
 // checkAgainstReference requires one Deliver result to equal the oracle's
-// on the same staged round: the error, or else every RoundStats field, the
-// inboxes of a reading round (nil ones for a skipped round), and a
-// combining round's sums. A failed combining round must leave sum as it
-// was (all zero here).
+// on the same staged round: the error, or else every RoundStats field, a
+// placing round's frames (log, nil for the other kinds) sender by sender
+// in staging order, and a combining round's sums. A failed round must
+// leave its sum as it was (all zero here) and place nothing.
 func checkAgainstReference(t *testing.T, what string, opts DeliverOpts,
-	in [][]Msg, st RoundStats, err error, ref referenceRound, referr error) {
+	log placeLog, st RoundStats, err error, ref referenceRound, referr error) {
 	t.Helper()
 	if referr != nil || err != nil {
 		if !reflect.DeepEqual(err, referr) {
 			t.Fatalf("%s: err %v, reference err %v", what, err, referr)
 		}
-		if slices.ContainsFunc(opts.Skip.Sum, func(x int64) bool { return x != 0 }) {
+		if slices.ContainsFunc(opts.Sink.Sum, func(x int64) bool { return x != 0 }) {
 			t.Fatalf("%s: failed combining round wrote its sum", what)
+		}
+		if slices.ContainsFunc(log, func(f []Msg) bool { return len(f) > 0 }) {
+			t.Fatalf("%s: failed placing round placed frames", what)
 		}
 		return
 	}
@@ -108,28 +127,11 @@ func checkAgainstReference(t *testing.T, what string, opts DeliverOpts,
 				what, g, st.SendLoad[g], st.RecvLoad[g], ref.send[int(g)], ref.recv[int(g)])
 		}
 	}
-	if opts.Skip.Inboxes || opts.Skip.Sum != nil {
-		if in != nil {
-			t.Fatalf("%s: skipped round returned inboxes", what)
-		}
-		if !slices.Equal(opts.Skip.Sum, ref.sum) {
-			t.Fatalf("%s: sum %v, reference %v", what, opts.Skip.Sum, ref.sum)
-		}
-		return
+	if !slices.Equal(opts.Sink.Sum, ref.sum) {
+		t.Fatalf("%s: sum %v, reference %v", what, opts.Sink.Sum, ref.sum)
 	}
-	if len(in) != len(ref.in) {
-		t.Fatalf("%s: %d inboxes, reference %d", what, len(in), len(ref.in))
-	}
-	for d := range in {
-		if len(in[d]) != len(ref.in[d]) {
-			t.Fatalf("%s inbox %d: %d msgs, reference %d", what, d, len(in[d]), len(ref.in[d]))
-		}
-		for i, m := range in[d] {
-			rm := ref.in[d][i]
-			if m.To != rm.To || m.From != rm.From || !slices.Equal(m.Words, rm.Words) {
-				t.Fatalf("%s inbox %d msg %d: %+v, reference %+v", what, d, i, m, rm)
-			}
-		}
+	if log != nil && !sameFrames(log, ref.frames) {
+		t.Fatalf("%s: placed frames differ from the reference's", what)
 	}
 }
 
@@ -137,7 +139,7 @@ func checkAgainstReference(t *testing.T, what string, opts DeliverOpts,
 func resetSenders(n int, bufs []*RoundBuffer) {
 	for _, rb := range bufs {
 		for w := 0; w < n; w++ {
-			rb.send[w].reset(w)
+			rb.send[w].reset()
 		}
 	}
 }
@@ -227,24 +229,28 @@ func accountingModes(n int) []struct {
 	}
 }
 
-// roundSkips are the three kinds of round: reading, charge-only, and
-// combining into a fresh zeroed sum of 4 words per worker.
-var roundSkips = []struct {
+// roundSinks are the three kinds of round: charge-only, combining into a
+// fresh zeroed sum of 4 words per worker, and placing into a fresh log.
+var roundSinks = []struct {
 	name string
-	skip func(n int) Skip
+	sink func(n int) (Sink, placeLog)
 }{
-	{"read", func(int) Skip { return Skip{} }},
-	{"charge-only", func(int) Skip { return Skip{Inboxes: true} }},
-	{"combine", func(n int) Skip { return Skip{Sum: make([]int64, 4*n)} }},
+	{"charge-only", func(int) (Sink, placeLog) { return Sink{}, nil }},
+	{"combine", func(n int) (Sink, placeLog) { return Sink{Sum: make([]int64, 4*n)}, nil }},
+	{"place", func(n int) (Sink, placeLog) {
+		log := newPlaceLog(n)
+		return Sink{Place: log.place}, log
+	}},
 }
 
 // TestDeliverParallelMatchesSerial drives random, skewed and sparse rounds
 // through Deliver at block counts 1–8 (pool widths 1–8, every round split)
 // in all four accounting modes and requires the serial test oracle's
-// inboxes, stats, and sums exactly — the contract that keeps the solve
-// goldens byte-stable regardless of GOMAXPROCS or pool width. One buffer
-// per case cycles reading, charge-only and combining rounds, so a reading
-// round after a skipped one is checked for stale inboxes too.
+// stats, sums and placed frames exactly — the contract that keeps the
+// solve goldens byte-stable regardless of GOMAXPROCS or pool width. One
+// buffer per case cycles charge-only, combining and placing rounds, so
+// stale per-destination and per-group state from an earlier round would
+// show.
 func TestDeliverParallelMatchesSerial(t *testing.T) {
 	defer splitEveryRound()()
 	const n = 97
@@ -264,13 +270,15 @@ func TestDeliverParallelMatchesSerial(t *testing.T) {
 				rb := AcquireRoundBuffer(n)
 				for round := 0; round < 9; round++ {
 					tr.stage(rng, n, rb)
-					kind := roundSkips[round%len(roundSkips)]
+					kind := roundSinks[round%len(roundSinks)]
 					opts := mode.opts
-					opts.Pool, opts.Skip = pool, kind.skip(n)
+					var log placeLog
+					opts.Pool = pool
+					opts.Sink, log = kind.sink(n)
 					ref, referr := referenceDeliver(rb, opts)
-					in, st, err := rb.Deliver(opts)
+					st, err := rb.Deliver(opts)
 					what := fmt.Sprintf("width %d %s %s round %d (%s)", width, mode.name, tr.name, round, kind.name)
-					checkAgainstReference(t, what, opts, in, st, err, ref, referr)
+					checkAgainstReference(t, what, opts, log, st, err, ref, referr)
 				}
 				ReleaseRoundBuffer(rb)
 			}
@@ -309,11 +317,14 @@ func TestDeliverParallelErrors(t *testing.T) {
 	}
 	kinds := []struct {
 		name string
-		skip func() Skip
+		sink func() (Sink, placeLog)
 	}{
-		{"read", func() Skip { return Skip{} }},
-		{"charge-only", func() Skip { return Skip{Inboxes: true} }},
-		{"combine", func() Skip { return Skip{Sum: make([]int64, 2*n)} }},
+		{"charge-only", func() (Sink, placeLog) { return Sink{}, nil }},
+		{"combine", func() (Sink, placeLog) { return Sink{Sum: make([]int64, 2*n)}, nil }},
+		{"place", func() (Sink, placeLog) {
+			log := newPlaceLog(n)
+			return Sink{Place: log.place}, log
+		}},
 	}
 	cases := []struct {
 		name             string
@@ -336,15 +347,17 @@ func TestDeliverParallelErrors(t *testing.T) {
 				rb := AcquireRoundBuffer(n)
 				stage(rb, tc.oorFrom, tc.sumFrom)
 				opts := tc.opts
-				opts.Pool, opts.Skip = pool, kind.skip()
+				var log placeLog
+				opts.Pool = pool
+				opts.Sink, log = kind.sink()
 				ref, referr := referenceDeliver(rb, opts)
 				mustFail := tc.oorFrom >= 0 || tc.opts.PairWords > 0 || (tc.sumFrom >= 0 && kind.name == "combine")
 				if (referr != nil) != mustFail {
 					t.Fatalf("%s (%s): oracle err %v", tc.name, kind.name, referr)
 				}
-				in, st, err := rb.Deliver(opts)
+				st, err := rb.Deliver(opts)
 				what := fmt.Sprintf("%s width %d (%s)", tc.name, width, kind.name)
-				checkAgainstReference(t, what, opts, in, st, err, ref, referr)
+				checkAgainstReference(t, what, opts, log, st, err, ref, referr)
 				ReleaseRoundBuffer(rb)
 			}
 			pool.Stop()
@@ -352,38 +365,14 @@ func TestDeliverParallelErrors(t *testing.T) {
 	}
 }
 
-// TestDeliverParallelWideLocators runs split rounds with the packed locator
-// boundary lowered, so per-block scatters exercise the wide (offset +
-// sender slab) encoding as well.
-func TestDeliverParallelWideLocators(t *testing.T) {
-	defer splitEveryRound()()
-	oldLim := locOffsetLimit
-	locOffsetLimit = 8
-	defer func() { locOffsetLimit = oldLim }()
-	pool := NewWorkPool(4)
-	defer pool.Stop()
-
-	const n = 33
-	rng := rand.New(rand.NewSource(7))
-	rb := AcquireRoundBuffer(n)
-	defer ReleaseRoundBuffer(rb)
-	for round := 0; round < 4; round++ {
-		stageRandomRound(rng, n, rb)
-		opts := DeliverOpts{Pool: pool}
-		ref, referr := referenceDeliver(rb, opts)
-		in, st, err := rb.Deliver(opts)
-		checkAgainstReference(t, fmt.Sprintf("round %d", round), opts, in, st, err, ref, referr)
-	}
-}
-
 // TestCombiningRoundMatchesReadingRound stages identical AggregateVec-shaped
 // traffic — every sender ships k-word frames to the owners of a 3n-element
-// vector — into two buffers at pool widths 1/2/4/8, reads one and combines
-// the other, and requires the combined sum to equal the reading round's
-// inbox sums, with equal stats. Every payload word is near MaxInt64, so
-// the sums wrap. A frame past the sum's end fails with a *SumError and
-// charges nothing; an out-of-range frame fails exactly as in a reading
-// round.
+// vector — into two buffers at pool widths 1/2/4/8, places one and
+// combines the other, and requires the combined sum to equal the sums of
+// the placed frames and the oracle's, with equal stats. Every payload word
+// is near MaxInt64, so the sums wrap. A frame past the sum's end fails the
+// combining round with a *SumError and charges nothing, while a placing
+// round takes it; an out-of-range frame fails both alike.
 func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 	defer splitEveryRound()()
 	const n, vlen = 53, 3*53 - 4
@@ -403,44 +392,51 @@ func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 			}
 		}
 	}
+	placing := func(pool *WorkPool, pairWords int) (DeliverOpts, placeLog) {
+		log := newPlaceLog(n)
+		return DeliverOpts{PairWords: pairWords, Pool: pool, Sink: Sink{Place: log.place}}, log
+	}
 	for _, width := range []int{1, 2, 4, 8} {
 		pool := NewWorkPool(width)
-		read, comb := AcquireRoundBuffer(n), AcquireRoundBuffer(n)
-		stage(read, comb)
-		in, rst, rerr := read.Deliver(DeliverOpts{PairWords: 4, Pool: pool})
+		plc, comb := AcquireRoundBuffer(n), AcquireRoundBuffer(n)
+		stage(plc, comb)
+		popts, log := placing(pool, 4)
+		pst, perr := plc.Deliver(popts)
 		sum := make([]int64, vlen)
-		cin, cst, cerr := comb.Deliver(DeliverOpts{PairWords: 4, Pool: pool, Skip: Skip{Sum: sum}})
-		if rerr != nil || cerr != nil || cin != nil {
-			t.Fatalf("width %d: reading err %v, combining err %v, %d inboxes", width, rerr, cerr, len(cin))
+		copts := DeliverOpts{PairWords: 4, Pool: pool, Sink: Sink{Sum: sum}}
+		ref, referr := referenceDeliver(comb, copts)
+		cst, cerr := comb.Deliver(copts)
+		if perr != nil || cerr != nil || referr != nil {
+			t.Fatalf("width %d: placing err %v, combining err %v, oracle err %v", width, perr, cerr, referr)
 		}
 		want := make([]int64, vlen)
 		wrapped := false
-		for d, msgs := range in {
-			for _, m := range msgs {
+		for _, frames := range log {
+			for _, m := range frames {
 				for s, x := range m.Words {
-					before := want[d+s*n]
-					want[d+s*n] += int64(x)
-					wrapped = wrapped || want[d+s*n] < before
+					before := want[m.To+s*n]
+					want[m.To+s*n] += int64(x)
+					wrapped = wrapped || want[m.To+s*n] < before
 				}
 			}
 		}
 		if !wrapped {
 			t.Fatal("test traffic never wraps past MaxInt64")
 		}
-		if !slices.Equal(sum, want) {
-			t.Fatalf("width %d: combined sum differs from the reading round's inbox sums", width)
+		if !slices.Equal(sum, want) || !slices.Equal(sum, ref.sum) {
+			t.Fatalf("width %d: combined sum differs from the placed frames' sums or the oracle's", width)
 		}
-		if rst.TotalWords != cst.TotalWords || rst.MaxSendLoad != cst.MaxSendLoad ||
-			rst.MaxRecvLoad != cst.MaxRecvLoad || !slices.Equal(rst.Groups, cst.Groups) {
-			t.Fatalf("width %d: reading stats %+v, combining %+v", width, rst, cst)
+		if pst.TotalWords != cst.TotalWords || pst.MaxSendLoad != cst.MaxSendLoad ||
+			pst.MaxRecvLoad != cst.MaxRecvLoad || !slices.Equal(pst.Groups, cst.Groups) {
+			t.Fatalf("width %d: placing stats %+v, combining %+v", width, pst, cst)
 		}
 
 		// One word too many: sender 5's frame to owner n-1 now reaches
 		// element n-1+3n, past the 3n-4 sum.
-		stage(read, comb)
-		putAll([]*RoundBuffer{read, comb}, 5, n-1, []uint64{1, 2, 3, 4})
+		stage(plc, comb)
+		putAll([]*RoundBuffer{plc, comb}, 5, n-1, []uint64{1, 2, 3, 4})
 		clear(sum)
-		_, _, cerr = comb.Deliver(DeliverOpts{Pool: pool, Skip: Skip{Sum: sum}})
+		_, cerr = comb.Deliver(DeliverOpts{Pool: pool, Sink: Sink{Sum: sum}})
 		var se *SumError
 		if !errors.As(cerr, &se) || *se != (SumError{From: 5, To: n - 1, Words: 4, Len: vlen}) {
 			t.Fatalf("width %d: overflowing frame: err %v", width, cerr)
@@ -448,63 +444,34 @@ func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 		if slices.ContainsFunc(sum, func(x int64) bool { return x != 0 }) {
 			t.Fatalf("width %d: failed combining round wrote its sum", width)
 		}
-		if _, _, rerr = read.Deliver(DeliverOpts{Pool: pool}); rerr != nil {
-			t.Fatalf("width %d: reading round rejected the frame: %v", width, rerr)
+		popts, _ = placing(pool, 0)
+		if _, perr = plc.Deliver(popts); perr != nil {
+			t.Fatalf("width %d: placing round rejected the frame: %v", width, perr)
 		}
 
-		stage(read, comb)
-		putAll([]*RoundBuffer{read, comb}, 9, -2, []uint64{1})
-		_, _, rerr = read.Deliver(DeliverOpts{PairWords: 4, Pool: pool})
-		_, _, cerr = comb.Deliver(DeliverOpts{PairWords: 4, Pool: pool, Skip: Skip{Sum: sum}})
-		if rerr == nil || !reflect.DeepEqual(rerr, cerr) {
-			t.Fatalf("width %d: out-of-range frame: reading err %v, combining err %v", width, rerr, cerr)
+		stage(plc, comb)
+		putAll([]*RoundBuffer{plc, comb}, 9, -2, []uint64{1})
+		popts, _ = placing(pool, 4)
+		_, perr = plc.Deliver(popts)
+		_, cerr = comb.Deliver(DeliverOpts{PairWords: 4, Pool: pool, Sink: Sink{Sum: sum}})
+		if perr == nil || !reflect.DeepEqual(perr, cerr) {
+			t.Fatalf("width %d: out-of-range frame: placing err %v, combining err %v", width, perr, cerr)
 		}
-		ReleaseRoundBuffer(read)
+		ReleaseRoundBuffer(plc)
 		ReleaseRoundBuffer(comb)
 		pool.Stop()
 	}
 }
 
-// placedFrame is one frame as a placing round handed it to its callback.
-type placedFrame struct {
-	to    int
-	words []uint64
-}
-
-// placeLog records a placing round's frames. Callbacks of different
-// sender blocks run concurrently, so it locks.
-type placeLog struct {
-	mu     sync.Mutex
-	frames []placedFrame
-}
-
-func (l *placeLog) place(to int, payload []uint64) {
-	l.mu.Lock()
-	l.frames = append(l.frames, placedFrame{to, slices.Clone(payload)})
-	l.mu.Unlock()
-}
-
-// sortPlaced orders frames by destination, then payload, so two multisets
-// compare as slices.
-func sortPlaced(frames []placedFrame) {
-	slices.SortFunc(frames, func(a, b placedFrame) int {
-		if c := cmp.Compare(a.to, b.to); c != 0 {
-			return c
-		}
-		return slices.Compare(a.words, b.words)
-	})
-}
-
-// TestPlacingRoundMatchesReadingRound stages identical random, skewed and
-// sparse traffic into two buffers at block counts 1–8 (every round split)
-// in all four accounting modes, reads one and places the other, and
-// requires the multiset of placed (to, payload) frames to equal the
-// reading round's inboxes, with equal stats.
+// TestPlacingRoundMatchesReadingRound stages random, skewed and sparse
+// traffic at block counts 1–8 (every round split) in all four accounting
+// modes, places it, and requires the placed frames to be the oracle's —
+// the frames a reading round delivered — sender by sender in staging
+// order, with equal stats.
 //
 // The error contract: a round Deliver rejects — here an out-of-range frame
 // or a broken pair budget, staged mid-round so that earlier sender blocks
-// validate cleanly — fails exactly as the reading round does and places
-// nothing.
+// validate cleanly — fails exactly as the oracle does and places nothing.
 func TestPlacingRoundMatchesReadingRound(t *testing.T) {
 	defer splitEveryRound()()
 	const n = 97
@@ -521,69 +488,34 @@ func TestPlacingRoundMatchesReadingRound(t *testing.T) {
 		for _, mode := range accountingModes(n) {
 			for _, tr := range traffic {
 				rng := rand.New(rand.NewSource(int64(width*7919 + len(tr.name))))
-				read, plc := AcquireRoundBuffer(n), AcquireRoundBuffer(n)
+				rb := AcquireRoundBuffer(n)
 				for round := 0; round < 6; round++ {
-					tr.stage(rng, n, read, plc)
+					tr.stage(rng, n, rb)
 					opts := mode.opts
 					opts.Pool = pool
 					violation := ""
 					switch round {
 					case 4:
 						violation = "out-of-range"
-						putAll([]*RoundBuffer{read, plc}, n/2, n+3, []uint64{1})
+						rb.Sender(n/2).Put(n+3, 1)
 					case 5:
 						violation = "pair budget"
 						opts.PairWords = 4
 						for x := uint64(0); x < 5; x++ {
-							putAll([]*RoundBuffer{read, plc}, n/2, 7, []uint64{x})
+							rb.Sender(n/2).Put(7, x)
 						}
 					}
+					log := newPlaceLog(n)
+					opts.Sink = Sink{Place: log.place}
+					ref, referr := referenceDeliver(rb, opts)
 					what := fmt.Sprintf("width %d %s %s round %d", width, mode.name, tr.name, round)
-					in, rst, rerr := read.Deliver(opts)
-					var log placeLog
-					opts.Skip = Skip{Place: log.place}
-					pin, pst, perr := plc.Deliver(opts)
-					if pin != nil {
-						t.Fatalf("%s: placing round returned inboxes", what)
+					if (referr != nil) != (violation != "") {
+						t.Fatalf("%s: oracle err %v", what, referr)
 					}
-					if violation != "" {
-						if rerr == nil || !reflect.DeepEqual(rerr, perr) {
-							t.Fatalf("%s (%s): reading err %v, placing err %v", what, violation, rerr, perr)
-						}
-						if len(log.frames) != 0 {
-							t.Fatalf("%s (%s): rejected round placed %d frames", what, violation, len(log.frames))
-						}
-						continue
-					}
-					if rerr != nil || perr != nil {
-						t.Fatalf("%s: reading err %v, placing err %v", what, rerr, perr)
-					}
-					var want []placedFrame
-					for d, msgs := range in {
-						for _, m := range msgs {
-							want = append(want, placedFrame{d, m.Words})
-						}
-					}
-					sortPlaced(want)
-					sortPlaced(log.frames)
-					if !slices.EqualFunc(want, log.frames, func(a, b placedFrame) bool {
-						return a.to == b.to && slices.Equal(a.words, b.words)
-					}) {
-						t.Fatalf("%s: placed %d frames that differ from the reading round's %d", what, len(log.frames), len(want))
-					}
-					if rst.TotalWords != pst.TotalWords || rst.MaxSendLoad != pst.MaxSendLoad ||
-						rst.MaxRecvLoad != pst.MaxRecvLoad || !slices.Equal(rst.Groups, pst.Groups) {
-						t.Fatalf("%s: reading stats %+v, placing %+v", what, rst, pst)
-					}
-					for _, g := range rst.Groups {
-						if rst.SendLoad[g] != pst.SendLoad[g] || rst.RecvLoad[g] != pst.RecvLoad[g] {
-							t.Fatalf("%s group %d: reading loads (%d,%d), placing (%d,%d)", what, g,
-								rst.SendLoad[g], rst.RecvLoad[g], pst.SendLoad[g], pst.RecvLoad[g])
-						}
-					}
+					st, err := rb.Deliver(opts)
+					checkAgainstReference(t, what, opts, log, st, err, ref, referr)
 				}
-				ReleaseRoundBuffer(read)
-				ReleaseRoundBuffer(plc)
+				ReleaseRoundBuffer(rb)
 			}
 		}
 		pool.Stop()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ccolor/internal/fabric"
+	"ccolor/internal/fabric/fabrictest"
 )
 
 const chargeOnlyN = 40
@@ -17,7 +18,7 @@ func chargeOnlyWeight(v int) int64 { return int64(v%7 + 8) }
 
 // chargeOnlyClusters builds the same linear cluster twice: fresh from
 // NewLinear, or recycled through ResetLinear after a round on another
-// shape with a charge-only request left pending (which the reset drops).
+// shape with a placing request left pending (which the reset drops).
 func chargeOnlyClusters(t *testing.T, recycled bool, opts ...Option) (read, skip *Cluster) {
 	t.Helper()
 	build := func() *Cluster {
@@ -35,7 +36,7 @@ func chargeOnlyClusters(t *testing.T, recycled bool, opts ...Option) (read, skip
 		if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(6-w, uint64(w)) }); err != nil {
 			t.Fatal(err)
 		}
-		c.SkipNextInboxes(fabric.Skip{Inboxes: true})
+		c.SetSink(fabric.Sink{Place: func(int, int, []uint64) { t.Error("reset kept a pending placing request") }})
 		if err := c.ResetLinear(chargeOnlyN, chargeOnlyWeight, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func sameCharges(t *testing.T, what string, a, b *Cluster) {
 	if la.Rounds() != lb.Rounds() || la.WordsMoved() != lb.WordsMoved() ||
 		la.MaxSendLoad() != lb.MaxSendLoad() || la.MaxRecvLoad() != lb.MaxRecvLoad() ||
 		la.PeakRoundWords() != lb.PeakRoundWords() || a.PeakMachineSpace() != b.PeakMachineSpace() {
-		t.Fatalf("%s: charges differ:\n reading %v peak=%d space=%d\n charge-only %v peak=%d space=%d", what,
+		t.Fatalf("%s: charges differ:\n read back %v peak=%d space=%d\n charge-only %v peak=%d space=%d", what,
 			la, la.PeakRoundWords(), a.PeakMachineSpace(), lb, lb.PeakRoundWords(), b.PeakMachineSpace())
 	}
 	if !reflect.DeepEqual(la.PhaseProfile(), lb.PhaseProfile()) {
@@ -79,10 +80,11 @@ func sameCharges(t *testing.T, what string, a, b *Cluster) {
 }
 
 // TestChargeOnlyRoundMatchesReadingRound runs identical traffic through a
-// cluster that reads its inboxes and one whose rounds are charge-only
-// (fabric.SendFrames), on NewLinear and ResetLinear clusters at
-// parallelism 1 and 4 with every round split into sender blocks, and
-// requires the same ledger and peak machine space after every round.
+// cluster whose rounds are read back as inboxes (fabrictest.Inboxes) and
+// one whose rounds are charge-only (fabric.SendFrames), on NewLinear and
+// ResetLinear clusters at parallelism 1 and 4 with every round split into
+// sender blocks, and requires the same ledger and peak machine space after
+// every round.
 func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 	oldCut := fabric.DeliverParallelMinWords
 	fabric.DeliverParallelMinWords = 1
@@ -104,12 +106,12 @@ func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 						frames[w] = append(frames[w], fabric.Msg{To: rng.Intn(chargeOnlyN), Words: make([]uint64, 1+rng.Intn(2))})
 					}
 				}
-				in, err := fabric.RoundFrames(read, stageMsgs(frames))
+				in, err := fabrictest.Inboxes(read, stageMsgs(frames))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(in) != chargeOnlyN {
-					t.Fatalf("round %d: reading round returned %d inboxes", round, len(in))
+					t.Fatalf("round %d: read back %d inboxes", round, len(in))
 				}
 				if err := fabric.SendFrames(skip, stageMsgs(frames)); err != nil {
 					t.Fatal(err)
@@ -125,9 +127,10 @@ func TestChargeOnlyRoundMatchesReadingRound(t *testing.T) {
 	}
 }
 
-// TestChargeOnlyRoundErrors: a charge-only round fails exactly as a reading
-// round does — the same *SpaceError for send, recv and total space, the
-// same out-of-range error — and a failed round still consumes the request.
+// TestChargeOnlyRoundErrors: a charge-only round fails exactly as a round
+// read back as inboxes does — the same *SpaceError for send and recv
+// space, the same out-of-range error — and leaves the cluster ready for
+// the next round.
 func TestChargeOnlyRoundErrors(t *testing.T) {
 	oldCut := fabric.DeliverParallelMinWords
 	fabric.DeliverParallelMinWords = 1
@@ -144,28 +147,17 @@ func TestChargeOnlyRoundErrors(t *testing.T) {
 	cases := []struct {
 		name   string
 		frames [][]fabric.Msg
-		total  bool   // run with a total space budget
 		kind   string // SpaceError kind; "" for out of range
 	}{
-		{"send", big(0, chargeOnlyN-1, 81), false, "send"},
-		{"recv", fanIn, false, "recv"},
-		{"total", big(0, chargeOnlyN-1, 20), true, "total"},
-		{"out of range", big(3, chargeOnlyN+2, 1), false, ""},
+		{"send", big(0, chargeOnlyN-1, 81), "send"},
+		{"recv", fanIn, "recv"},
+		{"out of range", big(3, chargeOnlyN+2, 1), ""},
 	}
 	for _, tc := range cases {
 		for _, recycled := range []bool{false, true} {
 			for _, par := range []int{1, 4} {
-				opts := []Option{WithParallelism(par)}
-				if tc.total {
-					// Room for the resident data plus 10 words of traffic.
-					var resident int64
-					for v := 0; v < chargeOnlyN; v++ {
-						resident += chargeOnlyWeight(v)
-					}
-					opts = append(opts, WithTotalSpaceBudget(resident+10))
-				}
-				read, skip := chargeOnlyClusters(t, recycled, opts...)
-				_, rerr := fabric.RoundFrames(read, stageMsgs(withRing(tc.frames)))
+				read, skip := chargeOnlyClusters(t, recycled, WithParallelism(par))
+				_, rerr := fabrictest.Inboxes(read, stageMsgs(withRing(tc.frames)))
 				serr := fabric.SendFrames(skip, stageMsgs(withRing(tc.frames)))
 				if rerr == nil || serr == nil || rerr.Error() != serr.Error() {
 					t.Fatalf("%s: reading err %v, charge-only err %v", tc.name, rerr, serr)
@@ -176,7 +168,7 @@ func TestChargeOnlyRoundErrors(t *testing.T) {
 					t.Fatalf("%s: reading err %#v, charge-only err %#v", tc.name, rse, sse)
 				}
 				sameCharges(t, tc.name, read, skip)
-				in, err := skip.FrameRound(stageMsgs(big(1, chargeOnlyN-1, 1)))
+				in, err := fabrictest.Inboxes(skip, stageMsgs(big(1, chargeOnlyN-1, 1)))
 				if err != nil || len(in) != chargeOnlyN || len(in[chargeOnlyN-1]) != 1 {
 					t.Fatalf("%s: round after the failed charge-only round: %d inboxes, err %v", tc.name, len(in), err)
 				}
@@ -187,8 +179,10 @@ func TestChargeOnlyRoundErrors(t *testing.T) {
 	}
 }
 
-// TestChargeOnlyRequestIsOneShot: SkipNextInboxes affects exactly the next
-// round, through FrameRound or Round, and Reset drops a pending request.
+// TestChargeOnlyRequestIsOneShot: the zero Sink is the charge-only
+// request. Every round returns nil inboxes and is charged; a charge-only
+// request replaces a pending placing one, so the next round places
+// nothing; and Reset drops a pending request.
 func TestChargeOnlyRequestIsOneShot(t *testing.T) {
 	c, err := New([]int{0, 0, 1, 1}, 2, 100, WithParallelism(1))
 	if err != nil {
@@ -196,41 +190,43 @@ func TestChargeOnlyRequestIsOneShot(t *testing.T) {
 	}
 	defer c.Release()
 	stage := func(w int, sb *fabric.SendBuf) { sb.Put(3-w, uint64(w)) }
-	reads := func(what string, want bool) {
+	calls := 0
+	place := func(int, int, []uint64) { calls++ }
+	chargeOnly := func(what string) {
 		t.Helper()
+		rounds := c.Ledger().Rounds()
 		in, err := c.FrameRound(stage)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || in != nil {
+			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
 		}
-		if got := in != nil; got != want {
-			t.Fatalf("%s: round returned inboxes = %v, want %v", what, got, want)
-		}
-		if want && (len(in[3]) != 1 || in[3][0].From != 0) {
-			t.Fatalf("%s: inbox 3 = %+v", what, in[3])
+		if calls != 0 || c.Ledger().Rounds() != rounds+1 {
+			t.Fatalf("%s: %d frames placed, %d rounds charged", what, calls, c.Ledger().Rounds()-rounds)
 		}
 	}
-	c.SkipNextInboxes(fabric.Skip{Inboxes: true})
-	reads("requested round", false)
-	reads("round after it", true)
+	chargeOnly("round with no request")
+	c.SetSink(fabric.Sink{})
+	chargeOnly("requested round")
 
-	c.SkipNextInboxes(fabric.Skip{Inboxes: true})
-	if in, err := c.Round(func(w int) []fabric.Msg { return nil }); err != nil || in != nil {
-		t.Fatalf("Round did not consume the request: %d inboxes, err %v", len(in), err)
-	}
-	reads("round after Round", true)
+	c.SetSink(fabric.Sink{Place: place})
+	c.SetSink(fabric.Sink{})
+	chargeOnly("round after a replaced placing request")
 
-	c.SkipNextInboxes(fabric.Skip{Inboxes: true})
+	c.SetSink(fabric.Sink{Place: place})
 	if err := c.Reset([]int{0, 0, 1, 1}, 2, 100); err != nil {
 		t.Fatal(err)
 	}
-	reads("round after Reset", true)
+	chargeOnly("round after Reset")
+	in, err := fabrictest.Inboxes(c, stage)
+	if err != nil || len(in[3]) != 1 || in[3][0].From != 0 {
+		t.Fatalf("read back after the charge-only rounds: err %v, inbox 3 = %+v", err, in[3])
+	}
 }
 
-// TestPlacingRequestIsOneShot: SkipNextInboxes with a Place makes exactly
-// the next round a placing round, a failed round consumes the request —
-// one Deliver rejects places nothing; one the cluster rejects after
-// delivery for its space may have placed frames, and its destination is
-// unspecified — and Reset drops a pending one.
+// TestPlacingRequestIsOneShot: SetSink with a Place makes exactly the next
+// round a placing round, a failed round consumes the request — one Deliver
+// rejects places nothing; one the cluster rejects after delivery for its
+// space may have placed frames, and its destination is unspecified — and
+// Reset drops a pending one.
 func TestPlacingRequestIsOneShot(t *testing.T) {
 	c, err := New([]int{0, 0, 1, 1}, 2, 100, WithParallelism(1))
 	if err != nil {
@@ -239,42 +235,44 @@ func TestPlacingRequestIsOneShot(t *testing.T) {
 	defer c.Release()
 	stage := func(w int, sb *fabric.SendBuf) { sb.Put(3-w, uint64(w+1)) }
 	got := make([]uint64, 4)
+	from := make([]int, 4)
 	calls := 0
-	place := func(to int, payload []uint64) {
-		got[to] = payload[0]
+	place := func(f, to int, payload []uint64) {
+		got[to], from[to] = payload[0], f
 		calls++
 	}
-	reads := func(what string) {
+	plain := func(what string) {
 		t.Helper()
 		before := calls
 		in, err := c.FrameRound(stage)
-		if err != nil || len(in) != 4 || len(in[3]) != 1 || in[3][0].From != 0 {
+		if err != nil || in != nil {
 			t.Fatalf("%s: %d inboxes, err %v", what, len(in), err)
 		}
 		if calls != before {
-			t.Fatalf("%s: reading round placed %d frames", what, calls-before)
+			t.Fatalf("%s: plain round placed %d frames", what, calls-before)
 		}
 	}
-	c.SkipNextInboxes(fabric.Skip{Place: place})
+	c.SetSink(fabric.Sink{Place: place})
 	if in, err := c.FrameRound(stage); err != nil || in != nil {
 		t.Fatalf("placing round: %d inboxes, err %v", len(in), err)
 	}
-	if want := []uint64{4, 3, 2, 1}; !reflect.DeepEqual(got, want) || calls != 4 {
-		t.Fatalf("placed %v in %d calls, want %v in 4", got, calls, want)
+	if want, wantFrom := []uint64{4, 3, 2, 1}, []int{3, 2, 1, 0}; !reflect.DeepEqual(got, want) ||
+		!reflect.DeepEqual(from, wantFrom) || calls != 4 {
+		t.Fatalf("placed %v from %v in %d calls, want %v from %v in 4", got, from, calls, want, wantFrom)
 	}
-	reads("round after it")
+	plain("round after it")
 
-	c.SkipNextInboxes(fabric.Skip{Place: place})
+	c.SetSink(fabric.Sink{Place: place})
 	if _, err := c.FrameRound(func(w int, sb *fabric.SendBuf) { sb.Put(7, 1) }); err == nil {
 		t.Fatal("out-of-range placing round accepted")
 	}
 	if calls != 4 {
 		t.Fatalf("rejected placing round placed %d frames", calls-4)
 	}
-	reads("round after a rejected placing round")
+	plain("round after a rejected placing round")
 
 	// 101 words from machine 0 to machine 1 break the 100-word space.
-	c.SkipNextInboxes(fabric.Skip{Place: place})
+	c.SetSink(fabric.Sink{Place: place})
 	_, err = c.FrameRound(func(w int, sb *fabric.SendBuf) {
 		if w == 0 {
 			sb.Put(3, make([]uint64, 101)...)
@@ -284,11 +282,11 @@ func TestPlacingRequestIsOneShot(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("over-space placing round: err %v", err)
 	}
-	reads("round after an over-space placing round")
+	plain("round after an over-space placing round")
 
-	c.SkipNextInboxes(fabric.Skip{Place: place})
+	c.SetSink(fabric.Sink{Place: place})
 	if err := c.Reset([]int{0, 0, 1, 1}, 2, 100); err != nil {
 		t.Fatal(err)
 	}
-	reads("round after Reset")
+	plain("round after Reset")
 }

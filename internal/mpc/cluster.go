@@ -33,7 +33,6 @@ type Cluster struct {
 
 	peakSpace   int64 // max over machines and rounds of resident + inbound
 	maxResident int64 // current max over machines of resident (incremental)
-	totalBudget int64 // 0 = unchecked
 
 	// layoutAssign / layoutResident are ResetLinear's retained layout
 	// scratch, distinct from assign/resident so Reset's copy never aliases
@@ -41,29 +40,18 @@ type Cluster struct {
 	layoutAssign   []int
 	layoutResident []int64
 
-	// live is the round buffer backing the most recent round's inboxes; it
-	// is recycled when the next round starts (see fabric.RoundBuffer's
-	// lifetime contract).
+	// live is the most recent round's buffer, kept until the next round
+	// starts so its arenas recycle (and its placed payloads stay valid until
+	// then, as fabric.Sink promises).
 	live *fabric.RoundBuffer
-	// skip is the pending fabric.ChargeOnlyFabric request, consumed by the
-	// next round.
-	skip fabric.Skip
+	// sink is the pending fabric.Sink request, consumed by the next round.
+	sink fabric.Sink
 }
 
-var (
-	_ fabric.Fabric           = (*Cluster)(nil)
-	_ fabric.FrameFabric      = (*Cluster)(nil)
-	_ fabric.ChargeOnlyFabric = (*Cluster)(nil)
-)
+var _ fabric.Fabric = (*Cluster)(nil)
 
 // Option configures a Cluster.
 type Option func(*Cluster)
-
-// WithTotalSpaceBudget enables enforcement of a global space bound
-// (Σ resident + per-round traffic ≤ budget), in words.
-func WithTotalSpaceBudget(words int64) Option {
-	return func(c *Cluster) { c.totalBudget = words }
-}
 
 // WithParallelism caps goroutines used per round.
 func WithParallelism(p int) Option {
@@ -178,8 +166,8 @@ func (c *Cluster) Workers() int { return c.virtual }
 // resident scratch are reused (no allocation once the cluster has seen its
 // largest configuration), which is what lets one MIS cluster be recycled
 // across every pool of a low-space solve instead of building a new cluster
-// per pool. Options (parallelism, total budget) and any live round arena carry
-// over; the arena is simply recycled by the next round as usual.
+// per pool. Options (parallelism) and any live round arena carry over; the
+// arena is simply recycled by the next round as usual.
 func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	for w, m := range assign {
 		if m < 0 || m >= machines {
@@ -199,14 +187,14 @@ func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	c.ledger.Reset()
 	c.peakSpace = 0
 	c.maxResident = 0
-	c.skip = fabric.Skip{}
+	c.sink = fabric.Sink{}
 	return nil
 }
 
 // Release returns the cluster's round arenas to the shared pool for reuse
-// by other fabrics. Call it once the solve is done; the last round's
-// inboxes become invalid. The cluster remains usable — the next round
-// simply acquires a fresh buffer.
+// by other fabrics and parks its staging goroutines. Call it once the solve
+// is done; the last round's placed payloads become invalid. The cluster
+// remains usable — the next round simply acquires a fresh buffer.
 func (c *Cluster) Release() {
 	if c.live != nil {
 		fabric.ReleaseRoundBuffer(c.live)
@@ -282,37 +270,27 @@ type SpaceError struct {
 	Machine int
 	Used    int64
 	Space   int64
-	Kind    string // "resident", "send", "recv", "total"
+	Kind    string // "resident", "send", "recv"
 }
 
 func (e *SpaceError) Error() string {
 	return fmt.Sprintf("mpc: machine %d %s usage %d exceeds space %d", e.Machine, e.Kind, e.Used, e.Space)
 }
 
-// Round executes one synchronous round across the virtual workers, charging
-// traffic at machine granularity. Cross-machine sends and receives per
-// machine must each fit in 𝔰. Inboxes are zero-copy views into pooled
-// arenas, valid until the next round on this cluster.
-func (c *Cluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
-	return c.FrameRound(func(w int, sb *fabric.SendBuf) {
-		for _, m := range produce(w) {
-			sb.Put(m.To, m.Words...)
-		}
-	})
+// SetSink implements fabric.Fabric: the next round sums or places its
+// frames as s asks, and is charge-only with the zero Sink.
+func (c *Cluster) SetSink(s fabric.Sink) {
+	c.sink = s
 }
 
-// SkipNextInboxes implements fabric.ChargeOnlyFabric: the next round is
-// validated and charged as usual but returns nil inboxes, and with a Sum
-// or a Place adds its frames into the sum or places them.
-func (c *Cluster) SkipNextInboxes(s fabric.Skip) {
-	c.skip = s
-}
-
-// FrameRound executes one synchronous round staged directly as flat frames
-// (fabric.FrameFabric), avoiding per-message allocation entirely.
+// FrameRound executes one synchronous round across the virtual workers,
+// staged as flat frames and charged at machine granularity: cross-machine
+// sends and receives per machine must each fit in 𝔰, and co-hosted workers
+// exchange for free. The frames are summed or placed as the pending Sink
+// asks. It returns nil inboxes.
 func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
-	skip := c.skip
-	c.skip = fabric.Skip{}
+	sink := c.sink
+	c.sink = fabric.Sink{}
 	if c.live != nil {
 		fabric.ReleaseRoundBuffer(c.live)
 		c.live = nil
@@ -320,12 +298,12 @@ func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.
 	rb := fabric.AcquireRoundBuffer(c.virtual)
 	c.live = rb
 	c.runParallel(func(v int) { stage(v, rb.Sender(v)) })
-	inboxes, stats, err := rb.Deliver(fabric.DeliverOpts{
+	stats, err := rb.Deliver(fabric.DeliverOpts{
 		GroupOf:        c.assign,
 		Groups:         c.machines,
 		FreeIntraGroup: true,
 		Pool:           c.workPool,
-		Skip:           skip,
+		Sink:           sink,
 	})
 	if err != nil {
 		var re *fabric.RouteError
@@ -356,15 +334,9 @@ func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.
 			c.peakSpace = send
 		}
 	}
-	if c.totalBudget > 0 {
-		used := c.TotalResident() + stats.TotalWords
-		if used > c.totalBudget {
-			return nil, &SpaceError{Machine: -1, Used: used, Space: c.totalBudget, Kind: "total"}
-		}
-	}
 	c.ledger.AddRound(stats.TotalWords, maxSend, maxRecv)
 	c.ledger.ObserveScratch(stats.ScratchWords)
-	return inboxes, nil
+	return nil, nil
 }
 
 // observeSpace folds the current resident high-water mark (plus any

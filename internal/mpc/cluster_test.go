@@ -5,7 +5,14 @@ import (
 	"testing"
 
 	"ccolor/internal/fabric"
+	"ccolor/internal/fabric/fabrictest"
 )
+
+// readRound runs one round of produce's messages and reads its frames back
+// as sorted inboxes.
+func readRound(f fabric.Fabric, produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
+	return fabrictest.Inboxes(f, fabrictest.Stage(produce))
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New([]int{0, 3}, 2, 100); err == nil {
@@ -29,7 +36,7 @@ func TestIntraMachineTrafficFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Workers 0→1 are co-hosted: a huge message is free.
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := readRound(c, func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
@@ -47,7 +54,7 @@ func TestSendSpaceEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Round(func(w int) []fabric.Msg {
+	_, err = readRound(c, func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
@@ -64,7 +71,7 @@ func TestRecvSpaceEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Round(func(w int) []fabric.Msg {
+	_, err = readRound(c, func(w int) []fabric.Msg {
 		if w == 0 {
 			return nil
 		}
@@ -94,20 +101,6 @@ func TestResidentEnforced(t *testing.T) {
 	}
 }
 
-func TestTotalBudgetEnforced(t *testing.T) {
-	c, err := New([]int{0, 1}, 2, 100, WithTotalSpaceBudget(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Round(func(w int) []fabric.Msg {
-		return []fabric.Msg{{To: 1 - w, Words: []uint64{1, 2, 3}}}
-	})
-	var se *SpaceError
-	if !errors.As(err, &se) || se.Kind != "total" {
-		t.Fatalf("expected total SpaceError, got %v", err)
-	}
-}
-
 func TestNewLinearPacking(t *testing.T) {
 	c, err := NewLinear(10, func(v int) int64 { return 30 }, 10)
 	if err != nil {
@@ -133,7 +126,7 @@ func TestResetRecyclesCluster(t *testing.T) {
 	if err := c.AdjustResident(0, 17); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := readRound(c, func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
@@ -173,7 +166,7 @@ func TestResetRecyclesCluster(t *testing.T) {
 	}
 
 	// The recycled cluster must charge rounds from zero.
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := readRound(c, func(w int) []fabric.Msg {
 		if w != 3 {
 			return nil
 		}
@@ -199,7 +192,7 @@ func TestPeakTracksTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := readRound(c, func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
@@ -259,7 +252,7 @@ func TestResetLinearMatchesNewLinear(t *testing.T) {
 		}
 		// One round on each must charge identically.
 		for _, c := range []*Cluster{recycled, fresh} {
-			if _, err := c.Round(func(w int) []fabric.Msg {
+			if _, err := readRound(c, func(w int) []fabric.Msg {
 				if w == 0 && shape.n > 1 {
 					return []fabric.Msg{{To: shape.n - 1, Words: []uint64{7}}}
 				}

@@ -10,8 +10,8 @@ import (
 
 // TestRoundParallelismDeterminismScenarios is the mpc twin of the cclique
 // test: every registry scenario's topology runs through the cluster's
-// chunked worker pool and the serial baseline, and inboxes plus ledger
-// accounting must be byte-identical. Workers are the graph's nodes under a
+// chunked worker pool and the serial baseline, and the frames read back as
+// inboxes plus ledger accounting must be byte-identical. Workers are the graph's nodes under a
 // degree-weighted linear machine assignment, so machine boundaries fall
 // differently per family.
 func TestRoundParallelismDeterminismScenarios(t *testing.T) {
@@ -45,11 +45,11 @@ func TestRoundParallelismDeterminismScenarios(t *testing.T) {
 				}
 			}
 			for r := 0; r < rounds; r++ {
-				inS, err := serial.Round(produce(r))
+				inS, err := readRound(serial, produce(r))
 				if err != nil {
 					t.Fatal(err)
 				}
-				inP, err := parallel.Round(produce(r))
+				inP, err := readRound(parallel, produce(r))
 				if err != nil {
 					t.Fatal(err)
 				}

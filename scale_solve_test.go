@@ -76,12 +76,11 @@ func TestScaleTierMillionNodeSolve(t *testing.T) {
 		t.Errorf("peak round %d words outside (0, 2×instance=%d]",
 			rep.Memory.PeakRoundWords, 2*iw)
 	}
-	// No round on the congested-clique coloring path builds inboxes, so
-	// delivery scratch is one set of destination rows (3 words per node)
-	// per sender block, plus a combining round's accumulators, and the pool
-	// runs one block per GOMAXPROCS. Measured on a 2-vCPU box: 6,291,504
-	// words (0.17× the instance) at GOMAXPROCS 2. A reading round's
-	// locators and Msg slab would break the bound.
+	// No round builds inboxes, so delivery scratch is one set of
+	// destination rows (3 words per node) per sender block, plus a
+	// combining round's accumulators, and the pool runs one block per
+	// GOMAXPROCS. Measured on a 2-vCPU box: 6,291,504 words (0.17× the
+	// instance) at GOMAXPROCS 2.
 	scratchBound := 4 * int64(runtime.GOMAXPROCS(0)) * int64(inst.G.N())
 	if rep.Memory.DeliveryScratchWords == 0 || rep.Memory.DeliveryScratchWords > scratchBound {
 		t.Errorf("delivery scratch %d words outside (0, 4·GOMAXPROCS·n = %d]",
