@@ -28,10 +28,10 @@ type Network struct {
 	workers  int              // goroutine pool width
 	pool     *fabric.WorkPool // parked round-staging workers (lazy)
 
-	// live is the most recent round's buffer, kept until the next round
-	// starts so its arenas recycle (and its placed payloads stay valid until
-	// then, as fabric.Sink promises).
-	live *fabric.RoundBuffer
+	// rb is the network's round buffer, reset by every round; a round's
+	// placed payloads stay valid until the next one, as fabric.Sink
+	// promises.
+	rb fabric.RoundBuffer
 	// sink is the pending fabric.Sink request, consumed by the next round.
 	sink fabric.Sink
 }
@@ -75,26 +75,20 @@ func (nw *Network) Workers() int { return nw.n }
 // Reset re-arms the network for a new solve on n nodes: the node count is
 // re-dimensioned, the ledger cleared, and any pending combining or placing
 // request dropped, while the configured options (word budget, parallelism)
-// and any live round arena carry over — the next round simply recycles it
-// at the new width, exactly as rounds always do. This is
-// what lets a solver session reuse one Network across solves instead of
-// paying cclique.New per call; it mirrors mpc.Cluster.Reset.
+// and the round buffer carry over — the next round resets the buffer to
+// the new width, exactly as rounds always do. This is what lets a solver
+// session reuse one Network across solves instead of paying cclique.New
+// per call; it mirrors mpc.Cluster.Reset.
 func (nw *Network) Reset(n int) {
 	nw.n = n
 	nw.ledger.Reset()
 	nw.sink = fabric.Sink{}
 }
 
-// Release returns the network's round arenas to the shared pool for reuse
-// by other fabrics and parks its staging goroutines. Call it once the
-// solve is done; the last round's placed payloads become invalid. The
-// network remains usable — the next round simply acquires a fresh buffer
-// (and respawns workers on demand).
+// Release stops the network's staging goroutines, which otherwise stay
+// parked between rounds and between solves. The network keeps its round
+// buffer and remains usable: the next parallel round respawns the workers.
 func (nw *Network) Release() {
-	if nw.live != nil {
-		fabric.ReleaseRoundBuffer(nw.live)
-		nw.live = nil
-	}
 	if nw.pool != nil {
 		nw.pool.Stop()
 	}
@@ -131,12 +125,8 @@ func (nw *Network) SetSink(s fabric.Sink) {
 func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
 	sink := nw.sink
 	nw.sink = fabric.Sink{}
-	if nw.live != nil {
-		fabric.ReleaseRoundBuffer(nw.live)
-		nw.live = nil
-	}
-	rb := fabric.AcquireRoundBuffer(nw.n)
-	nw.live = rb
+	rb := &nw.rb
+	rb.Reset(nw.n)
 	nw.runParallel(func(v int) {
 		stage(v, rb.Sender(v))
 	})

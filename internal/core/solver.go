@@ -292,8 +292,8 @@ func newSolver(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, w
 // workspace's dominant allocation (W grows with the color universe, so the
 // slab is superlinear in n). Above the bound, warm solves re-pack from the
 // input palettes instead of memcpy-ing a cached template — same O(n·W)
-// work, half the resident memory. A var so tests can exercise both paths.
-var tmplCacheMaxWords = 1 << 23 // 64 MiB of template
+// work, half the resident memory.
+const tmplCacheMaxWords = 1 << 23 // 64 MiB of template
 
 // initPackedPalettes builds the solve's dense color domain and packs every
 // node's palette as a bitset over it, all carved out of one workspace word
@@ -370,9 +370,8 @@ func (s *solver) initPackedPalettes(pals []graph.Palette) graph.Color {
 
 // sparsePalMinWords is the smallest packed-palette width (words per set) at
 // which the hybrid sparse index is built: below it a dense scan touches so
-// few words that the indirection costs more than it skips. A var so tests
-// can force the sparse representation on small domains.
-var sparsePalMinWords = 8
+// few words that the indirection costs more than it skips.
+const sparsePalMinWords = 8
 
 // buildSparseIdx carves the per-node sparse word indexes out of one slab:
 // for each node, the ascending list of words of its packed set that are

@@ -7,13 +7,13 @@
 // low-space solver session — and runs any number of solves sequentially on
 // top of it.
 //
-// The contract that makes sessions safe to pool and to pin in serving
-// workers is: a warm solve is byte-identical to a cold one. Every solve
-// fully re-dimensions the retained state from its instance, and everything
-// a caller can retain from a Report (coloring, traces, phase maps) is
-// freshly allocated per run. The golden-ledger and cross-instance
-// isolation tests pin this equivalence for every scenario family on every
-// backend.
+// The contract that makes sessions safe to park between facade solves and
+// to pin in serving workers is: a warm solve is byte-identical to a cold
+// one. Every solve fully re-dimensions the retained state from its
+// instance, and everything a caller can retain from a Report (coloring,
+// traces, phase maps) is freshly allocated per run. The golden-ledger and
+// cross-instance isolation tests pin this equivalence for every scenario
+// family on every backend.
 package engine
 
 import (
@@ -194,7 +194,8 @@ type MemoryBudget struct {
 }
 
 // Session is a reusable per-model solver. It is not safe for concurrent
-// use; pool it (engine.Solve does) or pin one per worker goroutine.
+// use; engine.Solve parks one idle session per model, and serving workers
+// pin one each.
 type Session struct {
 	model Model
 
@@ -216,10 +217,6 @@ type Session struct {
 	rsWS       mis.RulingWorkspace
 	setAssign  []int
 	setMachine []int64
-
-	// runners are the session's per-problem solve surfaces, built lazily;
-	// each retains no state of its own beyond the session pointer.
-	runners map[problem.Kind]sessionRunner
 
 	colorScratch []graph.Color // countColors sort buffer
 
@@ -259,9 +256,11 @@ func (s *Session) Reset() {
 	}
 }
 
-// Release returns the session's pooled round arenas to the shared fabric
-// pool. Each solve already releases its arenas on completion, so this is
-// only needed when retiring a session that failed mid-solve.
+// Release stops the goroutines the session keeps parked between solves:
+// its simulators' staging workers and the core workspace's candidate-table
+// pool. Worker pools have no finalizer, so whoever retires a session must
+// call Release or the parked goroutines outlive it. The session keeps its
+// memory and stays usable; the next solve respawns the workers.
 func (s *Session) Release() {
 	if s.nw != nil {
 		s.nw.Release()
@@ -272,18 +271,13 @@ func (s *Session) Release() {
 	if s.ls != nil {
 		s.ls.Release()
 	}
-	// The core workspace's candidate-table pool is owned here too: worker
-	// pools have no finalizer, so retiring a session must stop the pool
-	// explicitly or its parked goroutines outlive the session.
 	s.cw.Release()
 }
 
 // Solve runs the session's model on an instance and returns a verified
 // solution with full cost accounting. opts.Model must be empty or match
 // the session's model; opts.Problem selects the registry problem (empty
-// means coloring). The solve dispatches through the session's per-problem
-// runner, so every problem shares the warm backend state, telemetry
-// arming, and report assembly.
+// means coloring). Every problem runs on the session's warm backend state.
 func (s *Session) Solve(inst *graph.Instance, opts *Options) (*Report, error) {
 	var o Options
 	if opts != nil {
@@ -296,120 +290,55 @@ func (s *Session) Solve(inst *graph.Instance, opts *Options) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ccolor: %w", err)
 	}
-	r, err := s.runnerFor(spec.Kind)
-	if err != nil {
-		return nil, err
-	}
 	s.solves++
-	return r.run(inst, &o)
-}
-
-// Runner exposes the session's problem.Runner for a registry kind — the
-// problem-keyed solve surface serving layers and harnesses dispatch
-// through when they want solutions rather than full reports.
-func (s *Session) Runner(kind problem.Kind) (problem.Runner, error) {
-	return s.runnerFor(kind)
-}
-
-// sessionRunner is a problem.Runner that can also produce the engine's
-// full Report; every registered problem implements it over the session.
-type sessionRunner interface {
-	problem.Runner
-	run(inst *graph.Instance, o *Options) (*Report, error)
-}
-
-func (s *Session) runnerFor(kind problem.Kind) (sessionRunner, error) {
-	if s.runners == nil {
-		s.runners = map[problem.Kind]sessionRunner{
-			problem.Coloring:  &coloringRunner{s},
-			problem.MIS:       &misRunner{s},
-			problem.RulingSet: &rulingRunner{s},
+	switch spec.Kind {
+	case problem.Coloring:
+		if s.model == ModelLowSpace {
+			return s.solveLowSpace(inst, &o)
 		}
+		return s.solveColoring(inst, &o)
+	case problem.MIS, problem.RulingSet:
+		return s.solveSet(spec, inst, &o)
 	}
-	r, ok := s.runners[kind]
-	if !ok {
-		return nil, fmt.Errorf("ccolor: problem %q has no session runner", kind)
-	}
-	return r, nil
+	return nil, fmt.Errorf("ccolor: problem %q has no solver", spec.Kind)
 }
 
-// coloringRunner is the coloring problem's solve surface: the original
-// per-model paths, unchanged — their ledgers and outputs stay byte-
-// identical to the pre-registry engine.
-type coloringRunner struct{ s *Session }
-
-func (r *coloringRunner) Kind() problem.Kind { return problem.Coloring }
-
-func (r *coloringRunner) Solve(inst *graph.Instance, _ problem.Params) (*problem.Solution, error) {
-	rep, err := r.run(inst, &Options{})
-	if err != nil {
-		return nil, err
+// armFabric re-arms the session's congested clique or linear-space MPC
+// cluster in place for an n-node solve (warm ≡ cold) and returns it with
+// its per-pair word budget. weight is a node's resident words on an MPC
+// machine; the clique ignores it.
+func (s *Session) armFabric(n int, weight func(v int) int64, o *Options) (fabric.Fabric, int, error) {
+	if s.model == ModelCClique {
+		if s.nw == nil {
+			s.nw = cclique.New(n)
+		} else {
+			s.nw.Reset(n)
+		}
+		return s.nw, s.nw.MsgWords(), nil
 	}
-	return &problem.Solution{Coloring: rep.Coloring}, nil
+	factor := o.MPCSpaceFactor
+	if factor <= 0 {
+		factor = 64
+	}
+	if s.cl == nil {
+		cl, err := mpc.NewLinear(n, weight, factor)
+		if err != nil {
+			return nil, 0, err
+		}
+		s.cl = cl
+	} else if err := s.cl.ResetLinear(n, weight, factor); err != nil {
+		return nil, 0, err
+	}
+	return s.cl, 8, nil
 }
 
-func (r *coloringRunner) run(inst *graph.Instance, o *Options) (*Report, error) {
-	s := r.s
-	switch s.model {
-	case ModelCClique:
-		return s.solveCClique(inst, o)
-	case ModelMPC:
-		return s.solveMPC(inst, o)
-	case ModelLowSpace:
-		return s.solveLowSpace(inst, o)
-	}
-	return nil, fmt.Errorf("ccolor: unknown model %q", s.model)
-}
-
-func (s *Session) solveCClique(inst *graph.Instance, o *Options) (*Report, error) {
-	p := core.DefaultParams()
-	if o.Params != nil {
-		p = *o.Params
-	}
-	n := inst.G.N()
-	if s.nw == nil {
-		s.nw = cclique.New(n)
-	} else {
-		s.nw.Reset(n)
-	}
-	nw := s.nw
-	defer nw.Release() // return round arenas to the shared pool
-	led := nw.Ledger()
-	rec := s.arm(led, o)
-	col, tr, err := core.SolveWS(nw, nw.MsgWords(), inst, p, &s.cw)
-	if err != nil {
-		return nil, err
-	}
-	if err := verify.ListColoring(inst, col); err != nil {
-		return nil, fmt.Errorf("ccolor: internal verification failed: %w", err)
-	}
-	return &Report{
-		Model:         ModelCClique,
-		Problem:       problem.Coloring,
-		Coloring:      col,
-		ColorsUsed:    s.countColors(col),
-		Rounds:        led.Rounds(),
-		WordsMoved:    led.WordsMoved(),
-		MaxNodeLoad:   maxLoad(led.MaxSendLoad(), led.MaxRecvLoad()),
-		RoundsByPhase: led.ByPhase(),
-		PhaseProfile:  led.PhaseProfile(),
-		Memory: MemoryBudget{
-			InstanceWords:        graph.InstanceWordCount(inst),
-			WorkspaceWords:       s.cw.MemoryWords(),
-			PeakRoundWords:       led.PeakRoundWords(),
-			DeliveryScratchWords: led.PeakScratchWords(),
-		},
-		Trace:     tr,
-		Telemetry: rec.Finish(string(ModelCClique)),
-	}, nil
-}
-
-// arm attaches a fresh trace recorder to the solve's ledger when o.Trace is
-// set; it returns nil otherwise, which every downstream telemetry call
-// treats as "tracing off". The ledger was just Reset (or newly built), so
-// no detach bookkeeping is needed: the next solve's Reset drops it, and
-// Finish makes the recorder inert the moment the Report is assembled.
-func (s *Session) arm(led *fabric.Ledger, o *Options) *telemetry.Recorder {
+// traceLedger attaches a fresh trace recorder to the solve's ledger when
+// o.Trace is set; it returns nil otherwise, which every downstream
+// telemetry call treats as "tracing off". The ledger was just Reset (or
+// newly built), so no detach bookkeeping is needed: the next solve's Reset
+// drops it, and Finish makes the recorder inert the moment the Report is
+// assembled.
+func traceLedger(led *fabric.Ledger, o *Options) *telemetry.Recorder {
 	if !o.Trace {
 		return nil
 	}
@@ -418,63 +347,61 @@ func (s *Session) arm(led *fabric.Ledger, o *Options) *telemetry.Recorder {
 	return rec
 }
 
-func (s *Session) solveMPC(inst *graph.Instance, o *Options) (*Report, error) {
+// fabricReport starts the Report of a solve that ran on fabric f: the
+// rounds, words, loads and phase profile its ledger counted, an MPC
+// cluster's machines and space, and the telemetry trace. The solve then
+// adds its solution and the rest of its memory budget.
+func (s *Session) fabricReport(kind problem.Kind, f fabric.Fabric, rec *telemetry.Recorder) *Report {
+	led := f.Ledger()
+	rep := &Report{
+		Model:         s.model,
+		Problem:       kind,
+		Rounds:        led.Rounds(),
+		WordsMoved:    led.WordsMoved(),
+		MaxNodeLoad:   max(led.MaxSendLoad(), led.MaxRecvLoad()),
+		RoundsByPhase: led.ByPhase(),
+		PhaseProfile:  led.PhaseProfile(),
+		Memory: MemoryBudget{
+			PeakRoundWords:       led.PeakRoundWords(),
+			DeliveryScratchWords: led.PeakScratchWords(),
+		},
+		Telemetry: rec.Finish(string(s.model)),
+	}
+	if cl, ok := f.(*mpc.Cluster); ok {
+		rep.Machines, rep.Space, rep.PeakSpace = cl.Machines(), cl.Space(), cl.PeakMachineSpace()
+		rep.Memory.MachineSpace, rep.Memory.PeakMachineWords = rep.Space, rep.PeakSpace
+	}
+	return rep
+}
+
+// solveColoring runs the core algorithm on the session's clique or
+// linear-space MPC cluster, where a node weighs its adjacency, its palette
+// and two bookkeeping words.
+func (s *Session) solveColoring(inst *graph.Instance, o *Options) (*Report, error) {
 	p := core.DefaultParams()
 	if o.Params != nil {
 		p = *o.Params
 	}
-	factor := o.MPCSpaceFactor
-	if factor <= 0 {
-		factor = 64
-	}
 	g := inst.G
-	weight := func(v int) int64 {
+	f, pairWords, err := s.armFabric(g.N(), func(v int) int64 {
 		return int64(g.Degree(int32(v)) + len(inst.Palettes[v]) + 2)
-	}
-	if s.cl == nil {
-		cl, err := mpc.NewLinear(g.N(), weight, factor)
-		if err != nil {
-			return nil, err
-		}
-		s.cl = cl
-	} else if err := s.cl.ResetLinear(g.N(), weight, factor); err != nil {
+	}, o)
+	if err != nil {
 		return nil, err
 	}
-	cl := s.cl
-	defer cl.Release() // return round arenas to the shared pool
-	led := cl.Ledger()
-	rec := s.arm(led, o)
-	col, tr, err := core.SolveWS(cl, 8, inst, p, &s.cw)
+	rec := traceLedger(f.Ledger(), o)
+	col, tr, err := core.SolveWS(f, pairWords, inst, p, &s.cw)
 	if err != nil {
 		return nil, err
 	}
 	if err := verify.ListColoring(inst, col); err != nil {
 		return nil, fmt.Errorf("ccolor: internal verification failed: %w", err)
 	}
-	return &Report{
-		Model:         ModelMPC,
-		Problem:       problem.Coloring,
-		Coloring:      col,
-		ColorsUsed:    s.countColors(col),
-		Rounds:        led.Rounds(),
-		WordsMoved:    led.WordsMoved(),
-		MaxNodeLoad:   maxLoad(led.MaxSendLoad(), led.MaxRecvLoad()),
-		RoundsByPhase: led.ByPhase(),
-		PhaseProfile:  led.PhaseProfile(),
-		Machines:      cl.Machines(),
-		Space:         cl.Space(),
-		PeakSpace:     cl.PeakMachineSpace(),
-		Memory: MemoryBudget{
-			InstanceWords:        graph.InstanceWordCount(inst),
-			WorkspaceWords:       s.cw.MemoryWords(),
-			PeakRoundWords:       led.PeakRoundWords(),
-			DeliveryScratchWords: led.PeakScratchWords(),
-			MachineSpace:         cl.Space(),
-			PeakMachineWords:     cl.PeakMachineSpace(),
-		},
-		Trace:     tr,
-		Telemetry: rec.Finish(string(ModelMPC)),
-	}, nil
+	rep := s.fabricReport(problem.Coloring, f, rec)
+	rep.Coloring, rep.ColorsUsed, rep.Trace = col, s.countColors(col), tr
+	rep.Memory.InstanceWords = graph.InstanceWordCount(inst)
+	rep.Memory.WorkspaceWords = s.cw.MemoryWords()
+	return rep, nil
 }
 
 func (s *Session) solveLowSpace(inst *graph.Instance, o *Options) (*Report, error) {
@@ -562,11 +489,4 @@ func (s *Session) countColors(c graph.Coloring) int {
 	}
 	s.colorScratch = scratch
 	return n
-}
-
-func maxLoad(send, recv int64) int64 {
-	if send > recv {
-		return send
-	}
-	return recv
 }

@@ -1,57 +1,63 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 
 	"ccolor/internal/graph"
 )
 
-// Per-model session pools behind the package-level Solve: a solve checks a
-// warm session out, runs, and returns it, so any caller hammering the
-// facade — the ccolor CLI's -model all loop, tests, benchmarks — gets
-// warm-path solves without managing sessions itself. (The serving layer
-// pins sessions per worker instead of going through this pool; see
-// internal/server.) sync.Pool lets idle sessions fall to the GC under
-// memory pressure.
-var sessionPools = map[Model]*sync.Pool{
-	ModelCClique:  newSessionPool(ModelCClique),
-	ModelMPC:      newSessionPool(ModelMPC),
-	ModelLowSpace: newSessionPool(ModelLowSpace),
-}
+// maxIdleWords caps the workspace a parked session may retain: 1<<24
+// words, 128 MiB. A session whose solve reports more is dropped instead.
+const maxIdleWords = 1 << 24
 
-func newSessionPool(model Model) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		s, _ := NewSession(model) // the model constant is always valid
-		return s
-	}}
-}
+// idle parks at most one session per model between facade solves, so any
+// caller hammering Solve — the ccolor CLI's -model all loop, tests,
+// benchmarks — runs warm without managing sessions itself. Concurrent
+// callers each get their own session; the serving layer pins sessions per
+// worker instead (see internal/server).
+var idle = struct {
+	sync.Mutex
+	sessions map[Model]*Session
+}{sessions: make(map[Model]*Session)}
 
-// Solve runs one instance through a pooled session of the requested model:
-// the single entry point the ccolor facade wraps. Deterministically
-// identical to a fresh-session solve — warm reuse changes allocation
-// behavior only.
+// Solve runs one instance on the model's idle session, or on a new one
+// when none is parked: the single entry point the ccolor facade wraps.
+// Deterministically identical to a fresh-session solve — warm reuse
+// changes allocation behavior only. The session is released after the
+// solve, so a parked session holds memory but no goroutines.
 func Solve(inst *graph.Instance, opts *Options) (*Report, error) {
-	var o Options
-	if opts != nil {
-		o = *opts
+	model := ModelCClique
+	if opts != nil && opts.Model != "" {
+		model = opts.Model
 	}
-	model := o.Model
-	if model == "" {
-		model = ModelCClique
+	idle.Lock()
+	s := idle.sessions[model]
+	delete(idle.sessions, model)
+	idle.Unlock()
+	if s == nil {
+		var err error
+		if s, err = NewSession(model); err != nil {
+			return nil, err
+		}
 	}
-	pool, ok := sessionPools[model]
-	if !ok {
-		return nil, fmt.Errorf("ccolor: unknown model %q", model)
-	}
-	s := pool.Get().(*Session)
-	rep, err := s.Solve(inst, &o)
+	rep, err := s.Solve(inst, opts)
+	s.Release()
 	if err != nil {
-		// A failed solve may have died mid-round; release its arenas and
-		// retire the session instead of pooling half-built state.
-		s.Release()
+		// A failed solve may have died mid-round; drop the session instead
+		// of parking half-built state.
 		return nil, err
 	}
-	pool.Put(s)
+	park(s, rep)
 	return rep, nil
+}
+
+// park makes s its model's idle session, unless rep shows it retaining
+// more than maxIdleWords of workspace.
+func park(s *Session, rep *Report) {
+	if rep.Memory.WorkspaceWords > maxIdleWords {
+		return
+	}
+	idle.Lock()
+	idle.sessions[s.model] = s
+	idle.Unlock()
 }

@@ -3,10 +3,12 @@ package engine_test
 import (
 	"maps"
 	"slices"
+	"sync"
 	"testing"
 
 	"ccolor/internal/engine"
 	"ccolor/internal/graph"
+	"ccolor/internal/problem"
 	"ccolor/internal/scenario"
 )
 
@@ -133,6 +135,54 @@ func TestPooledSolveMatchesSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameReport(t, string(model), got, want)
+		}
+	}
+}
+
+// TestPooledSolveConcurrentCallers: concurrent facade callers each solve
+// on their own session — a parked one or a new one — and every report
+// matches a fresh session's.
+func TestPooledSolveConcurrentCallers(t *testing.T) {
+	g, err := graph.GNP(64, 0.1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := graph.DeltaPlus1Instance(g)
+	for _, model := range engine.Models() {
+		opts := &engine.Options{Model: model, MPCSpaceFactor: 16}
+		if model == engine.ModelLowSpace {
+			opts.Problem = problem.MIS // the Δ+1 instance is not a deg+1 list instance
+		}
+		sess, err := engine.NewSession(model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sess.Solve(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Release()
+		reps := make([]*engine.Report, 4*3)
+		errs := make([]error, len(reps))
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					reps[c*3+i], errs[c*3+i] = engine.Solve(inst, opts)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, rep := range reps {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			sameReport(t, string(model), rep, want)
+			if !slices.Equal(rep.Set, want.Set) {
+				t.Errorf("%s: set differs from fresh-session solve", model)
+			}
 		}
 	}
 }

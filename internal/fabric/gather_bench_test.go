@@ -34,6 +34,11 @@ func BenchmarkGatherMany(b *testing.B) {
 		nw := cclique.New(n)
 		defer nw.Release()
 		var ws fabric.VecScratch
+		// A new network's first gather grows every arena and row; prime
+		// one so the loop times warm gathers.
+		if _, err := ws.GatherMany(nw, nw.MsgWords(), payload); err != nil {
+			b.Fatal(err)
+		}
 		for b.Loop() {
 			if _, err := ws.GatherMany(nw, nw.MsgWords(), payload); err != nil {
 				b.Fatal(err)

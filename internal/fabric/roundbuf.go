@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"unsafe"
 )
 
@@ -18,9 +17,9 @@ import (
 // the payload length in its high half (see packHeader). Delivery validates
 // and charges the frames in sender blocks (see Deliver), then sums or
 // places them when the round's Sink asks for it; nothing is copied out of
-// the arenas, and the arenas are recycled across rounds through a
-// sync.Pool, so the steady-state round executes with no per-message heap
-// allocation on the fabric side.
+// the arenas. Each fabric owns one RoundBuffer for life and resets it every
+// round, so the arenas keep their capacity and the steady-state round
+// executes with no heap allocation on the fabric side.
 
 // frameHeader is the number of header words per frame. The sender is
 // implied by whose arena a frame sits in, and destination and payload
@@ -224,10 +223,10 @@ type RoundStats struct {
 	ScratchWords int64
 }
 
-// RoundBuffer holds the pooled arenas and scratch state for flat rounds.
-// Backends acquire one per round, releasing the previous round's buffer
-// (whose placed payloads are dead by then), so arenas recycle across rounds
-// and across fabrics.
+// RoundBuffer holds the arenas and scratch state for flat rounds. A backend
+// owns one and resets it at the start of every round, so its arenas and
+// rows keep their capacity from round to round. The zero value is ready to
+// use; Reset starts each round.
 type RoundBuffer struct {
 	n    int
 	send []SendBuf
@@ -289,12 +288,10 @@ const (
 // spread. A var so tests can split tiny deterministic rounds.
 var DeliverParallelMinWords = 1 << 14
 
-var roundBufPool = sync.Pool{New: func() any { return new(RoundBuffer) }}
-
-// AcquireRoundBuffer returns a buffer sized for an n-worker round with all
-// arenas reset (capacity retained from previous uses).
-func AcquireRoundBuffer(n int) *RoundBuffer {
-	rb := roundBufPool.Get().(*RoundBuffer)
+// Reset sizes the buffer for an n-worker round and empties its arenas,
+// keeping their capacity. Payloads placed from the previous round are
+// overwritten by the next staging.
+func (rb *RoundBuffer) Reset(n int) {
 	rb.n = n
 	if cap(rb.send) < n {
 		grown := make([]SendBuf, n)
@@ -305,12 +302,7 @@ func AcquireRoundBuffer(n int) *RoundBuffer {
 	for w := 0; w < n; w++ {
 		rb.send[w].reset()
 	}
-	return rb
 }
-
-// ReleaseRoundBuffer returns a buffer to the pool. The caller must not touch
-// the buffer, or any payload placed from it, afterwards.
-func ReleaseRoundBuffer(rb *RoundBuffer) { roundBufPool.Put(rb) }
 
 // Sender returns worker w's staging arena for the current round.
 func (rb *RoundBuffer) Sender(w int) *SendBuf { return &rb.send[w] }

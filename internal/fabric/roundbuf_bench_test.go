@@ -53,7 +53,8 @@ func BenchmarkDeliver(b *testing.B) {
 	for _, n := range []int{2048, 256, 64} {
 		fanout := n / 4
 		rng := rand.New(rand.NewSource(1))
-		rb := AcquireRoundBuffer(n)
+		rb := new(RoundBuffer)
+		rb.Reset(n)
 		for w := 0; w < n; w++ {
 			sb := rb.Sender(w)
 			for _, to := range rng.Perm(n)[:fanout] {
@@ -63,12 +64,11 @@ func BenchmarkDeliver(b *testing.B) {
 		b.Run(fmt.Sprintf("announce%d/charge-only", n), func(b *testing.B) {
 			run(b, rb, n*fanout, DeliverOpts{PairWords: 4})
 		})
-		ReleaseRoundBuffer(rb)
 	}
 
 	const senders, owners = 1 << 16, 24
-	rb := AcquireRoundBuffer(senders)
-	defer ReleaseRoundBuffer(rb)
+	rb := new(RoundBuffer)
+	rb.Reset(senders)
 	for w := 0; w < senders; w++ {
 		sb := rb.Sender(w)
 		sb.Reserve(owners, owners)
@@ -82,8 +82,8 @@ func BenchmarkDeliver(b *testing.B) {
 		run(b, rb, senders*owners, DeliverOpts{PairWords: 4, Sink: Sink{Sum: make([]int64, owners)}})
 	})
 
-	spread := AcquireRoundBuffer(senders)
-	defer ReleaseRoundBuffer(spread)
+	spread := new(RoundBuffer)
+	spread.Reset(senders)
 	ranks, frames := 0, 0
 	for w := 1; w < senders; w += 2 {
 		sb := spread.Sender(w)

@@ -138,9 +138,7 @@ func checkAgainstReference(t *testing.T, what string, opts DeliverOpts,
 // resetSenders clears every arena of the given buffers for a new round.
 func resetSenders(n int, bufs []*RoundBuffer) {
 	for _, rb := range bufs {
-		for w := 0; w < n; w++ {
-			rb.send[w].reset()
-		}
+		rb.Reset(n)
 	}
 }
 
@@ -267,7 +265,8 @@ func TestDeliverParallelMatchesSerial(t *testing.T) {
 		for _, mode := range accountingModes(n) {
 			for _, tr := range traffic {
 				rng := rand.New(rand.NewSource(int64(width*1009 + len(tr.name))))
-				rb := AcquireRoundBuffer(n)
+				rb := new(RoundBuffer)
+				rb.Reset(n)
 				for round := 0; round < 9; round++ {
 					tr.stage(rng, n, rb)
 					kind := roundSinks[round%len(roundSinks)]
@@ -280,7 +279,6 @@ func TestDeliverParallelMatchesSerial(t *testing.T) {
 					what := fmt.Sprintf("width %d %s %s round %d (%s)", width, mode.name, tr.name, round, kind.name)
 					checkAgainstReference(t, what, opts, log, st, err, ref, referr)
 				}
-				ReleaseRoundBuffer(rb)
 			}
 		}
 		pool.Stop()
@@ -344,7 +342,8 @@ func TestDeliverParallelErrors(t *testing.T) {
 		for width := 1; width <= 8; width++ {
 			pool := NewWorkPool(width)
 			for _, kind := range kinds {
-				rb := AcquireRoundBuffer(n)
+				rb := new(RoundBuffer)
+				rb.Reset(n)
 				stage(rb, tc.oorFrom, tc.sumFrom)
 				opts := tc.opts
 				var log placeLog
@@ -358,7 +357,6 @@ func TestDeliverParallelErrors(t *testing.T) {
 				st, err := rb.Deliver(opts)
 				what := fmt.Sprintf("%s width %d (%s)", tc.name, width, kind.name)
 				checkAgainstReference(t, what, opts, log, st, err, ref, referr)
-				ReleaseRoundBuffer(rb)
 			}
 			pool.Stop()
 		}
@@ -398,7 +396,9 @@ func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 	}
 	for _, width := range []int{1, 2, 4, 8} {
 		pool := NewWorkPool(width)
-		plc, comb := AcquireRoundBuffer(n), AcquireRoundBuffer(n)
+		plc, comb := new(RoundBuffer), new(RoundBuffer)
+		plc.Reset(n)
+		comb.Reset(n)
 		stage(plc, comb)
 		popts, log := placing(pool, 4)
 		pst, perr := plc.Deliver(popts)
@@ -457,8 +457,6 @@ func TestCombiningRoundMatchesReadingRound(t *testing.T) {
 		if perr == nil || !reflect.DeepEqual(perr, cerr) {
 			t.Fatalf("width %d: out-of-range frame: placing err %v, combining err %v", width, perr, cerr)
 		}
-		ReleaseRoundBuffer(plc)
-		ReleaseRoundBuffer(comb)
 		pool.Stop()
 	}
 }
@@ -488,7 +486,8 @@ func TestPlacingRoundMatchesReadingRound(t *testing.T) {
 		for _, mode := range accountingModes(n) {
 			for _, tr := range traffic {
 				rng := rand.New(rand.NewSource(int64(width*7919 + len(tr.name))))
-				rb := AcquireRoundBuffer(n)
+				rb := new(RoundBuffer)
+				rb.Reset(n)
 				for round := 0; round < 6; round++ {
 					tr.stage(rng, n, rb)
 					opts := mode.opts
@@ -515,7 +514,6 @@ func TestPlacingRoundMatchesReadingRound(t *testing.T) {
 					st, err := rb.Deliver(opts)
 					checkAgainstReference(t, what, opts, log, st, err, ref, referr)
 				}
-				ReleaseRoundBuffer(rb)
 			}
 		}
 		pool.Stop()

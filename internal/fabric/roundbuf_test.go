@@ -17,8 +17,8 @@ func stageInto(rb *RoundBuffer, w int, msgs ...Msg) {
 // to its callback with its sender, one sender's frames in staging order,
 // and charges the round's words and loads.
 func TestRoundBufferPlacesInStagingOrder(t *testing.T) {
-	rb := AcquireRoundBuffer(4)
-	defer ReleaseRoundBuffer(rb)
+	rb := new(RoundBuffer)
+	rb.Reset(4)
 	// Worker 2 sends two messages to 0 out of payload order; worker 1 sends
 	// one.
 	stageInto(rb, 2, Msg{To: 0, Words: []uint64{9, 1}}, Msg{To: 0, Words: []uint64{3}})
@@ -39,8 +39,8 @@ func TestRoundBufferPlacesInStagingOrder(t *testing.T) {
 }
 
 func TestRoundBufferPairBudget(t *testing.T) {
-	rb := AcquireRoundBuffer(3)
-	defer ReleaseRoundBuffer(rb)
+	rb := new(RoundBuffer)
+	rb.Reset(3)
 	stageInto(rb, 0, Msg{To: 1, Words: []uint64{1, 2}}, Msg{To: 1, Words: []uint64{3}})
 	_, err := rb.Deliver(DeliverOpts{PairWords: 2})
 	var re *RouteError
@@ -50,8 +50,8 @@ func TestRoundBufferPairBudget(t *testing.T) {
 }
 
 func TestRoundBufferOutOfRange(t *testing.T) {
-	rb := AcquireRoundBuffer(2)
-	defer ReleaseRoundBuffer(rb)
+	rb := new(RoundBuffer)
+	rb.Reset(2)
 	stageInto(rb, 1, Msg{To: 5, Words: []uint64{1}})
 	_, err := rb.Deliver(DeliverOpts{})
 	var re *RouteError
@@ -61,8 +61,8 @@ func TestRoundBufferOutOfRange(t *testing.T) {
 }
 
 func TestRoundBufferGroupedLoads(t *testing.T) {
-	rb := AcquireRoundBuffer(4)
-	defer ReleaseRoundBuffer(rb)
+	rb := new(RoundBuffer)
+	rb.Reset(4)
 	groupOf := []int{0, 0, 1, 1}
 	// 0→1 intra-group (free), 0→2 cross (2 words), 3→0 cross (1 word).
 	stageInto(rb, 0, Msg{To: 1, Words: []uint64{5}}, Msg{To: 2, Words: []uint64{6, 7}})

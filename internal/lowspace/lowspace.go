@@ -200,9 +200,10 @@ func NewSession() *Session { return &Session{} }
 // clear it after a traced solve so the finished recorder does not linger.
 func (ss *Session) SetRecorder(rec *telemetry.Recorder) { ss.s.rec = rec }
 
-// Release returns the session's retained round arenas (main cluster and
-// recycled MIS cluster) to the shared pool. The session remains usable —
-// the next solve simply acquires fresh buffers.
+// Release stops the staging goroutines of the session's clusters (the main
+// cluster and the recycled MIS cluster), which otherwise stay parked
+// between solves. The session keeps its round buffers and remains usable:
+// the next solve respawns the workers.
 func (ss *Session) Release() {
 	if ss.s.cluster != nil {
 		ss.s.cluster.Release()
@@ -217,8 +218,7 @@ func (ss *Session) Release() {
 // tables, the pool scratch with its MIS reduction, the MIS workspace — its
 // per-batch priority table, n·BatchWidth words at the largest pool,
 // included — and the derandomization and multicast scratch, at their
-// capacities. Round arenas go back to a shared pool after each solve and
-// are not counted, nor are the clusters' own tables.
+// capacities. The clusters' round buffers and own tables are not counted.
 func (ss *Session) MemoryWords() int64 {
 	s, ws, mws := &ss.s, &ss.s.ws, &ss.s.mws
 	const headerWords = 3 // one slice header
@@ -238,9 +238,11 @@ func (ss *Session) MemoryWords() int64 {
 
 // Solve colors the instance in the low-space MPC model and returns the
 // coloring plus telemetry. The package-level function runs on a transient
-// session; use a Session to amortize setup across repeated solves.
+// session and releases it; use a Session to amortize setup across repeated
+// solves.
 func Solve(inst *graph.Instance, p Params) (graph.Coloring, *Trace, error) {
 	var ss Session
+	defer ss.Release()
 	return ss.Solve(inst, p)
 }
 
@@ -370,7 +372,6 @@ func (ss *Session) Solve(inst *graph.Instance, p Params) (graph.Coloring, *Trace
 	for i := range s.all {
 		s.all[i] = int32(i)
 	}
-	defer ss.Release() // return round arenas to the shared pool
 	crit, err := s.colorReduce(s.all, 0)
 	if err != nil {
 		return nil, s.trace, err

@@ -112,9 +112,7 @@ func (s *solver) colorPool(pool []int32) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("lowspace: MIS: %w", err)
 	}
-	// Telemetry is read while the cluster still owns its ledger and arenas
-	// — before any Release/Reset can hand them back — so the reads cannot
-	// race the pooled substrate.
+	// Telemetry is read now: the next pool's Reset clears the ledger.
 	misRounds := misCluster.Ledger().Rounds()
 	s.trace.MISPhases += st.Phases
 	s.trace.MISRounds += misRounds

@@ -40,10 +40,10 @@ type Cluster struct {
 	layoutAssign   []int
 	layoutResident []int64
 
-	// live is the most recent round's buffer, kept until the next round
-	// starts so its arenas recycle (and its placed payloads stay valid until
-	// then, as fabric.Sink promises).
-	live *fabric.RoundBuffer
+	// rb is the cluster's round buffer, reset by every round; a round's
+	// placed payloads stay valid until the next one, as fabric.Sink
+	// promises.
+	rb fabric.RoundBuffer
 	// sink is the pending fabric.Sink request, consumed by the next round.
 	sink fabric.Sink
 }
@@ -166,8 +166,8 @@ func (c *Cluster) Workers() int { return c.virtual }
 // resident scratch are reused (no allocation once the cluster has seen its
 // largest configuration), which is what lets one MIS cluster be recycled
 // across every pool of a low-space solve instead of building a new cluster
-// per pool. Options (parallelism) and any live round arena carry over; the
-// arena is simply recycled by the next round as usual.
+// per pool. Options (parallelism) and the round buffer carry over; the
+// next round resets the buffer as usual.
 func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	for w, m := range assign {
 		if m < 0 || m >= machines {
@@ -191,15 +191,10 @@ func (c *Cluster) Reset(assign []int, machines int, space int64) error {
 	return nil
 }
 
-// Release returns the cluster's round arenas to the shared pool for reuse
-// by other fabrics and parks its staging goroutines. Call it once the solve
-// is done; the last round's placed payloads become invalid. The cluster
-// remains usable — the next round simply acquires a fresh buffer.
+// Release stops the cluster's staging goroutines, which otherwise stay
+// parked between rounds and between solves. The cluster keeps its round
+// buffer and remains usable: the next parallel round respawns the workers.
 func (c *Cluster) Release() {
-	if c.live != nil {
-		fabric.ReleaseRoundBuffer(c.live)
-		c.live = nil
-	}
 	if c.workPool != nil {
 		c.workPool.Stop()
 	}
@@ -291,12 +286,8 @@ func (c *Cluster) SetSink(s fabric.Sink) {
 func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
 	sink := c.sink
 	c.sink = fabric.Sink{}
-	if c.live != nil {
-		fabric.ReleaseRoundBuffer(c.live)
-		c.live = nil
-	}
-	rb := fabric.AcquireRoundBuffer(c.virtual)
-	c.live = rb
+	rb := &c.rb
+	rb.Reset(c.virtual)
 	c.runParallel(func(v int) { stage(v, rb.Sender(v)) })
 	stats, err := rb.Deliver(fabric.DeliverOpts{
 		GroupOf:        c.assign,

@@ -58,27 +58,6 @@ type Solution struct {
 	Beta     int
 }
 
-// Params carries the problem-level knobs shared by all backends. The zero
-// value means each problem's documented defaults.
-type Params struct {
-	// Beta is the ruling-set domination radius (0 = the registry default,
-	// 2). Ignored by other problems.
-	Beta int
-}
-
-// Runner is the per-problem solve surface the session engine exposes: one
-// runner per (problem × session), dispatching to the session's backend
-// while retaining warm per-problem workspaces. Implementations live in
-// internal/engine; the registry stays mechanism-free so every layer can
-// import it.
-type Runner interface {
-	// Kind reports which problem the runner solves.
-	Kind() Kind
-	// Solve runs the problem on the runner's backend over the instance.
-	// The solution is freshly allocated (safe to retain past the session).
-	Solve(inst *graph.Instance, p Params) (*Solution, error)
-}
-
 // Spec is one registry entry: a named, documented problem with its
 // independent checker.
 type Spec struct {

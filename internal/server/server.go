@@ -324,8 +324,8 @@ func sessionSlot(model ccolor.Model) int {
 
 // solve runs the spec on the worker's session for its model, creating the
 // session on the model's first job and counting every later solve as a
-// session reuse. A failed solve retires the session (arenas released, slot
-// cleared) so the next job starts from clean state.
+// session reuse. A failed solve retires the session (goroutines released,
+// slot cleared) so the next job starts from clean state.
 func (ws *workerSessions) solve(m *Metrics, spec *Spec, trace bool) (*ccolor.Report, error) {
 	model := spec.model()
 	slot := sessionSlot(model)

@@ -2,7 +2,6 @@ package ccolor_test
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"ccolor"
@@ -39,35 +38,25 @@ func listLowSpaceInstance(t *testing.T) *graph.Instance {
 // TestLowSpaceWarmSolveAllocation: a warm low-space re-solve of the 2¹⁴
 // list instance allocates under 0.5 MB, averaged over 10 solves after 2
 // warm-ups. The session retains every slab, table and scratch list the
-// recursion, the pools and the seed searches use; what a solve still
-// allocates is mostly what it returns (the coloring, the report).
-//
-// Round arenas come from a sync.Pool shared by every fabric in the
-// process, and its churn is not the solver's (ROADMAP's allocation item):
-// a buffer released on one P and acquired on another comes out of the
-// pool's New, and the collector empties the pool, so either rebuilds a
-// 10⁵-sender buffer at a random point. The test therefore runs at
-// GOMAXPROCS 1, where the solving goroutine puts and gets on one P; two
-// collections first empty the pool of other tests' buffers, so the
-// warm-ups grow exactly the buffers this solve circulates; and the
-// collector is off while the solves are measured.
+// recursion, the pools and the seed searches use, and its clusters own
+// their round buffers; what a solve still allocates is mostly what it
+// returns (the coloring, the report). The test runs at the process's own
+// GOMAXPROCS with the collector on: neither changes what a warm solve has
+// to rebuild.
 func TestLowSpaceWarmSolveAllocation(t *testing.T) {
 	inst := listLowSpaceInstance(t)
 	sess, err := ccolor.NewSolverSession(ccolor.ModelLowSpace)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sess.Release()
 	opts := &ccolor.Options{Model: ccolor.ModelLowSpace}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
-	runtime.GC()
 	for i := 0; i < 2; i++ {
 		if _, err := sess.Solve(inst, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const solves = 10
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < solves; i++ {
@@ -88,10 +77,17 @@ func TestLowSpaceWarmSolveAllocation(t *testing.T) {
 // retained workspace — nonzero, and below three times the instance at
 // 2¹⁴ (it reads 1.7×). The palette slab copies the instance's palettes
 // (n·(Δ+1) of its 3.8M words), and the MIS priority table adds
-// n·BatchWidth words at the largest pool (about 0.9M here).
+// n·BatchWidth words at the largest pool (about 0.9M here). The solve runs
+// on a fresh session: the figure is retained capacity, so a facade session
+// that an earlier, larger solve grew would read high.
 func TestLowSpaceWorkspaceWords(t *testing.T) {
 	inst := listLowSpaceInstance(t)
-	rep, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelLowSpace})
+	sess, err := ccolor.NewSolverSession(ccolor.ModelLowSpace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Release()
+	rep, err := sess.Solve(inst, &ccolor.Options{Model: ccolor.ModelLowSpace})
 	if err != nil {
 		t.Fatal(err)
 	}

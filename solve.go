@@ -81,10 +81,12 @@ type Options = engine.Options
 type Report = engine.Report
 
 // SolverSession is a reusable per-model solver (internal/engine.Session):
-// it owns the long-lived simulator and workspace state, so solves after the
-// first skip construction entirely. Warm solves are byte-identical to cold
-// ones. Sessions are not safe for concurrent use — pin one per goroutine
-// (the serving layer pins one per worker) or rely on the pooled Solve.
+// it owns the long-lived simulator and workspace state, round buffers
+// included, so solves after the first skip construction entirely. Warm
+// solves are byte-identical to cold ones. Sessions are not safe for
+// concurrent use — pin one per goroutine (the serving layer pins one per
+// worker) or rely on Solve. A session keeps its simulators' goroutines
+// parked between solves; call Release when retiring it.
 type SolverSession = engine.Session
 
 // NewSolverSession returns an empty session for the model; the first Solve
@@ -94,10 +96,12 @@ func NewSolverSession(model Model) (*SolverSession, error) { return engine.NewSe
 // Solve is the problem-keyed entry point: it runs the selected model's
 // algorithm for the selected registry problem (Options.Problem; coloring by
 // default) and returns a verified solution with full cost accounting. It
-// is a thin wrapper over a package-level session pool — repeated calls
-// reuse warm solver sessions (simulators, workspaces, derandomization
-// buffers) with results byte-identical to fresh-session solves. It is the
-// single entry point the serving layer (internal/server) drives; ColorList,
+// parks one idle session per model between calls — repeated calls reuse a
+// warm solver session (simulators, workspaces, derandomization buffers)
+// with results byte-identical to fresh-session solves, and a parked
+// session holds no goroutines. A session whose solve failed or reported
+// more than 128 MiB of workspace is not parked. It is the single entry
+// point the serving layer (internal/server) drives; ColorList,
 // ColorListMPC, and ColorDegPlus1LowSpace remain as deprecated
 // coloring-only compatibility wrappers.
 func Solve(inst *Instance, opts *Options) (*Report, error) {
