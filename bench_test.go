@@ -389,10 +389,11 @@ func benchSolveScale(b *testing.B, n int) {
 func BenchmarkSolveScaling(b *testing.B) {
 	b.Run("gnp4k", func(b *testing.B) { benchSolveScale(b, 1<<12) })
 	b.Run("gnp64k", func(b *testing.B) { benchSolveScale(b, 1<<16) })
-	// The powerlaw pair scales the list-palette discipline — wide packed
-	// domains where the hybrid sparse/dense palette representations, not the
-	// delivery fabric, dominate. Its exponent is gated separately in CI: the
-	// gnp pair cannot see a superlinear slide in the palette scan paths.
+	// The powerlaw pair scales the list-palette discipline: a 4n color
+	// domain that each packed palette meets only in its own few nonzero
+	// words, and per-color counting through h₂ instead of bin masks. Its
+	// exponent is gated separately in CI: the gnp pair cannot see a
+	// superlinear slide in the palette scan paths.
 	b.Run("powerlaw4k", func(b *testing.B) {
 		benchSolveWarm(b, ccolor.ModelCClique, solveScenarioInstance("powerlaw", 1<<12, 11))
 	})

@@ -11,7 +11,7 @@ func TestFacadeDeltaPlus1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ccolor.ColorDeltaPlus1(g, nil)
+	res, err := ccolor.Solve(ccolor.DeltaPlus1Instance(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFacadeListColoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ccolor.DefaultParams()
-	res, err := ccolor.ColorList(inst, &p)
+	res, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelCClique, Params: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFacadeMPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := ccolor.DeltaPlus1Instance(g)
-	res, err := ccolor.ColorListMPC(inst, nil)
+	res, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelMPC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestFacadeCompactMPC(t *testing.T) {
 	}
 	p := ccolor.DefaultParams()
 	p.CompactPalettes = true
-	res, err := ccolor.ColorListMPC(ccolor.DeltaPlus1Instance(g), &p)
+	res, err := ccolor.Solve(ccolor.DeltaPlus1Instance(g), &ccolor.Options{Model: ccolor.ModelMPC, Params: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,31 @@ func TestFacadeLowSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, tr, err := ccolor.ColorDegPlus1LowSpace(inst, nil)
+	res, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelLowSpace})
 	if err != nil {
 		t.Fatal(err)
 	}
+	col, tr := res.Coloring, res.LowTrace
 	if !col.Complete() {
 		t.Fatal("incomplete coloring")
 	}
 	if tr.PeakMachineWords > tr.SpaceWords {
 		t.Fatalf("peak %d exceeds 𝔰=%d", tr.PeakMachineWords, tr.SpaceWords)
+	}
+}
+
+// TestSolveRejectsNegativeColor: a hand-built palette holding a color below
+// 0 bypasses NewPalette's check; the clique and MPC solvers must reject it
+// with an error instead of indexing the packed domain out of range.
+func TestSolveRejectsNegativeColor(t *testing.T) {
+	g, err := ccolor.FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := &ccolor.Instance{G: g, Palettes: []ccolor.Palette{{-5, 1, 2}, {1, 2, 3}, {1, 2, 3}}}
+	for _, model := range []ccolor.Model{ccolor.ModelCClique, ccolor.ModelMPC} {
+		if _, err := ccolor.Solve(inst, &ccolor.Options{Model: model}); err == nil {
+			t.Errorf("%s: palette {-5, 1, 2} accepted", model)
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // Load-generator mode: with -serve-url set, ccbench stops being a table
 // reproducer and becomes a closed-loop client fleet for cmd/ccserve —
-// -concurrency workers each issue POST /v1/color requests drawn from a
+// -concurrency workers each issue POST /v1/solve requests drawn from a
 // weighted scenario mix (any internal/scenario registry name, across the
 // three execution models) until -duration elapses, then a latency/
 // throughput/cache summary prints. Workload generation is seeded, so a

@@ -221,8 +221,7 @@ func (ps *PaletteSpec) Build(g *ccolor.Graph, model ccolor.Model) (*ccolor.Insta
 	return nil, fmt.Errorf("unknown palette kind %q (want delta+1, list, or deg+1)", kind)
 }
 
-// ColorRequest is the POST /v1/solve and /v1/color (and per-entry
-// /v1/batch) body.
+// ColorRequest is the POST /v1/solve (and per-entry /v1/batch) body.
 type ColorRequest struct {
 	// Model is "cclique" (default), "mpc", or "lowspace".
 	Model string `json:"model,omitempty"`

@@ -48,14 +48,14 @@ const gnpBody = `{"model":"cclique","graph":{"kind":"gnp","n":96,"p":0.06,"seed"
 func TestColorEndpointByteIdenticalOnCacheHit(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 16})
 
-	first := post(t, h, "/v1/color", gnpBody)
+	first := post(t, h, "/v1/solve", gnpBody)
 	if first.Code != http.StatusOK {
 		t.Fatalf("first request: %d %s", first.Code, first.Body)
 	}
 	if got := first.Header().Get("X-CCServe-Cache"); got != "miss" {
 		t.Fatalf("first request cache header %q, want miss", got)
 	}
-	second := post(t, h, "/v1/color", gnpBody)
+	second := post(t, h, "/v1/solve", gnpBody)
 	if second.Code != http.StatusOK {
 		t.Fatalf("second request: %d %s", second.Code, second.Body)
 	}
@@ -85,7 +85,7 @@ func TestColorEndpointAllModels(t *testing.T) {
 		`{"model":"lowspace","graph":{"kind":"gnp","n":64,"p":0.08,"seed":2}}`,
 	}
 	for _, body := range bodies {
-		rec := post(t, h, "/v1/color", body)
+		rec := post(t, h, "/v1/solve", body)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s -> %d %s", body, rec.Code, rec.Body)
 		}
@@ -103,7 +103,7 @@ func TestColorEndpointBackpressure429(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 1, QueueDepth: 1})
 	saw429 := false
 	for i := 0; i < 48 && !saw429; i++ {
-		rec := post(t, h, "/v1/color",
+		rec := post(t, h, "/v1/solve",
 			`{"graph":{"kind":"gnp","n":128,"p":0.05,"seed":7},"async":true}`)
 		switch rec.Code {
 		case http.StatusAccepted:
@@ -120,7 +120,7 @@ func TestColorEndpointBackpressure429(t *testing.T) {
 
 func TestAsyncJobFlow(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 16})
-	rec := post(t, h, "/v1/color", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":3},"async":true}`)
+	rec := post(t, h, "/v1/solve", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":3},"async":true}`)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("async submit: %d %s", rec.Code, rec.Body)
 	}
@@ -159,7 +159,7 @@ func TestAsyncJobFlow(t *testing.T) {
 	}
 
 	// omit_coloring must carry through to the async envelope.
-	rec = post(t, h, "/v1/color",
+	rec = post(t, h, "/v1/solve",
 		`{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":4},"async":true,"omit_coloring":true}`)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("async omit submit: %d %s", rec.Code, rec.Body)
@@ -220,7 +220,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestMetricsAndHealth(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 8})
-	if rec := post(t, h, "/v1/color", gnpBody); rec.Code != http.StatusOK {
+	if rec := post(t, h, "/v1/solve", gnpBody); rec.Code != http.StatusOK {
 		t.Fatalf("color: %d", rec.Code)
 	}
 	rec := get(t, h, "/metrics")
@@ -247,11 +247,11 @@ func TestScenarioGraphKind(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 16, VerifyOnSolve: true})
 
 	body := `{"model":"lowspace","graph":{"kind":"scenario","name":"ring-of-cliques","n":64,"seed":9}}`
-	first := post(t, h, "/v1/color", body)
+	first := post(t, h, "/v1/solve", body)
 	if first.Code != http.StatusOK {
 		t.Fatalf("scenario request: %d %s", first.Code, first.Body)
 	}
-	second := post(t, h, "/v1/color", body)
+	second := post(t, h, "/v1/solve", body)
 	if got := second.Header().Get("X-CCServe-Cache"); got != "hit" {
 		t.Fatalf("repeat scenario request cache header %q, want hit", got)
 	}
@@ -267,7 +267,7 @@ func TestScenarioGraphKind(t *testing.T) {
 	}
 
 	// Unknown scenario: 400 with the full catalog named.
-	rec := post(t, h, "/v1/color", `{"graph":{"kind":"scenario","name":"nonesuch","n":64}}`)
+	rec := post(t, h, "/v1/solve", `{"graph":{"kind":"scenario","name":"nonesuch","n":64}}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown scenario: %d %s", rec.Code, rec.Body)
 	}
@@ -277,7 +277,7 @@ func TestScenarioGraphKind(t *testing.T) {
 
 	// Oversized scenario: the canonical encoding of gnp at n=10⁶ predicts
 	// over the word budget, rejected before palettes are materialized.
-	rec = post(t, h, "/v1/color", `{"graph":{"kind":"scenario","name":"gnp","n":1000000}}`)
+	rec = post(t, h, "/v1/solve", `{"graph":{"kind":"scenario","name":"gnp","n":1000000}}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("oversized scenario: %d %s", rec.Code, rec.Body)
 	}
@@ -310,7 +310,7 @@ func TestScenarioScaleTier(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 16})
 
 	body := `{"model":"cclique","graph":{"kind":"scenario","name":"gnp","n":16384,"seed":11},"omit_coloring":true}`
-	rec := post(t, h, "/v1/color", body)
+	rec := post(t, h, "/v1/solve", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("16k scenario request: %d %s", rec.Code, rec.Body)
 	}
@@ -324,7 +324,7 @@ func TestScenarioScaleTier(t *testing.T) {
 
 	// rmat at 2¹⁶ nodes is within every node/edge cap but its canonical
 	// encoding is ~250 Mi words of list palettes.
-	rec = post(t, h, "/v1/color", `{"graph":{"kind":"scenario","name":"rmat","n":65536}}`)
+	rec = post(t, h, "/v1/solve", `{"graph":{"kind":"scenario","name":"rmat","n":65536}}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("rmat 64k scenario: %d %s", rec.Code, rec.Body)
 	}
@@ -438,7 +438,7 @@ func TestEdgesStreamingDecode(t *testing.T) {
 	sb.WriteString(`]},"omit_coloring":true}`)
 	body := sb.String()
 
-	first := post(t, h, "/v1/color", body)
+	first := post(t, h, "/v1/solve", body)
 	if first.Code != http.StatusOK {
 		t.Fatalf("cycle request: %d %.300s", first.Code, first.Body)
 	}
@@ -451,7 +451,7 @@ func TestEdgesStreamingDecode(t *testing.T) {
 	}
 	// The streamed decode must be canonical: the identical body hits the
 	// content-addressed cache byte for byte.
-	second := post(t, h, "/v1/color", body)
+	second := post(t, h, "/v1/solve", body)
 	if got := second.Header().Get("X-CCServe-Cache"); got != "hit" {
 		t.Fatalf("repeat edges request cache header %q, want hit", got)
 	}
@@ -467,7 +467,7 @@ func TestEdgesStreamingDecode(t *testing.T) {
 		{"odd-pair", `{"graph":{"kind":"edges","n":4,"edges":[[0,1,2]]}}`, "want 2"},
 		{"not-an-array", `{"graph":{"kind":"edges","n":4,"edges":{"u":0}}}`, "expected an array"},
 	} {
-		rec := post(t, h, "/v1/color", tc.body)
+		rec := post(t, h, "/v1/solve", tc.body)
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s -> %d %s, want 400", tc.name, rec.Code, rec.Body)
 		}
@@ -484,9 +484,11 @@ func TestBadRequests(t *testing.T) {
 		`{"graph":{"kind":"bogus","n":8}}`,
 		`{"model":"quantum","graph":{"kind":"gnp","n":8,"p":0.5,"seed":1}}`,
 		`{"graph":{"kind":"gnp","n":-1,"p":0.5,"seed":1}}`,
+		// A color below 0 once reached the solver and crashed a worker.
+		`{"graph":{"kind":"edges","n":3,"edges":[[0,1],[1,2]]},"palette":{"palettes":[[-5,1,2],[1,2,3],[1,2,3]]}}`,
 	}
 	for _, body := range cases {
-		if rec := post(t, h, "/v1/color", body); rec.Code != http.StatusBadRequest {
+		if rec := post(t, h, "/v1/solve", body); rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s -> %d, want 400", body, rec.Code)
 		}
 	}

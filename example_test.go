@@ -7,27 +7,27 @@ import (
 	"ccolor"
 )
 
-// ExampleColorDeltaPlus1 colors a random graph with Δ+1 colors in the
-// simulated CONGESTED CLIQUE and verifies the result.
-func ExampleColorDeltaPlus1() {
+// ExampleSolve colors a random graph with Δ+1 colors in the simulated
+// CONGESTED CLIQUE and verifies the result.
+func ExampleSolve() {
 	g, err := ccolor.GNP(200, 0.05, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ccolor.ColorDeltaPlus1(g, nil)
+	rep, err := ccolor.Solve(ccolor.DeltaPlus1Instance(g), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("complete:", res.Coloring.Complete())
-	fmt.Println("depth ≤ 9:", res.Trace.MaxRecursionDepth() <= 9)
+	fmt.Println("complete:", rep.Coloring.Complete())
+	fmt.Println("depth ≤ 9:", rep.Trace.MaxRecursionDepth() <= 9)
 	// Output:
 	// complete: true
 	// depth ≤ 9: true
 }
 
-// ExampleColorList solves a list-coloring instance where every node has its
-// own palette of Δ+1 colors from a large universe.
-func ExampleColorList() {
+// ExampleSolve_list solves a list-coloring instance where every node has
+// its own palette of Δ+1 colors from a large universe.
+func ExampleSolve_list() {
 	g, err := ccolor.RandomRegular(100, 10, 3)
 	if err != nil {
 		log.Fatal(err)
@@ -36,18 +36,18 @@ func ExampleColorList() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := ccolor.ColorList(inst, nil)
+	rep, err := ccolor.Solve(inst, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("verified:", ccolor.VerifyListColoring(inst, res.Coloring) == nil)
+	fmt.Println("verified:", ccolor.VerifyListColoring(inst, rep.Coloring) == nil)
 	// Output:
 	// verified: true
 }
 
-// ExampleColorDegPlus1LowSpace runs the low-space MPC algorithm on a
-// (deg+1)-list instance and checks the machine-space budget held.
-func ExampleColorDegPlus1LowSpace() {
+// ExampleSolve_lowSpace runs the low-space MPC algorithm on a (deg+1)-list
+// instance and checks the machine-space budget held.
+func ExampleSolve_lowSpace() {
 	g, err := ccolor.PowerLaw(200, 3, 11)
 	if err != nil {
 		log.Fatal(err)
@@ -56,12 +56,12 @@ func ExampleColorDegPlus1LowSpace() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	col, tr, err := ccolor.ColorDegPlus1LowSpace(inst, nil)
+	rep, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelLowSpace})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("complete:", col.Complete())
-	fmt.Println("space held:", tr.PeakMachineWords <= tr.SpaceWords)
+	fmt.Println("complete:", rep.Coloring.Complete())
+	fmt.Println("space held:", rep.LowTrace.PeakMachineWords <= rep.LowTrace.SpaceWords)
 	// Output:
 	// complete: true
 	// space held: true

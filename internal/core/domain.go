@@ -25,8 +25,9 @@ type palDomain struct {
 	words  int           // PaletteSetWords(len(colors))
 }
 
-// build indexes the distinct colors of the given palettes. Colors must be
-// non-negative (all in-tree instances use colors ≥ 1).
+// build indexes the distinct colors of the given palettes, visiting a
+// palette that is the same slice as the previous one only once. Colors
+// must be non-negative (newSolver checks).
 func (d *palDomain) build(pals []graph.Palette) {
 	maxColor := graph.Color(-1)
 	for _, p := range pals {
@@ -40,8 +41,10 @@ func (d *palDomain) build(pals []graph.Palette) {
 		// binary searches.
 		d.bitmap = nil
 		d.rank = nil
-		for _, p := range pals {
-			d.colors = append(d.colors, p...)
+		for v, p := range pals {
+			if v == 0 || !sameSlice(p, pals[v-1]) {
+				d.colors = append(d.colors, p...)
+			}
 		}
 		slices.Sort(d.colors)
 		d.colors = slices.Compact(d.colors)
@@ -59,7 +62,10 @@ func (d *palDomain) build(pals []graph.Palette) {
 	d.bitmap = d.bitmap[:nw]
 	d.rank = d.rank[:nw]
 	clear(d.bitmap)
-	for _, p := range pals {
+	for v, p := range pals {
+		if v > 0 && sameSlice(p, pals[v-1]) {
+			continue
+		}
 		for _, c := range p {
 			d.bitmap[c>>6] |= 1 << (uint(c) & 63)
 		}
@@ -91,4 +97,10 @@ func (d *palDomain) index(c graph.Color) (int, bool) {
 	}
 	i, ok := slices.BinarySearch(d.colors, c)
 	return i, ok
+}
+
+// sameSlice reports whether a and b are the same slice: one backing array,
+// one length.
+func sameSlice(a, b graph.Palette) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

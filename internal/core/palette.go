@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"ccolor/internal/graph"
 	"ccolor/internal/hashing"
@@ -14,21 +15,17 @@ import (
 
 // palState holds one node's palette in one of the two representations.
 type palState struct {
-	// Packed mode: the current palette as a bitset over the solve's dense
-	// color domain (s.dom), already excluding colors used by colored
-	// neighbors and restricted by all hash applications. size caches the
-	// popcount; every mutation maintains it, so palSize is O(1).
-	set  graph.PaletteSet
+	// Packed mode: the current palette as a sparse bitset over the solve's
+	// dense color domain (s.dom), already excluding colors used by colored
+	// neighbors and restricted by all hash applications. wi lists the
+	// indices of the set's words in ascending order and w holds those
+	// words; both are views into the workspace slabs. A set only loses
+	// bits: restrictions drop the words they empty, and palRemove may leave
+	// a zero word behind for the walks to skip. size caches the popcount;
+	// every mutation maintains it, so palSize is O(1).
+	wi   []int32
+	w    []uint64
 	size int
-
-	// Hybrid sparse index (packed mode only): when the solve-level gate
-	// decides the instance's palettes are near-disjoint over a wide domain
-	// (list instances: each node holds Δ+1 of ~n·Δ live colors, so its words
-	// are almost all zero), idx lists the indices of set's possibly-nonzero
-	// words, ascending. Packed sets only ever lose bits after init, so the
-	// initial nonzero-word list stays a valid superset forever; restriction
-	// passes re-compact it as words drain. nil means dense: walk every word.
-	idx []int32
 
 	// Compact mode (§3.6): the initial palette is {1..Δ+1}; restrictions
 	// are stored as the chain of (hash, kept bin) pairs applied so far, and
@@ -75,42 +72,19 @@ func (s *solver) palSize(v int32) int {
 }
 
 // palForEach iterates the current palette of v in ascending color order;
-// fn returning false stops early. Packed mode walks set bits ascending,
-// which is ascending domain order — exactly the order the old sorted-slice
-// representation produced.
+// fn returning false stops early. Packed mode walks set bits of ascending
+// words, which is ascending domain order — exactly the order the sorted
+// input palette had.
 func (s *solver) palForEach(v int32, fn func(graph.Color) bool) {
 	ps := &s.pal[v]
 	if !ps.compact {
 		dom := s.dom.colors
-		left := ps.size // stop after the last set bit, not the last word
-		if ps.idx != nil {
-			for _, wi := range ps.idx {
-				w := ps.set[wi]
-				base := int(wi) << 6
-				for w != 0 {
-					if !fn(dom[base+bits.TrailingZeros64(w)]) {
-						return
-					}
-					left--
-					w &= w - 1
-				}
-				if left == 0 {
-					return
-				}
-			}
-			return
-		}
-		for wi, w := range ps.set {
-			base := wi << 6
-			for w != 0 {
+		for k, w := range ps.w {
+			base := int(ps.wi[k]) << 6
+			for ; w != 0; w &= w - 1 {
 				if !fn(dom[base+bits.TrailingZeros64(w)]) {
 					return
 				}
-				left--
-				w &= w - 1
-			}
-			if left == 0 {
-				return
 			}
 		}
 		return
@@ -124,29 +98,24 @@ func (s *solver) palForEach(v int32, fn func(graph.Color) bool) {
 
 // palCountBin returns the number of palette colors h maps to bin — the
 // p′(v) of Definition 3.1 for a candidate hash. The partition hot path
-// uses palCountMask with a precomputed color-bin mask instead; this form
-// remains for compact mode and as the reference implementation.
+// uses palCountMask with a precomputed color-bin mask when the mask gate
+// is on; this form serves compact mode and list palettes that barely
+// overlap.
 func (s *solver) palCountBin(v int32, h hashing.Hash, bin int64) int {
 	ps := &s.pal[v]
-	if !ps.compact && ps.idx != nil {
-		// Sparse packed fast path: walk the nonzero-word index directly
-		// instead of going through the palForEach closure — this is the
-		// per-candidate inner loop when the mask gate is off.
+	n := 0
+	if !ps.compact {
 		dom := s.dom.colors
-		n := 0
-		for _, wi := range ps.idx {
-			w := ps.set[wi]
-			base := int(wi) << 6
-			for w != 0 {
+		for k, w := range ps.w {
+			base := int(ps.wi[k]) << 6
+			for ; w != 0; w &= w - 1 {
 				if h.Eval(dom[base+bits.TrailingZeros64(w)]) == bin {
 					n++
 				}
-				w &= w - 1
 			}
 		}
 		return n
 	}
-	n := 0
 	s.palForEach(v, func(c graph.Color) bool {
 		if h.Eval(c) == bin {
 			n++
@@ -157,97 +126,58 @@ func (s *solver) palCountBin(v int32, h hashing.Hash, bin int64) int {
 }
 
 // palCountMask returns |palette ∩ mask| for a packed-mode node, where mask
-// is a domain-indexed bitset (one popcount-AND pass, no hash evaluation).
+// is a domain-indexed bitset (one popcount-AND per word, no hash
+// evaluation).
 func (s *solver) palCountMask(v int32, mask graph.PaletteSet) int {
 	ps := &s.pal[v]
-	if ps.idx != nil {
-		n := 0
-		for _, wi := range ps.idx {
-			n += bits.OnesCount64(ps.set[wi] & mask[wi])
-		}
-		return n
+	n := 0
+	for k, wi := range ps.wi {
+		n += bits.OnesCount64(ps.w[k] & mask[wi])
 	}
-	return ps.set.IntersectCount(mask)
+	return n
 }
 
 // palRestrictMask applies a Partition color restriction as a word-wise AND
-// with a precomputed domain mask, maintaining the size cache in the same
-// pass. Packed mode only.
+// with a precomputed domain mask, dropping the words it empties and
+// maintaining the size cache in the same pass. Packed mode only.
 func (s *solver) palRestrictMask(v int32, mask graph.PaletteSet) {
 	ps := &s.pal[v]
-	if ps.idx != nil {
-		size := 0
-		kept := ps.idx[:0] // compact in place; writes trail reads
-		for _, wi := range ps.idx {
-			w := ps.set[wi] & mask[wi]
-			ps.set[wi] = w
-			if w != 0 {
-				size += bits.OnesCount64(w)
-				kept = append(kept, wi)
-			}
+	kept, size := 0, 0
+	for k, wi := range ps.wi { // compact in place; writes trail reads
+		if w := ps.w[k] & mask[wi]; w != 0 {
+			ps.wi[kept], ps.w[kept] = wi, w
+			kept++
+			size += bits.OnesCount64(w)
 		}
-		ps.idx = kept
-		ps.size = size
-		return
 	}
-	ps.size = ps.set.Intersect(mask)
+	ps.wi, ps.w, ps.size = ps.wi[:kept], ps.w[:kept], size
 }
 
 // palRestrict applies a Partition color restriction: keep only colors that
-// h maps to bin. Packed mode filters set bits in place (partition itself
-// uses palRestrictMask, which shares one mask across the whole bin).
+// h maps to bin. Packed mode filters set bits in place and drops the words
+// it empties (partition itself uses palRestrictMask, which shares one mask
+// across the whole bin).
 func (s *solver) palRestrict(v int32, h hashing.Hash, bin int64) {
 	ps := &s.pal[v]
 	if !ps.compact {
 		dom := s.dom.colors
-		if ps.idx != nil {
-			size := 0
-			keptIdx := ps.idx[:0] // compact in place; writes trail reads
-			for _, wi := range ps.idx {
-				w := ps.set[wi]
-				if w == 0 {
-					continue
-				}
-				base := int(wi) << 6
-				kept := w
-				for t := w; t != 0; t &= t - 1 {
-					b := bits.TrailingZeros64(t)
-					if h.Eval(dom[base+b]) != bin {
-						kept &^= 1 << uint(b)
-					}
-				}
-				ps.set[wi] = kept
-				if kept != 0 {
-					size += bits.OnesCount64(kept)
-					keptIdx = append(keptIdx, wi)
-				}
-			}
-			ps.idx = keptIdx
-			ps.size = size
-			return
-		}
-		left := ps.size // stop after the last set bit, not the last word
-		size := 0
-		for wi, w := range ps.set {
-			if w == 0 {
-				continue
-			}
-			base := wi << 6
-			kept := w
+		kept, size := 0, 0
+		for k, wi := range ps.wi { // compact in place; writes trail reads
+			base := int(wi) << 6
+			w := ps.w[k]
 			for t := w; t != 0; t &= t - 1 {
 				b := bits.TrailingZeros64(t)
-				left--
 				if h.Eval(dom[base+b]) != bin {
-					kept &^= 1 << uint(b)
+					w &^= 1 << uint(b)
 				}
 			}
-			ps.set[wi] = kept
-			size += bits.OnesCount64(kept)
-			if left == 0 {
-				break
+			if w != 0 {
+				ps.wi[kept], ps.w[kept] = wi, w
+				kept++
+				size += bits.OnesCount64(w)
 			}
 		}
-		ps.size = size
+		ps.wi, ps.w, ps.size = ps.wi[:kept], ps.w[:kept], size
 		return
 	}
 	ps.chainH = append(ps.chainH, h)
@@ -261,8 +191,13 @@ func (s *solver) palRestrict(v int32, h hashing.Hash, bin int64) {
 func (s *solver) palRemove(v int32, c graph.Color) {
 	ps := &s.pal[v]
 	if !ps.compact {
-		if i, ok := s.dom.index(c); ok && ps.set.Has(i) {
-			ps.set.Remove(i)
+		i, ok := s.dom.index(c)
+		if !ok {
+			return
+		}
+		k, ok := ps.wordOf(int32(i >> 6))
+		if bit := uint64(1) << (uint(i) & 63); ok && ps.w[k]&bit != 0 {
+			ps.w[k] &^= bit // a zero word stays behind; the walks skip it
 			ps.size--
 		}
 		return
@@ -281,20 +216,26 @@ func (s *solver) palRemove(v int32, c graph.Color) {
 	}
 }
 
-// palFirstK returns the first k colors of v's current palette (for the §3.6
-// truncation to d(v)+1 colors before local collection).
-func (s *solver) palFirstK(v int32, k int) []graph.Color {
-	out := make([]graph.Color, 0, k)
-	s.palForEach(v, func(c graph.Color) bool {
-		out = append(out, c)
-		return len(out) < k
-	})
-	return out
+// wordOf returns the position of domain word x among ps's packed words.
+// The word indices ascend without repeats, so x sits at most x−wi[0]
+// places in; while no word below x has been dropped, as in a Δ+1
+// palette, it sits exactly there and one probe finds it.
+func (ps *palState) wordOf(x int32) (int, bool) {
+	if len(ps.wi) == 0 || x < ps.wi[0] {
+		return 0, false
+	}
+	last := min(int(x-ps.wi[0]), len(ps.wi)-1)
+	if ps.wi[last] == x {
+		return last, true
+	}
+	return slices.BinarySearch(ps.wi[:last], x)
 }
 
-// palFirstKInto is palFirstK on the workspace truncation scratch — the
-// collect gather copies the result into its payload block before the next
-// node is visited, so one shared buffer serves the whole wave.
+// palFirstKInto returns the first k colors of v's current palette (for the
+// §3.6 truncation to d(v)+1 colors before local collection) in the
+// workspace truncation scratch — the collect gather copies the result into
+// its payload block before the next node is visited, so one shared buffer
+// serves the whole wave.
 func (s *solver) palFirstKInto(v int32, k int) []graph.Color {
 	out := s.wsp.firstK[:0]
 	s.palForEach(v, func(c graph.Color) bool {
@@ -305,18 +246,12 @@ func (s *solver) palFirstKInto(v int32, k int) []graph.Color {
 	return out
 }
 
-// unionInto ors ps's packed words into union, skipping absent words through
-// the sparse index when one is present — the partition's live-union build is
-// otherwise a full-width pass per node, the other half of the near-disjoint
-// list-palette scan cost.
+// unionInto ors ps's packed words into union, the partition's live-palette
+// union over the dense domain.
 func (ps *palState) unionInto(union graph.PaletteSet) {
-	if ps.idx != nil {
-		for _, wi := range ps.idx {
-			union[wi] |= ps.set[wi]
-		}
-		return
+	for k, wi := range ps.wi {
+		union[wi] |= ps.w[k]
 	}
-	union.UnionWith(ps.set)
 }
 
 // palWords returns the number of words node v's palette state occupies —

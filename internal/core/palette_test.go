@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ccolor/internal/graph"
@@ -83,8 +85,8 @@ func TestPaletteModesAgree(t *testing.T) {
 					t.Fatalf("palCountBin(bin=%d) differs: %d vs %d", bin, a, b)
 				}
 			}
-			if a, b := mat.palFirstK(0, 5), cmp.palFirstK(0, 5); len(a) != len(b) {
-				t.Fatalf("palFirstK lengths differ")
+			if a, b := mat.palFirstKInto(0, 5), cmp.palFirstKInto(0, 5); len(a) != len(b) {
+				t.Fatalf("palFirstKInto lengths differ")
 			}
 		})
 	}
@@ -92,12 +94,12 @@ func TestPaletteModesAgree(t *testing.T) {
 
 func TestPalFirstKTruncates(t *testing.T) {
 	s := newPalSolver(t, false, 10)
-	got := s.palFirstK(0, 3)
+	got := s.palFirstKInto(0, 3)
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("palFirstK wrong: %v", got)
+		t.Fatalf("palFirstKInto wrong: %v", got)
 	}
-	if got := s.palFirstK(0, 99); len(got) != 10 {
-		t.Fatalf("palFirstK beyond size wrong: %d", len(got))
+	if got := s.palFirstKInto(0, 99); len(got) != 10 {
+		t.Fatalf("palFirstKInto beyond size wrong: %d", len(got))
 	}
 }
 
@@ -192,5 +194,163 @@ func TestRangeTop(t *testing.T) {
 	}
 	if hi, err := rangeTop(nil); err != nil || hi != 0 {
 		t.Fatal("empty palette should be range {1..0}")
+	}
+}
+
+// TestPackedPaletteOpsMatchSortedOracle drives interleaved restrictions and
+// removals through the packed sparse bitsets and through plain sorted
+// slices in lockstep. The inputs cover both packing paths: overlapping Δ+1
+// palettes (one shared slice, packed once and copied, plus equal copies
+// packed on their own) and near-disjoint list palettes over domains of
+// ≥ 2¹⁴ colors, one of them past the domain's 2²² bitmap bound. Removals
+// include whole words (emptying them) and colors the palette does not
+// hold; restrictions after them walk the zero words removals leave behind.
+func TestPackedPaletteOpsMatchSortedOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fam, err := hashing.NewFamily(4, 1<<30, 2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listPals := func(n, k int, universe int64) []graph.Palette {
+		pals := make([]graph.Palette, n)
+		for v := range pals {
+			seen := make(map[graph.Color]bool, k)
+			for len(pals[v]) < k {
+				if c := graph.Color(rng.Int63n(universe)); !seen[c] {
+					seen[c] = true
+					pals[v] = append(pals[v], c)
+				}
+			}
+			slices.Sort(pals[v])
+		}
+		return pals
+	}
+	shared := graph.RangePalette(1, 150)
+	overlap := make([]graph.Palette, 40)
+	for v := range overlap {
+		overlap[v] = shared
+		if v%7 == 3 {
+			overlap[v] = slices.Clone(shared)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		pals     []graph.Palette
+		minDom   int
+		fallback bool
+	}{
+		{"delta+1", overlap, 150, false},
+		{"list-2^20", listPals(200, 100, 1<<20), 1 << 14, false},
+		{"list-2^24", listPals(200, 100, 1<<24), 1 << 14, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newPalSolverMulti(t, false, tc.pals)
+			dom := s.dom.colors
+			if len(dom) < tc.minDom || (s.dom.bitmap == nil) != tc.fallback {
+				t.Fatalf("domain of %d colors (bitmap %v), want ≥ %d (bitmap %v)",
+					len(dom), s.dom.bitmap != nil, tc.minDom, !tc.fallback)
+			}
+			binMask := func(h hashing.Hash, bin int64) graph.PaletteSet {
+				mask := make(graph.PaletteSet, s.dom.words)
+				for i, c := range dom {
+					if h.Eval(c) == bin {
+						mask.Add(i)
+					}
+				}
+				return mask
+			}
+			keep := func(cs []graph.Color, h hashing.Hash, bin int64) []graph.Color {
+				return slices.DeleteFunc(cs, func(c graph.Color) bool { return h.Eval(c) != bin })
+			}
+			probe := fam.Member(99)
+			probeMasks := []graph.PaletteSet{binMask(probe, 0), binMask(probe, 1)}
+			oracle := make([][]graph.Color, len(tc.pals))
+			for v, p := range tc.pals {
+				oracle[v] = slices.Clone(p)
+			}
+			check := func(v int32, step int) {
+				t.Helper()
+				want := oracle[v]
+				if got := s.palSize(v); got != len(want) {
+					t.Fatalf("step %d node %d: palSize %d, oracle %d", step, v, got, len(want))
+				}
+				var got []graph.Color
+				s.palForEach(v, func(c graph.Color) bool { got = append(got, c); return true })
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d node %d: palForEach %v, oracle %v", step, v, got, want)
+				}
+				for bin := int64(0); bin < 2; bin++ {
+					n := 0
+					for _, c := range want {
+						if probe.Eval(c) == bin {
+							n++
+						}
+					}
+					if got := s.palCountBin(v, probe, bin); got != n {
+						t.Fatalf("step %d node %d: palCountBin(%d) %d, oracle %d", step, v, bin, got, n)
+					}
+					if got := s.palCountMask(v, probeMasks[bin]); got != n {
+						t.Fatalf("step %d node %d: palCountMask(%d) %d, oracle %d", step, v, bin, got, n)
+					}
+				}
+				k := len(want)/2 + 1
+				if got := s.palFirstKInto(v, k); !slices.Equal(got, want[:min(k, len(want))]) {
+					t.Fatalf("step %d node %d: palFirstKInto(%d) %v, oracle %v", step, v, k, got, want)
+				}
+			}
+			remove := func(v int32, c graph.Color) {
+				s.palRemove(v, c)
+				if i, ok := slices.BinarySearch(oracle[v], c); ok {
+					oracle[v] = slices.Delete(oracle[v], i, i+1)
+				}
+			}
+			for step := 0; step < 300; step++ {
+				v := int32(rng.Intn(len(tc.pals)))
+				pal := oracle[v]
+				switch op := rng.Intn(6); {
+				case op == 0:
+					h, bin := fam.Member(rng.Uint64()), rng.Int63n(2)
+					s.palRestrictMask(v, binMask(h, bin))
+					oracle[v] = keep(pal, h, bin)
+				case op == 1:
+					h, bin := fam.Member(rng.Uint64()), rng.Int63n(2)
+					s.palRestrict(v, h, bin)
+					oracle[v] = keep(pal, h, bin)
+				case op == 2 && len(pal) > 0:
+					// Remove every color of one word, emptying it.
+					i0, _ := s.dom.index(pal[rng.Intn(len(pal))])
+					for _, c := range slices.Clone(pal) {
+						if i, _ := s.dom.index(c); i>>6 == i0>>6 {
+							remove(v, c)
+						}
+					}
+				case op == 3:
+					// Colors v does not hold: one of the domain's, one
+					// past it, and one below it.
+					if c := dom[rng.Intn(len(dom))]; !slices.Contains(pal, c) {
+						remove(v, c)
+					}
+					remove(v, dom[len(dom)-1]+1)
+					remove(v, 0)
+				case len(pal) > 0:
+					remove(v, pal[rng.Intn(len(pal))])
+				}
+				check(v, step)
+			}
+			union := make(graph.PaletteSet, s.dom.words)
+			var want []graph.Color
+			for v := range oracle {
+				check(int32(v), -1)
+				s.pal[v].unionInto(union)
+				want = append(want, oracle[v]...)
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			var got []graph.Color
+			union.ForEach(func(i int) bool { got = append(got, dom[i]); return true })
+			if !slices.Equal(got, want) {
+				t.Fatalf("unionInto holds %d colors, oracle %d", len(got), len(want))
+			}
+		})
 	}
 }

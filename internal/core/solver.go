@@ -44,43 +44,20 @@ type call struct {
 var errNoProgress = errors.New("core: scheduler wave made no progress")
 
 // Workspace holds the per-run scratch a solver session retains across
-// Solve calls: palette state (with the materialized palettes carved out of
-// one slab), per-node call stamps, the call registry, the derandomization
+// Solve calls: palette state (with the packed palettes carved out of two
+// slabs), per-node call stamps, the call registry, the derandomization
 // engine's candidate/aggregation buffers, and the collect-wave scratch.
 // Buffers grow to the largest instance seen and are then reused as-is; the
 // zero value is ready. Everything a caller can retain from a solve — the
 // coloring, the trace — is freshly allocated per run, so two solves
 // through one workspace never share observable state.
 type Workspace struct {
-	pal     []palState
-	callOf  []int32
-	dom     palDomain // dense color domain behind the packed palettes
-	setSlab []uint64  // packed palette words, n×W, carved per node
-	calls   map[int]*call
-
-	// Packed-palette warm cache: serving workloads re-solve the same
-	// instance through one session, so the previous solve's input palettes
-	// are kept (concatenated, with offsets) alongside the freshly packed
-	// slab and per-node sizes. When the next solve's palettes compare equal,
-	// domain construction and per-color packing collapse to one memcpy of
-	// the template. A content compare (not pointer identity) keeps this
-	// sound when callers mutate palettes between solves.
-	tmplPals []graph.Color
-	tmplOff  []int32
-	tmpl     []uint64
-	tmplSize []int32
-
-	// Hybrid sparse-palette index slab: per-node lists of possibly-nonzero
-	// set words, carved by idxOff, populated only when the near-disjoint
-	// gate fires (see initPackedPalettes). tmplIdx keeps the pristine
-	// init-time copy alongside the packed template (restriction passes
-	// shrink the working lists in place), so a warm solve restores the
-	// index with one memcpy instead of rescanning n×W words; it is valid
-	// only while tmplIdxValid — a template rebuild invalidates it.
-	idxSlab      []int32
-	idxOff       []int32
-	tmplIdx      []int32
-	tmplIdxValid bool
+	pal    []palState
+	callOf []int32
+	dom    palDomain // dense color domain behind the packed palettes
+	palWI  []int32   // packed palette word indices, carved per node
+	palW   []uint64  // packed palette words, parallel to palWI
+	calls  map[int]*call
 
 	// Partition scratch: the batch tables the derand Prepare hook fills
 	// (the node-major h₁ seedTable words and the per-candidate color-bin
@@ -237,12 +214,28 @@ func newSolver(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, w
 	// ColorReduce solves (Δ+1)-list coloring: every palette must exceed Δ
 	// (Corollary 3.3(i) with the initial ℓ = Δ). (deg+1)-list instances
 	// belong to the low-space algorithm (internal/lowspace, Theorem 1.4).
+	// The packed palettes index colors from 0 and pack each palette in one
+	// ascending pass, so palettes must also be strictly ascending from 0.
+	if len(inst.Palettes) != n {
+		return nil, fmt.Errorf("core: %d palettes for %d nodes", len(inst.Palettes), n)
+	}
 	delta := inst.G.MaxDegree()
-	for v := 0; v < n; v++ {
-		if len(inst.Palettes[v]) <= delta {
+	for v, p := range inst.Palettes {
+		if v > 0 && sameSlice(p, inst.Palettes[v-1]) {
+			continue // checked as node v−1's
+		}
+		if len(p) <= delta {
 			return nil, fmt.Errorf(
 				"core: node %d has palette %d ≤ Δ=%d; ColorReduce requires a (Δ+1)-list instance (use internal/lowspace for (deg+1)-list)",
-				v, len(inst.Palettes[v]), delta)
+				v, len(p), delta)
+		}
+		if p[0] < 0 {
+			return nil, fmt.Errorf("core: node %d has negative color %d", v, p[0])
+		}
+		for i := 1; i < len(p); i++ {
+			if p[i] <= p[i-1] {
+				return nil, fmt.Errorf("core: node %d palette is not strictly ascending (%d after %d)", v, p[i], p[i-1])
+			}
 		}
 	}
 	if ws == nil {
@@ -287,80 +280,42 @@ func newSolver(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, w
 	return s, nil
 }
 
-// tmplCacheMaxWords bounds the packed-palette template cache: a template is
-// a second full copy of the n×W slab, which for wide list domains is the
-// workspace's dominant allocation (W grows with the color universe, so the
-// slab is superlinear in n). Above the bound, warm solves re-pack from the
-// input palettes instead of memcpy-ing a cached template — same O(n·W)
-// work, half the resident memory.
-const tmplCacheMaxWords = 1 << 23 // 64 MiB of template
-
 // initPackedPalettes builds the solve's dense color domain and packs every
-// node's palette as a bitset over it, all carved out of one workspace word
-// slab (a set only ever loses bits, so per-node views never reallocate).
-// When the palettes compare equal to the previous solve's, the cached
-// domain and packed template are reused with one copy. Returns the largest
-// color seen.
+// node's palette as a sparse bitset over it: the ascending indices of its
+// nonzero words plus those words, carved out of two workspace slabs sized
+// once from Σ min(p(v), W). Palettes are strictly ascending, so each
+// palette's domain indices ascend and its words come out in order in one
+// pass. A node whose palette is the same slice as the previous node's (as
+// in graph.DeltaPlus1Instance) copies that node's words. Returns the
+// largest color seen.
 func (s *solver) initPackedPalettes(pals []graph.Palette) graph.Color {
 	ws := s.wsp
-	sumPal := 0
-	hit := ws.tmplMatches(pals)
-	if hit {
-		w := ws.dom.words
-		slab := ws.setSlab[:len(pals)*w]
-		copy(slab, ws.tmpl)
-		for v := range pals {
-			sz := int(ws.tmplSize[v])
-			s.pal[v] = palState{set: slab[v*w : (v+1)*w], size: sz}
-			sumPal += sz
-		}
-	} else {
-		ws.tmplIdxValid = false
-		ws.dom.build(pals)
-		w := ws.dom.words
-		need := len(pals) * w
-		if cap(ws.setSlab) < need {
-			ws.setSlab = make([]uint64, need)
-		}
-		slab := ws.setSlab[:need]
-		clear(slab)
-		ws.setSlab = slab
-		cache := need <= tmplCacheMaxWords
-		ws.tmplPals = ws.tmplPals[:0]
-		ws.tmplOff = ws.tmplOff[:0]
-		ws.tmplSize = graph.Grow(ws.tmplSize, len(pals))
-		if cache {
-			ws.tmplOff = graph.Grow(ws.tmplOff, len(pals)+1)
-		}
-		for v := range pals {
-			set := graph.PaletteSet(slab[v*w : (v+1)*w])
-			for _, c := range pals[v] {
-				i, _ := ws.dom.index(c)
-				set.Add(i)
-			}
-			sz := set.Len()
-			s.pal[v] = palState{set: set, size: sz}
-			sumPal += sz
-			ws.tmplSize[v] = int32(sz)
-			if cache {
-				ws.tmplOff[v] = int32(len(ws.tmplPals))
-				ws.tmplPals = append(ws.tmplPals, pals[v]...)
-			}
-		}
-		if cache {
-			ws.tmplOff[len(pals)] = int32(len(ws.tmplPals))
-			ws.tmpl = append(ws.tmpl[:0], slab...)
-		} else {
-			ws.tmpl = ws.tmpl[:0]
-		}
+	ws.dom.build(pals)
+	need := 0
+	for _, p := range pals {
+		need += min(len(p), ws.dom.words)
 	}
-	// Near-disjointness gate, the mirror of the partition's mask-skipping
-	// test: when the union of palettes is more than half of their summed
-	// sizes, palettes barely overlap, each node's bits land in a few of the
-	// W domain words, and word-skipping beats dense scans. Only worth the
-	// index when the domain is wide enough for skipping to matter.
-	if w := ws.dom.words; w >= sparsePalMinWords && 2*len(ws.dom.colors) > sumPal {
-		s.buildSparseIdx(len(pals), hit)
+	ws.palWI = graph.Grow(ws.palWI, need)
+	ws.palW = graph.Grow(ws.palW, need)
+	off := 0
+	for v, p := range pals {
+		wi, w := ws.palWI[off:], ws.palW[off:]
+		k := 0
+		if v > 0 && sameSlice(p, pals[v-1]) {
+			k = copy(wi, s.pal[v-1].wi)
+			copy(w, s.pal[v-1].w)
+		} else {
+			for _, c := range p {
+				i, _ := ws.dom.index(c)
+				if x := int32(i >> 6); k == 0 || wi[k-1] != x {
+					wi[k], w[k] = x, 0
+					k++
+				}
+				w[k-1] |= 1 << (uint(i) & 63)
+			}
+		}
+		s.pal[v] = palState{wi: wi[:k:k], w: w[:k:k], size: len(p)}
+		off += k
 	}
 	if len(ws.dom.colors) == 0 {
 		return 0
@@ -368,84 +323,20 @@ func (s *solver) initPackedPalettes(pals []graph.Palette) graph.Color {
 	return ws.dom.colors[len(ws.dom.colors)-1]
 }
 
-// sparsePalMinWords is the smallest packed-palette width (words per set) at
-// which the hybrid sparse index is built: below it a dense scan touches so
-// few words that the indirection costs more than it skips.
-const sparsePalMinWords = 8
-
-// buildSparseIdx carves the per-node sparse word indexes out of one slab:
-// for each node, the ascending list of words of its packed set that are
-// nonzero right now. Called only at init time (template hit or fresh pack),
-// when the sets are at their fullest — every later mutation only clears
-// bits, so the lists remain supersets and restriction passes shrink them.
-// Warm template hits skip the n×W word rescan: the sets were just restored
-// to their init state by the template memcpy, so the cached pristine index
-// restores the same way.
-func (s *solver) buildSparseIdx(nPals int, warm bool) {
-	ws := s.wsp
-	if warm && ws.tmplIdxValid {
-		ws.idxSlab = append(ws.idxSlab[:0], ws.tmplIdx...)
-	} else {
-		w := ws.dom.words
-		ws.idxOff = graph.Grow(ws.idxOff, nPals+1)
-		ws.idxSlab = ws.idxSlab[:0]
-		for v := 0; v < nPals; v++ {
-			ws.idxOff[v] = int32(len(ws.idxSlab))
-			set := s.pal[v].set
-			for wi := 0; wi < w; wi++ {
-				if set[wi] != 0 {
-					ws.idxSlab = append(ws.idxSlab, int32(wi))
-				}
-			}
-		}
-		ws.idxOff[nPals] = int32(len(ws.idxSlab))
-		ws.tmplIdx = append(ws.tmplIdx[:0], ws.idxSlab...)
-		ws.tmplIdxValid = true
-	}
-	// Slice after the fill: appends may have moved the slab.
-	for v := 0; v < nPals; v++ {
-		s.pal[v].idx = ws.idxSlab[ws.idxOff[v]:ws.idxOff[v+1]]
-	}
-}
-
 // MemoryWords reports the workspace's retained scratch footprint in 64-bit
 // words after a solve — the per-layer memory budget the engine surfaces in
-// its Report. The packed palette slab and its warm template dominate; the
-// remaining slabs, the collect gather's payload slab and the aggregation
-// and gather scratch among them, are folded in at their word-equivalent
-// sizes.
+// its Report. The packed palette slabs, linear in the palette mass, are
+// the largest part; the remaining slabs, the collect gather's payload slab
+// and the aggregation and gather scratch among them, are folded in at
+// their word-equivalent sizes.
 func (ws *Workspace) MemoryWords() int64 {
-	words := int64(cap(ws.setSlab) + cap(ws.tmpl) + cap(ws.candTab) + cap(ws.candMasks) + cap(ws.palUnion))
+	words := int64(cap(ws.palW) + cap(ws.candTab) + cap(ws.candMasks) + cap(ws.palUnion))
 	words += int64(cap(ws.barrier)) // int64 slab
-	words += int64(cap(ws.tmplPals))
 	words += int64(cap(ws.gatherWords)) + ws.agg.MemoryWords()
 	// int32 slabs: two entries per word.
-	i32 := cap(ws.callOf) + cap(ws.tmplOff) + cap(ws.tmplSize) +
-		cap(ws.idxSlab) + cap(ws.idxOff) + cap(ws.tmplIdx) +
-		cap(ws.dx) + cap(ws.targetOf) + cap(ws.liveNodes)
+	i32 := cap(ws.callOf) + cap(ws.palWI) + cap(ws.dx) + cap(ws.targetOf) + cap(ws.liveNodes)
 	words += int64(i32) / 2
 	return words
-}
-
-// tmplMatches reports whether pals is content-identical to the instance the
-// workspace's packed template was built from.
-func (ws *Workspace) tmplMatches(pals []graph.Palette) bool {
-	if len(ws.tmplOff) != len(pals)+1 || len(ws.tmpl) != len(pals)*ws.dom.words {
-		return false
-	}
-	for v := range pals {
-		lo, hi := ws.tmplOff[v], ws.tmplOff[v+1]
-		prev := ws.tmplPals[lo:hi]
-		if len(prev) != len(pals[v]) {
-			return false
-		}
-		for i, c := range pals[v] {
-			if prev[i] != c {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // rangeTop validates that a palette is exactly {1..k} (the (Δ+1)-coloring

@@ -98,7 +98,7 @@ type Options struct {
 type Report struct {
 	Model Model
 	// Problem is the registry problem this report answers (never empty;
-	// legacy coloring entry points report problem.Coloring).
+	// an unset Options.Problem reports problem.Coloring).
 	Problem problem.Kind
 	// Coloring is the solution of coloring solves; nil for set problems.
 	Coloring graph.Coloring

@@ -231,7 +231,7 @@ func TestSessionResetAfterError(t *testing.T) {
 // that has just solved a 2¹⁶-node instance must solve a 256-node instance
 // byte-identically to a fresh session — and vice versa — on every backend.
 // Retained state that is sized once and never re-dimensioned downward (a
-// slab view, a stale palette template, an over-wide routing table) shows up
+// slab view, a stale palette word index, an over-wide routing table) shows up
 // here, where the small-n isolation test cannot see it.
 func TestSessionSizeCliff(t *testing.T) {
 	if testing.Short() {

@@ -146,33 +146,6 @@ func (g *Graph) HasEdge(u, v int32) bool {
 // the quantity the paper's "size O(𝔫)" collection threshold refers to.
 func (g *Graph) Size() int { return g.N() + len(g.adj) }
 
-// InducedSubgraph returns the subgraph induced by nodes (given as original
-// IDs) plus the mapping newID -> originalID. Nodes must be distinct.
-func (g *Graph) InducedSubgraph(nodes []int32) (*Graph, []int32, error) {
-	idx := make(map[int32]int32, len(nodes))
-	for i, v := range nodes {
-		if _, dup := idx[v]; dup {
-			return nil, nil, fmt.Errorf("graph: duplicate node %d in induced set", v)
-		}
-		idx[v] = int32(i)
-	}
-	adj := make([][]int32, len(nodes))
-	for i, v := range nodes {
-		for _, u := range g.Neighbors(v) {
-			if j, ok := idx[u]; ok {
-				adj[i] = append(adj[i], j)
-			}
-		}
-	}
-	sub, err := NewGraph(adj)
-	if err != nil {
-		return nil, nil, err
-	}
-	back := make([]int32, len(nodes))
-	copy(back, nodes)
-	return sub, back, nil
-}
-
 // Coloring is a color assignment indexed by node ID; NoColor means unset.
 type Coloring []Color
 
@@ -198,11 +171,15 @@ func (c Coloring) Complete() bool {
 // Palette is a sorted list of distinct colors available to one node.
 type Palette []Color
 
-// NewPalette copies, sorts, and dedup-validates a color list.
+// NewPalette copies, sorts, and dedup-validates a color list. Colors must
+// be non-negative: NoColor is −1, and solvers index colors from 0.
 func NewPalette(colors []Color) (Palette, error) {
 	p := make(Palette, len(colors))
 	copy(p, colors)
 	slices.Sort(p)
+	if len(p) > 0 && p[0] < 0 {
+		return nil, fmt.Errorf("graph: negative color %d in palette", p[0])
+	}
 	for i := 1; i < len(p); i++ {
 		if p[i] == p[i-1] {
 			return nil, fmt.Errorf("graph: duplicate color %d in palette", p[i])

@@ -60,26 +60,6 @@ func TestHasEdgeSymmetric(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g, err := Complete(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, back, err := g.InducedSubgraph([]int32{1, 3, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 3 {
-		t.Fatalf("induced K3 expected, got n=%d m=%d", sub.N(), sub.M())
-	}
-	if back[0] != 1 || back[1] != 3 || back[2] != 5 {
-		t.Fatalf("bad back-mapping %v", back)
-	}
-	if _, _, err := g.InducedSubgraph([]int32{1, 1}); err == nil {
-		t.Fatal("duplicate node accepted")
-	}
-}
-
 func TestGenerators(t *testing.T) {
 	t.Run("cycle", func(t *testing.T) {
 		g, err := Cycle(10)
@@ -260,6 +240,9 @@ func TestPalette(t *testing.T) {
 	}
 	if _, err := NewPalette([]Color{1, 1}); err == nil {
 		t.Fatal("duplicate color accepted")
+	}
+	if _, err := NewPalette([]Color{-1, 2}); err == nil {
+		t.Fatal("negative color accepted")
 	}
 	q := p.Without([]Color{3})
 	if len(q) != 2 || q.Contains(3) {

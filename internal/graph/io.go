@@ -133,102 +133,3 @@ func WriteDOT(w io.Writer, g *Graph, c Coloring) error {
 	}
 	return bw.Flush()
 }
-
-// WriteInstance serializes a list-coloring instance: the edge list followed
-// by one "palette v c1 c2 …" line per node.
-func WriteInstance(w io.Writer, inst *Instance) error {
-	if err := WriteEdgeList(w, inst.G); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	for v, pal := range inst.Palettes {
-		if _, err := fmt.Fprintf(bw, "palette %d", v); err != nil {
-			return err
-		}
-		for _, c := range pal {
-			if _, err := fmt.Fprintf(bw, " %d", c); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadInstance parses the WriteInstance format.
-func ReadInstance(r io.Reader) (*Instance, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
-	n := -1
-	var edges [][2]int32
-	var palLines [][]string
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch {
-		case n < 0:
-			v, err := strconv.Atoi(fields[0])
-			if err != nil || v < 0 || len(fields) != 1 {
-				return nil, fmt.Errorf("graph: line %d: bad node count", line)
-			}
-			n = v
-		case fields[0] == "palette":
-			palLines = append(palLines, fields[1:])
-		case len(fields) == 2:
-			u, err1 := strconv.ParseInt(fields[0], 10, 32)
-			v, err2 := strconv.ParseInt(fields[1], 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("graph: line %d: bad edge", line)
-			}
-			edges = append(edges, [2]int32{int32(u), int32(v)})
-		default:
-			return nil, fmt.Errorf("graph: line %d: unrecognized %q", line, text)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if n < 0 {
-		return nil, fmt.Errorf("graph: empty input")
-	}
-	g, err := FromEdges(n, edges)
-	if err != nil {
-		return nil, err
-	}
-	pals := make([]Palette, n)
-	for _, fields := range palLines {
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: palette line needs a node and ≥1 color")
-		}
-		v, err := strconv.Atoi(fields[0])
-		if err != nil || v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: bad palette node %q", fields[0])
-		}
-		colors := make([]Color, 0, len(fields)-1)
-		for _, f := range fields[1:] {
-			c, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: bad color %q", f)
-			}
-			colors = append(colors, c)
-		}
-		p, err := NewPalette(colors)
-		if err != nil {
-			return nil, err
-		}
-		pals[v] = p
-	}
-	for v := range pals {
-		if pals[v] == nil {
-			return nil, fmt.Errorf("graph: node %d has no palette line", v)
-		}
-	}
-	return NewInstance(g, pals)
-}

@@ -58,44 +58,6 @@ func TestReadEdgeListComments(t *testing.T) {
 	}
 }
 
-func TestInstanceRoundTrip(t *testing.T) {
-	g, err := Cycle(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := ListInstance(g, 500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteInstance(&buf, inst); err != nil {
-		t.Fatal(err)
-	}
-	inst2, err := ReadInstance(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst2.G.N() != inst.G.N() || inst2.G.M() != inst.G.M() {
-		t.Fatal("graph shape changed")
-	}
-	for v := range inst.Palettes {
-		if len(inst.Palettes[v]) != len(inst2.Palettes[v]) {
-			t.Fatalf("node %d palette size changed", v)
-		}
-		for i := range inst.Palettes[v] {
-			if inst.Palettes[v][i] != inst2.Palettes[v][i] {
-				t.Fatalf("node %d palette changed", v)
-			}
-		}
-	}
-}
-
-func TestReadInstanceMissingPalette(t *testing.T) {
-	if _, err := ReadInstance(strings.NewReader("2\n0 1\npalette 0 1 2\n")); err == nil {
-		t.Fatal("missing palette accepted")
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	g, err := Complete(4)
 	if err != nil {

@@ -3,26 +3,19 @@ package graph
 import "math/bits"
 
 // PaletteSet is a packed bitset over a dense color-index domain: bit i set
-// means the i-th color of the domain is present. The solver keeps one set
-// per node (carved out of a shared slab) so palette pruning, hash-bin
-// restriction, and size queries become word operations — popcount, AND,
-// AND-NOT — instead of sorted-slice merges. Bit order is domain order, so
-// iterating set bits ascending yields colors in ascending order, matching
-// the sorted-slice representation exactly.
+// means the i-th color of the domain is present. The solver builds two
+// kinds over a solve's whole color domain: the union of a call's live
+// palettes, and the per-candidate color-bin masks whose AND with a packed
+// palette counts and restricts it in word operations. Bit order is domain
+// order, so iterating set bits ascending yields colors in ascending order.
 type PaletteSet []uint64
 
 // PaletteSetWords returns the number of words a set over an n-index domain
 // occupies.
 func PaletteSetWords(n int) int { return (n + 63) >> 6 }
 
-// Has reports whether index i is present.
-func (s PaletteSet) Has(i int) bool { return s[i>>6]>>(uint(i)&63)&1 != 0 }
-
 // Add inserts index i.
 func (s PaletteSet) Add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
-
-// Remove deletes index i.
-func (s PaletteSet) Remove(i int) { s[i>>6] &^= 1 << (uint(i) & 63) }
 
 // Clear empties the set.
 func (s PaletteSet) Clear() {
@@ -38,47 +31,6 @@ func (s PaletteSet) Len() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// IntersectCount returns |s ∩ mask| without modifying s.
-func (s PaletteSet) IntersectCount(mask PaletteSet) int {
-	n := 0
-	for i, w := range s {
-		n += bits.OnesCount64(w & mask[i])
-	}
-	return n
-}
-
-// Intersect replaces s with s ∩ mask and returns the resulting size, so
-// callers maintaining a size cache get it for free from the same pass.
-func (s PaletteSet) Intersect(mask PaletteSet) int {
-	n := 0
-	for i := range s {
-		w := s[i] & mask[i]
-		s[i] = w
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Subtract replaces s with s &^ mask (AND-NOT) and returns the resulting
-// size.
-func (s PaletteSet) Subtract(mask PaletteSet) int {
-	n := 0
-	for i := range s {
-		w := s[i] &^ mask[i]
-		s[i] = w
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// UnionWith ORs mask into s (used to accumulate the live palette union a
-// partition call iterates when building per-candidate color-bin masks).
-func (s PaletteSet) UnionWith(mask PaletteSet) {
-	for i := range s {
-		s[i] |= mask[i]
-	}
 }
 
 // ForEach visits the present indices in ascending order; fn returning false

@@ -101,9 +101,8 @@ func NewSolverSession(model Model) (*SolverSession, error) { return engine.NewSe
 // with results byte-identical to fresh-session solves, and a parked
 // session holds no goroutines. A session whose solve failed or reported
 // more than 128 MiB of workspace is not parked. It is the single entry
-// point the serving layer (internal/server) drives; ColorList,
-// ColorListMPC, and ColorDegPlus1LowSpace remain as deprecated
-// coloring-only compatibility wrappers.
+// point of the package, and the one the serving layer (internal/server)
+// drives.
 func Solve(inst *Instance, opts *Options) (*Report, error) {
 	return engine.Solve(inst, opts)
 }
