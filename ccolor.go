@@ -89,6 +89,11 @@ var (
 	DegPlus1Instance = graph.DegPlus1Instance
 )
 
+// ErrBadPalette is the error (wrapped, naming the node) Solve returns for a
+// coloring instance without one palette per node of distinct non-negative
+// colors in ascending order, the form NewPalette builds.
+var ErrBadPalette = graph.ErrBadPalette
+
 // DefaultLowSpaceParams returns the Theorem 1.4 defaults (𝔰 = 𝔫^0.5).
 func DefaultLowSpaceParams() LowSpaceParams { return lowspace.DefaultParams() }
 

@@ -1,6 +1,7 @@
 package ccolor_test
 
 import (
+	"errors"
 	"testing"
 
 	"ccolor"
@@ -101,18 +102,29 @@ func TestFacadeLowSpace(t *testing.T) {
 	}
 }
 
-// TestSolveRejectsNegativeColor: a hand-built palette holding a color below
-// 0 bypasses NewPalette's check; the clique and MPC solvers must reject it
-// with an error instead of indexing the packed domain out of range.
-func TestSolveRejectsNegativeColor(t *testing.T) {
+// TestSolveRejectsMalformedPalettes: hand-built palettes bypass
+// NewPalette's check. One holding a color below 0 and one out of order are
+// rejected before any backend runs, with the same ErrBadPalette on all
+// three models, instead of being colored (low-space took {-5, 1, 2}) or
+// reported as a failed internal verification.
+func TestSolveRejectsMalformedPalettes(t *testing.T) {
 	g, err := ccolor.FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst := &ccolor.Instance{G: g, Palettes: []ccolor.Palette{{-5, 1, 2}, {1, 2, 3}, {1, 2, 3}}}
-	for _, model := range []ccolor.Model{ccolor.ModelCClique, ccolor.ModelMPC} {
-		if _, err := ccolor.Solve(inst, &ccolor.Options{Model: model}); err == nil {
-			t.Errorf("%s: palette {-5, 1, 2} accepted", model)
+	for _, bad := range []ccolor.Palette{{-5, 1, 2}, {3, 1, 2}} {
+		inst := &ccolor.Instance{G: g, Palettes: []ccolor.Palette{bad, {1, 2, 3}, {1, 2, 3}}}
+		var first error
+		for _, model := range []ccolor.Model{ccolor.ModelCClique, ccolor.ModelMPC, ccolor.ModelLowSpace} {
+			_, err := ccolor.Solve(inst, &ccolor.Options{Model: model})
+			if !errors.Is(err, ccolor.ErrBadPalette) {
+				t.Fatalf("%s: palette %v: got %v, want ErrBadPalette", model, bad, err)
+			}
+			if first == nil {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Fatalf("%s: palette %v: %q, cclique said %q", model, bad, err, first)
+			}
 		}
 	}
 }

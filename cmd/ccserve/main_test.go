@@ -477,6 +477,30 @@ func TestEdgesStreamingDecode(t *testing.T) {
 	}
 }
 
+// TestListPaletteHugeUniverse: a client may send any int64 universe, and
+// list palettes drawn from 2⁴⁰ colors solve on every model, colored inside
+// the universe. Nothing in the draw or the solvers is sized by it.
+func TestListPaletteHugeUniverse(t *testing.T) {
+	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 8})
+	for _, model := range []string{"cclique", "mpc", "lowspace"} {
+		body := fmt.Sprintf(`{"model":%q,"graph":{"kind":"gnp","n":200,"p":0.05,"seed":3},`+
+			`"palette":{"kind":"list","universe":1099511627776,"seed":5}}`, model)
+		rec := post(t, h, "/v1/solve", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s -> %d %s", model, rec.Code, rec.Body)
+		}
+		var resp ColorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		for v, c := range resp.Coloring {
+			if c < 0 || c >= 1<<40 {
+				t.Fatalf("%s: node %d colored %d, outside the universe", model, v, c)
+			}
+		}
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 1, QueueDepth: 4})
 	cases := []string{

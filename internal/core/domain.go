@@ -27,7 +27,7 @@ type palDomain struct {
 
 // build indexes the distinct colors of the given palettes, visiting a
 // palette that is the same slice as the previous one only once. Colors
-// must be non-negative (newSolver checks).
+// must be non-negative (graph's CheckPalettes).
 func (d *palDomain) build(pals []graph.Palette) {
 	maxColor := graph.Color(-1)
 	for _, p := range pals {
@@ -42,7 +42,7 @@ func (d *palDomain) build(pals []graph.Palette) {
 		d.bitmap = nil
 		d.rank = nil
 		for v, p := range pals {
-			if v == 0 || !sameSlice(p, pals[v-1]) {
+			if v == 0 || !graph.SameSlice(p, pals[v-1]) {
 				d.colors = append(d.colors, p...)
 			}
 		}
@@ -63,7 +63,7 @@ func (d *palDomain) build(pals []graph.Palette) {
 	d.rank = d.rank[:nw]
 	clear(d.bitmap)
 	for v, p := range pals {
-		if v > 0 && sameSlice(p, pals[v-1]) {
+		if v > 0 && graph.SameSlice(p, pals[v-1]) {
 			continue
 		}
 		for _, c := range p {
@@ -97,10 +97,4 @@ func (d *palDomain) index(c graph.Color) (int, bool) {
 	}
 	i, ok := slices.BinarySearch(d.colors, c)
 	return i, ok
-}
-
-// sameSlice reports whether a and b are the same slice: one backing array,
-// one length.
-func sameSlice(a, b graph.Palette) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -215,27 +215,20 @@ func newSolver(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, w
 	// (Corollary 3.3(i) with the initial ℓ = Δ). (deg+1)-list instances
 	// belong to the low-space algorithm (internal/lowspace, Theorem 1.4).
 	// The packed palettes index colors from 0 and pack each palette in one
-	// ascending pass, so palettes must also be strictly ascending from 0.
+	// ascending pass, so palettes must also pass graph's CheckPalettes,
+	// which engine.Session.Solve runs on every coloring instance.
 	if len(inst.Palettes) != n {
 		return nil, fmt.Errorf("core: %d palettes for %d nodes", len(inst.Palettes), n)
 	}
 	delta := inst.G.MaxDegree()
 	for v, p := range inst.Palettes {
-		if v > 0 && sameSlice(p, inst.Palettes[v-1]) {
+		if v > 0 && graph.SameSlice(p, inst.Palettes[v-1]) {
 			continue // checked as node v−1's
 		}
 		if len(p) <= delta {
 			return nil, fmt.Errorf(
 				"core: node %d has palette %d ≤ Δ=%d; ColorReduce requires a (Δ+1)-list instance (use internal/lowspace for (deg+1)-list)",
 				v, len(p), delta)
-		}
-		if p[0] < 0 {
-			return nil, fmt.Errorf("core: node %d has negative color %d", v, p[0])
-		}
-		for i := 1; i < len(p); i++ {
-			if p[i] <= p[i-1] {
-				return nil, fmt.Errorf("core: node %d palette is not strictly ascending (%d after %d)", v, p[i], p[i-1])
-			}
 		}
 	}
 	if ws == nil {
@@ -301,7 +294,7 @@ func (s *solver) initPackedPalettes(pals []graph.Palette) graph.Color {
 	for v, p := range pals {
 		wi, w := ws.palWI[off:], ws.palW[off:]
 		k := 0
-		if v > 0 && sameSlice(p, pals[v-1]) {
+		if v > 0 && graph.SameSlice(p, pals[v-1]) {
 			k = copy(wi, s.pal[v-1].wi)
 			copy(w, s.pal[v-1].w)
 		} else {

@@ -293,6 +293,9 @@ func (s *Session) Solve(inst *graph.Instance, opts *Options) (*Report, error) {
 	s.solves++
 	switch spec.Kind {
 	case problem.Coloring:
+		if err := inst.CheckPalettes(); err != nil {
+			return nil, fmt.Errorf("ccolor: %w", err)
+		}
 		if s.model == ModelLowSpace {
 			return s.solveLowSpace(inst, &o)
 		}

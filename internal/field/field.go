@@ -39,9 +39,15 @@ func Sub(a, b uint64) uint64 {
 // Mul returns (a * b) mod P for a, b < P, using a 128-bit product followed
 // by Mersenne folding.
 func Mul(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	// a*b = hi*2^64 + lo. With p = 2^61-1: 2^61 ≡ 1, so 2^64 ≡ 8.
-	// Split lo into low 61 bits and high 3 bits.
+	return Reduce128(bits.Mul64(a, b))
+}
+
+// Reduce128 returns (hi·2^64 + lo) mod P for hi < 2^60, which covers a
+// sum of up to four products of field elements. With p = 2^61-1, 2^61 ≡ 1
+// and so 2^64 ≡ 8: splitting lo into its low 61 bits and high 3 bits, the
+// first fold is below 2^61 + 8 + 2^63 and the second below P + 8, which
+// one conditional subtract maps into [0, P).
+func Reduce128(hi, lo uint64) uint64 {
 	res := (lo & P) + (lo >> 61) + hi*8
 	res = (res & P) + (res >> 61)
 	if res >= P {

@@ -189,8 +189,8 @@ func DecodeGraphWords(words []uint64) (*Graph, int, error) {
 
 // DecodeInstanceWords decodes the canonical word stream produced by
 // AppendInstanceWords, round-tripping exactly: for every accepted stream,
-// AppendInstanceWords(nil, decoded) reproduces the input. Palettes must be
-// strictly sorted (the canonical form) and satisfy p(v) > d(v).
+// AppendInstanceWords(nil, decoded) reproduces the input. Palettes must
+// pass CheckPalettes (the canonical form) and satisfy p(v) > d(v).
 func DecodeInstanceWords(words []uint64) (*Instance, error) {
 	g, used, err := DecodeGraphWords(words)
 	if err != nil {
@@ -207,18 +207,17 @@ func DecodeInstanceWords(words []uint64) (*Instance, error) {
 			return nil, fmt.Errorf("graph: decode: palette %d length %d exceeds stream", v, rest[0])
 		}
 		pal := make(Palette, k)
-		for i := 0; i < k; i++ {
-			c := Color(rest[1+i])
-			if i > 0 && pal[i-1] >= c {
-				return nil, fmt.Errorf("graph: decode: palette %d not strictly sorted", v)
-			}
-			pal[i] = c
+		for i := range pal {
+			pal[i] = Color(rest[1+i])
 		}
 		pals[v] = pal
 		rest = rest[1+k:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("graph: decode: %d trailing words", len(rest))
+	}
+	if err := (&Instance{G: g, Palettes: pals}).CheckPalettes(); err != nil {
+		return nil, fmt.Errorf("graph: decode: %w", err)
 	}
 	return NewInstance(g, pals)
 }

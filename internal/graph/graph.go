@@ -248,6 +248,41 @@ func NewInstance(g *Graph, palettes []Palette) (*Instance, error) {
 	return &Instance{G: g, Palettes: palettes}, nil
 }
 
+// ErrBadPalette is returned (wrapped, naming the node) by CheckPalettes.
+var ErrBadPalette = errors.New("graph: malformed palette")
+
+// CheckPalettes reports whether the instance has one palette per node and
+// every palette is the form NewPalette builds: distinct non-negative
+// colors in ascending order. Every solver and the verifier rely on that
+// form; instances built by hand are checked here before a solve. A palette
+// that is the same slice as the previous node's is checked once.
+func (in *Instance) CheckPalettes() error {
+	if len(in.Palettes) != in.G.N() {
+		return fmt.Errorf("graph: %d palettes for %d nodes: %w", len(in.Palettes), in.G.N(), ErrBadPalette)
+	}
+	for v, p := range in.Palettes {
+		if v > 0 && SameSlice(p, in.Palettes[v-1]) {
+			continue
+		}
+		if len(p) > 0 && p[0] < 0 {
+			return fmt.Errorf("graph: node %d has negative color %d: %w", v, p[0], ErrBadPalette)
+		}
+		for i := 1; i < len(p); i++ {
+			if p[i] <= p[i-1] {
+				return fmt.Errorf("graph: node %d palette is not strictly ascending (%d after %d): %w",
+					v, p[i], p[i-1], ErrBadPalette)
+			}
+		}
+	}
+	return nil
+}
+
+// SameSlice reports whether a and b are the same slice: one backing array,
+// one length. DeltaPlus1Instance gives every node the same slice.
+func SameSlice(a, b Palette) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // DeltaPlus1Instance builds the classic (Δ+1)-coloring instance: every node
 // gets palette {1, ..., Δ+1}.
 func DeltaPlus1Instance(g *Graph) *Instance {
@@ -258,68 +293,6 @@ func DeltaPlus1Instance(g *Graph) *Instance {
 		pals[v] = base // shared: palettes are read-only by convention
 	}
 	return &Instance{G: g, Palettes: pals}
-}
-
-// DegPlus1Instance builds a (deg+1)-list coloring instance: node v receives
-// the first deg(v)+1 colors of a per-node list drawn deterministically from
-// a universe of size universe, using the given seed.
-func DegPlus1Instance(g *Graph, universe int64, seed uint64) (*Instance, error) {
-	if universe < int64(g.MaxDegree()+1) {
-		return nil, fmt.Errorf("graph: universe %d smaller than Δ+1=%d", universe, g.MaxDegree()+1)
-	}
-	rng := NewRand(seed)
-	pals := make([]Palette, g.N())
-	set := make(map[Color]struct{}, g.MaxDegree()+1) // scratch, cleared per node
-	for v := 0; v < g.N(); v++ {
-		need := g.Degree(int32(v)) + 1
-		clear(set)
-		list := make([]Color, 0, need)
-		for len(list) < need {
-			c := Color(rng.Intn(universe))
-			if _, dup := set[c]; dup {
-				continue
-			}
-			set[c] = struct{}{}
-			list = append(list, c)
-		}
-		p, err := NewPalette(list)
-		if err != nil {
-			return nil, err
-		}
-		pals[v] = p
-	}
-	return NewInstance(g, pals)
-}
-
-// ListInstance builds a (Δ+1)-list coloring instance: every node receives a
-// palette of exactly Δ+1 distinct colors drawn deterministically from a
-// universe of size universe (≥ Δ+1).
-func ListInstance(g *Graph, universe int64, seed uint64) (*Instance, error) {
-	delta := g.MaxDegree()
-	if universe < int64(delta+1) {
-		return nil, fmt.Errorf("graph: universe %d smaller than Δ+1=%d", universe, delta+1)
-	}
-	rng := NewRand(seed)
-	pals := make([]Palette, g.N())
-	set := make(map[Color]struct{}, delta+1) // scratch, cleared per node
-	for v := 0; v < g.N(); v++ {
-		clear(set)
-		list := make([]Color, 0, delta+1)
-		for len(list) < delta+1 {
-			c := Color(rng.Intn(universe))
-			if _, dup := set[c]; dup {
-				continue
-			}
-			set[c] = struct{}{}
-			list = append(list, c)
-		}
-		p, err := NewPalette(list)
-		if err != nil {
-			return nil, err
-		}
-		pals[v] = p
-	}
-	return NewInstance(g, pals)
 }
 
 // PaletteMass returns Σ_v p(v), the total palette storage of the instance.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -298,6 +299,33 @@ func TestInstances(t *testing.T) {
 	}
 	if _, err := NewInstance(gg, []Palette{{1}, {1}}); err == nil {
 		t.Fatal("palette ≤ degree accepted")
+	}
+}
+
+func TestCheckPalettes(t *testing.T) {
+	g, err := FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := Palette{0, 1, 2}
+	for _, c := range []struct {
+		pals []Palette
+		good bool
+	}{
+		{[]Palette{ok, ok, ok}, true},
+		{[]Palette{ok, {1, 5, 9}, {}}, true},
+		{[]Palette{ok, ok}, false},
+		{[]Palette{ok, {-5, 1, 2}, ok}, false},
+		{[]Palette{ok, ok, {3, 1, 2}}, false},
+		{[]Palette{ok, {1, 1, 2}, ok}, false},
+	} {
+		err := (&Instance{G: g, Palettes: c.pals}).CheckPalettes()
+		if c.good && err != nil {
+			t.Errorf("%v: %v", c.pals, err)
+		}
+		if !c.good && !errors.Is(err, ErrBadPalette) {
+			t.Errorf("%v: got %v, want ErrBadPalette", c.pals, err)
+		}
 	}
 }
 

@@ -31,7 +31,7 @@ func (r *Rand) Intn(n int64) int64 {
 	}
 	// Rejection sampling for exact uniformity.
 	bound := uint64(n)
-	limit := (^uint64(0) / bound) * bound
+	limit := intnLimit(bound)
 	for {
 		v := r.Uint64()
 		if v < limit {
@@ -39,6 +39,10 @@ func (r *Rand) Intn(n int64) int64 {
 		}
 	}
 }
+
+// intnLimit is Intn's rejection limit for bound: the largest multiple of
+// bound that fits in 64 bits. Draws at or above it are redrawn.
+func intnLimit(bound uint64) uint64 { return (^uint64(0) / bound) * bound }
 
 // Float64 returns a uniform value in [0, 1).
 func (r *Rand) Float64() float64 {

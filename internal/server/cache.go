@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"sync"
 
 	"ccolor"
@@ -29,14 +30,21 @@ func (k cacheKey) Hex() string { return fmt.Sprintf("%016x", k.digest) }
 
 func sumWords(words []uint64) [sha256.Size]byte {
 	h := sha256.New()
-	var buf [8]byte
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		h.Write(buf[:])
-	}
+	writeWords(h, nil, words)
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
+}
+
+// writeWords writes words to h as little-endian bytes in one Write, through
+// buf, and returns buf for the next call to reuse.
+func writeWords(h hash.Hash, buf []byte, words []uint64) []byte {
+	buf = buf[:0]
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	h.Write(buf)
+	return buf
 }
 
 // keyFor builds the canonical key for a spec: a model word, a problem word,
@@ -98,13 +106,10 @@ func keyFor(spec *Spec) cacheKey {
 	// of its word stream.
 	fp := hashing.NewStream(int64(len(words)) + graph.InstanceWordCount(spec.Inst))
 	h := sha256.New()
-	var buf [8]byte
+	var buf []byte
 	fold := func(chunk []uint64) error {
 		fp.Write(chunk)
-		for _, w := range chunk {
-			binary.LittleEndian.PutUint64(buf[:], w)
-			h.Write(buf[:])
-		}
+		buf = writeWords(h, buf, chunk)
 		return nil
 	}
 	fold(words)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ccolor"
+	"ccolor/internal/scenario"
 )
 
 func gnpSpec(t testing.TB, model ccolor.Model, n int, p float64, seed uint64) Spec {
@@ -35,6 +36,35 @@ func gnpSpec(t testing.TB, model ccolor.Model, n int, p float64, seed uint64) Sp
 		spec.MPCSpaceFactor = 16
 	}
 	return spec
+}
+
+// TestKeyForPinned pins two cache keys, digest and exactness sum, so a
+// change to how instances are drawn, encoded or hashed cannot silently
+// re-address the cache: a (deg+1)-list gnp job on lowspace, and a registry
+// powerlaw job whose encoding spans several stream chunks on mpc.
+func TestKeyForPinned(t *testing.T) {
+	lists := gnpSpec(t, ccolor.ModelLowSpace, 300, 0.05, 7)
+	spec, err := scenario.Lookup("powerlaw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := spec.Instance(4096, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		spec      Spec
+		digest    string
+		sumPrefix string
+	}{
+		{lists, "0b989c4b3f42501f", "147fca9ffda44157"},
+		{Spec{Model: ccolor.ModelMPC, Inst: inst}, "0627a1f38a2459e9", "0c7ab3ca5ee4b842"},
+	} {
+		k := keyFor(&c.spec)
+		if sum := fmt.Sprintf("%x", k.sum[:8]); k.Hex() != c.digest || sum != c.sumPrefix {
+			t.Fatalf("%s key %s (sum %s…), want %s (sum %s…)", c.spec.Model, k.Hex(), sum, c.digest, c.sumPrefix)
+		}
+	}
 }
 
 func TestKeyForDeterministicAndDiscriminating(t *testing.T) {
