@@ -76,25 +76,30 @@ func (s *solver) partition(x *call) error {
 	}
 
 	// Final classification with the selected pair: the same kernel on a
-	// one-candidate batch (the batch tables are stale by now). The table
-	// then holds every node's winning bin as candidate 0.
+	// one-candidate batch (the batch tables are stale by now), run on the
+	// pool. Each node writes its verdict into its own slot of the verdict
+	// slab; a serial pass in node order then fills G0 and the bins, so the
+	// children's node order, and with it their call ids and seed salts, is
+	// the serial classification's.
 	h2 := res.Pair.H2
-	winner := []derand.Pair{res.Pair}
-	bs.prepare(winner)
-	vec := make([]int64, bs.perCand())
+	bs.prepare([]derand.Pair{res.Pair})
+	s.wsp.verdict = graph.Grow(s.wsp.verdict, s.bign)
+	verdict := s.wsp.verdict
+	s.wsp.pool.Run(nX, func(j int) {
+		if v := x.nodes[j]; s.callOf[v] == id {
+			verdict[v] = bs.classifyOne(v, h2)
+		}
+	})
 	binNodes := make([][]int32, b) // bins 0..b-2 are color bins; b-1 is bin B
 	var g0Nodes []int32
 	for _, v := range x.nodes {
 		if s.callOf[v] != id {
 			continue
 		}
-		clear(vec)
-		bs.classify(v, winner, vec)
-		if vec[0] != 0 {
+		if bin := verdict[v] >> 1; verdict[v]&1 != 0 {
 			g0Nodes = append(g0Nodes, v)
 		} else {
-			myBin := bs.tab.bin(v, 0)
-			binNodes[myBin] = append(binNodes[myBin], v)
+			binNodes[bin] = append(binNodes[bin], v)
 		}
 	}
 	ds.BadNodes += len(g0Nodes)
@@ -102,19 +107,12 @@ func (s *solver) partition(x *call) error {
 	// Announce badness and bin to in-call neighbors (one round, one word
 	// per pair) so every node knows its neighbors' destinations.
 	s.fab.Ledger().SetPhase("partition:announce")
-	badSet := make(map[int32]struct{}, len(g0Nodes))
-	for _, v := range g0Nodes {
-		badSet[v] = struct{}{}
-	}
 	if err := fabric.SendFrames(s.fab, func(wk int, sb *fabric.SendBuf) {
 		v := int32(wk)
 		if s.callOf[v] != id {
 			return
 		}
-		word := uint64(bs.tab.bin(v, 0))
-		if _, hit := badSet[v]; hit {
-			word |= 1 << 32
-		}
+		word := uint64(verdict[v]>>1) | uint64(verdict[v]&1)<<32
 		for _, u := range s.g.Neighbors(v) {
 			if s.callOf[u] == id {
 				sb.Put(int(u), word)
@@ -281,45 +279,59 @@ func (bs *batchScorer) mask(i, bin int) graph.PaletteSet {
 // out[i·perCand : (i+1)·perCand], which arrives zeroed. It runs
 // concurrently for distinct nodes and writes nothing shared.
 func (bs *batchScorer) classify(v int32, cands []derand.Pair, out []int64) {
-	s, b := bs.s, bs.b
 	perCand := bs.perCand()
 	// The neighbour walk leaves each candidate's d′(v) in its bad slot,
 	// which the verdict then overwrites.
-	bs.tab.addSameBin(v, s.g.Neighbors(v), s.callOf, bs.id, out, perCand)
+	bs.tab.addSameBin(v, bs.s.g.Neighbors(v), bs.s.callOf, bs.id, out, perCand)
 	for i := range cands {
 		vec := out[i*perCand : (i+1)*perCand]
-		myBin := bs.tab.bin(v, i)
-		dPrime := vec[0]
-		bad := math.Abs(float64(dPrime)-float64(s.dx[v])/float64(b)) > bs.degSlack
-		if !bad && myBin < b-1 {
-			var pPrime int
-			if mask := bs.mask(i, myBin); mask != nil {
-				pPrime = s.palCountMask(v, mask)
-			} else {
-				pPrime = s.palCountBin(v, cands[i].H2, int64(myBin))
-			}
-			// Palette goodness (Def. 3.1): p′(v) ≥ p(v)/B + ℓ^0.7. The
-			// slack is capped at half the splitting gap
-			// p(v)·(1/(B−1) − 1/B); with B = ⌊ℓ^0.1⌋ and p(v) > ℓ the gap
-			// is ≥ ℓ^0.8 ≫ ℓ^0.7, so in the paper's regime the cap is
-			// inactive and the condition is the paper's verbatim. Outside
-			// it (small ℓ, forced wide bins) the capped condition is the
-			// one the Lemma 3.6 argument actually supports.
-			p := float64(s.palSize(v))
-			slack := bs.palSlack
-			if gap := p / (2 * float64(b) * float64(b-1)); gap < slack {
-				slack = gap
-			}
-			if float64(pPrime) < p/float64(b)+slack {
-				bad = true
-			}
-		}
-		vec[0] = 0
-		if bad {
-			vec[0] = 1
-		}
-		vec[1+myBin] = 1
+		verdict := bs.verdict(v, i, cands[i].H2, vec[0])
+		vec[0] = int64(verdict & 1)
+		vec[1+verdict>>1] = 1
 	}
+}
+
+// classifyOne is classify on a one-candidate batch, returning v's verdict
+// instead of writing a vector. Like classify, it runs concurrently for
+// distinct nodes.
+func (bs *batchScorer) classifyOne(v int32, h2 hashing.Hash) int32 {
+	var dPrime [1]int64
+	bs.tab.addSameBin(v, bs.s.g.Neighbors(v), bs.s.callOf, bs.id, dPrime[:], 1)
+	return bs.verdict(v, 0, h2, dPrime[0])
+}
+
+// verdict decides Definition 3.1 for v under candidate i of the batch,
+// whose color hash is h2, given v's same-bin degree d′(v). It returns v's
+// bin shifted left by one, with the low bit set when v is bad.
+func (bs *batchScorer) verdict(v int32, i int, h2 hashing.Hash, dPrime int64) int32 {
+	s, b := bs.s, bs.b
+	myBin := bs.tab.bin(v, i)
+	bad := math.Abs(float64(dPrime)-float64(s.dx[v])/float64(b)) > bs.degSlack
+	if !bad && myBin < b-1 {
+		var pPrime int
+		if mask := bs.mask(i, myBin); mask != nil {
+			pPrime = s.palCountMask(v, mask)
+		} else {
+			pPrime = s.palCountBin(v, h2, int64(myBin))
+		}
+		// Palette goodness (Def. 3.1): p′(v) ≥ p(v)/B + ℓ^0.7. The
+		// slack is capped at half the splitting gap
+		// p(v)·(1/(B−1) − 1/B); with B = ⌊ℓ^0.1⌋ and p(v) > ℓ the gap
+		// is ≥ ℓ^0.8 ≫ ℓ^0.7, so in the paper's regime the cap is
+		// inactive and the condition is the paper's verbatim. Outside
+		// it (small ℓ, forced wide bins) the capped condition is the
+		// one the Lemma 3.6 argument actually supports.
+		p := float64(s.palSize(v))
+		slack := bs.palSlack
+		if gap := p / (2 * float64(b) * float64(b-1)); gap < slack {
+			slack = gap
+		}
+		bad = float64(pPrime) < p/float64(b)+slack
+	}
+	if bad {
+		return int32(myBin)<<1 | 1
+	}
+	return int32(myBin) << 1
 }
 
 // newCallAllowEmpty registers a call even with no nodes (used for G0
@@ -334,57 +346,45 @@ func (s *solver) newCallAllowEmpty(role callRole, nodes []int32, ell float64, de
 	return c
 }
 
+// binStamp is the callOf value a color bin's prospective members carry
+// while demoteForRestriction filters them. No call carries it (call ids
+// count up from 0 and colored nodes carry −1), so degreeIn(v, binStamp)
+// is v's degree within the bin.
+const binStamp int32 = -2
+
 // demoteForRestriction filters a prospective color-bin child: any node
 // whose restricted palette would not strictly exceed its degree within the
 // child moves to G0 instead (runtime safety net; ExtraBad in the trace).
-// Iterates to a fixpoint since each removal lowers neighbors' degrees.
-// mask, when non-nil, is the winner's packed color mask for this bin;
-// compact mode passes nil and falls back to per-color h₂ evaluation.
+// One pass decides every node against the whole bin: a removal only lowers
+// the kept nodes' degrees, so no second pass could demote more. mask, when
+// non-nil, is the winner's packed color mask for this bin; compact mode
+// passes nil and falls back to per-color h₂ evaluation. The kept nodes,
+// compacted into nodes, still carry binStamp for the caller to replace.
 func (s *solver) demoteForRestriction(x *call, nodes []int32, h2 hashing.Hash, bin int64, mask graph.PaletteSet) []int32 {
-	if len(nodes) == 0 {
-		return nodes
-	}
-	member := make(map[int32]struct{}, len(nodes))
 	for _, v := range nodes {
-		member[v] = struct{}{}
+		s.callOf[v] = binStamp
 	}
-	pPrime := make(map[int32]int, len(nodes))
+	g0, start := x.g0, len(x.g0.nodes)
 	for _, v := range nodes {
+		var pPrime int
 		if mask != nil {
-			pPrime[v] = s.palCountMask(v, mask)
+			pPrime = s.palCountMask(v, mask)
 		} else {
-			pPrime[v] = s.palCountBin(v, h2, bin)
+			pPrime = s.palCountBin(v, h2, bin)
+		}
+		if pPrime <= int(s.degreeIn(v, binStamp)) {
+			g0.nodes = append(g0.nodes, v)
 		}
 	}
-	for {
-		var demote []int32
-		for _, v := range nodes {
-			if _, in := member[v]; !in {
-				continue
-			}
-			d := 0
-			for _, u := range s.g.Neighbors(v) {
-				if _, in := member[u]; in {
-					d++
-				}
-			}
-			if pPrime[v] <= d {
-				demote = append(demote, v)
-			}
-		}
-		if len(demote) == 0 {
-			break
-		}
-		s.trace.depth(x.depth + 1).ExtraBad += len(demote)
-		for _, v := range demote {
-			delete(member, v)
-			x.g0.nodes = append(x.g0.nodes, v)
-			s.callOf[v] = int32(x.g0.id)
+	if demoted := g0.nodes[start:]; len(demoted) > 0 {
+		s.trace.depth(x.depth + 1).ExtraBad += len(demoted)
+		for _, v := range demoted {
+			s.callOf[v] = int32(g0.id)
 		}
 	}
-	kept := make([]int32, 0, len(member))
+	kept := nodes[:0]
 	for _, v := range nodes {
-		if _, in := member[v]; in {
+		if s.callOf[v] == binStamp {
 			kept = append(kept, v)
 		}
 	}

@@ -62,13 +62,15 @@ type Workspace struct {
 	// Partition scratch: the batch tables the derand Prepare hook fills
 	// (the node-major h₁ seedTable words and the per-candidate color-bin
 	// masks under h₂; the winner reuses them as a one-candidate batch), the
-	// live palette union the mask builder iterates, and the in-call degree
-	// table each scheduled call fills once.
+	// live palette union the mask builder iterates, the in-call degree
+	// table each scheduled call fills once, and the winner's per-node
+	// verdicts.
 	candTab   []uint64
 	candMasks []uint64
 	palUnion  []uint64
 	dx        []int32
-	pool      *fabric.WorkPool // parallel table fills (lazy)
+	verdict   []int32          // node-indexed: bin<<1 | bad
+	pool      *fabric.WorkPool // parallel table fills and classification (lazy)
 
 	sel     derand.Workspace  // partition seed selection
 	agg     fabric.VecScratch // wave-barrier aggregation and collect gather
@@ -327,7 +329,7 @@ func (ws *Workspace) MemoryWords() int64 {
 	words += int64(cap(ws.barrier)) // int64 slab
 	words += int64(cap(ws.gatherWords)) + ws.agg.MemoryWords()
 	// int32 slabs: two entries per word.
-	i32 := cap(ws.callOf) + cap(ws.palWI) + cap(ws.dx) + cap(ws.targetOf) + cap(ws.liveNodes)
+	i32 := cap(ws.callOf) + cap(ws.palWI) + cap(ws.dx) + cap(ws.verdict) + cap(ws.targetOf) + cap(ws.liveNodes)
 	words += int64(i32) / 2
 	return words
 }
@@ -552,43 +554,29 @@ func (s *solver) liveCount(c *call) int {
 
 // demoteUnderpaletted moves nodes whose current palette no longer strictly
 // exceeds their within-call degree into the parent's G0 (runtime safety net
-// for the finite-scale regime; counted as ExtraBad in the trace). Iterates
-// to a fixpoint since each demotion lowers neighbors' degrees.
+// for the finite-scale regime; counted as ExtraBad in the trace). As in
+// demoteForRestriction, one pass suffices: a removal only lowers the kept
+// nodes' degrees. Every partitioned call has its G0 before its bin B.
 func (s *solver) demoteUnderpaletted(c *call, g0 *call) {
-	for {
-		var demote []int32
-		for _, v := range c.nodes {
-			if s.color[v] != graph.NoColor {
-				continue
-			}
-			if s.palSize(v) <= int(s.degreeIn(v, int32(c.id))) {
-				demote = append(demote, v)
-			}
-		}
-		if len(demote) == 0 {
-			return
-		}
-		s.trace.depth(c.depth).ExtraBad += len(demote)
-		set := make(map[int32]struct{}, len(demote))
-		for _, v := range demote {
-			set[v] = struct{}{}
-		}
-		kept := c.nodes[:0]
-		for _, v := range c.nodes {
-			if _, hit := set[v]; !hit {
-				kept = append(kept, v)
-			}
-		}
-		c.nodes = kept
-		if g0 == nil {
-			// Shouldn't happen: every partitioned call has a G0 container.
-			// Color the demoted nodes as a degenerate G0 by appending to the
-			// parent's node list is impossible here; panic loudly in tests.
-			panic("core: demotion with no G0 container")
-		}
-		g0.nodes = append(g0.nodes, demote...)
-		for _, v := range demote {
-			s.callOf[v] = int32(g0.id)
+	start := len(g0.nodes)
+	for _, v := range c.nodes {
+		if s.color[v] == graph.NoColor && s.palSize(v) <= int(s.degreeIn(v, int32(c.id))) {
+			g0.nodes = append(g0.nodes, v)
 		}
 	}
+	demoted := g0.nodes[start:]
+	if len(demoted) == 0 {
+		return
+	}
+	s.trace.depth(c.depth).ExtraBad += len(demoted)
+	for _, v := range demoted {
+		s.callOf[v] = int32(g0.id)
+	}
+	kept := c.nodes[:0]
+	for _, v := range c.nodes {
+		if s.callOf[v] != int32(g0.id) {
+			kept = append(kept, v)
+		}
+	}
+	c.nodes = kept
 }

@@ -37,7 +37,9 @@ func InstanceWordCount(inst *Instance) int64 {
 
 // wordWriter buffers words into fixed-size chunks and hands each full chunk
 // to emit. The chunk slice is reused: emit must fold or copy it before
-// returning. A non-nil error from emit latches and aborts the stream.
+// returning. A non-nil error from emit latches and aborts the stream. A
+// chunk is emitted only once a further word needs its room, or by the
+// final flush.
 type wordWriter struct {
 	buf  []uint64
 	emit func([]uint64) error
@@ -49,6 +51,23 @@ func (w *wordWriter) put(x uint64) {
 		w.flush()
 	}
 	w.buf = append(w.buf, x)
+}
+
+// putRun writes xs as words, converting them straight into the chunk one
+// run of free space at a time rather than one capacity check per word.
+func putRun[T ~int32 | ~int64](w *wordWriter, xs []T) {
+	for len(xs) > 0 {
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
+		}
+		k := min(len(xs), cap(w.buf)-len(w.buf))
+		run := w.buf[len(w.buf) : len(w.buf)+k]
+		for i, x := range xs[:k] {
+			run[i] = uint64(x)
+		}
+		w.buf = w.buf[:len(w.buf)+k]
+		xs = xs[k:]
+	}
 }
 
 func (w *wordWriter) flush() {
@@ -71,12 +90,8 @@ func WriteGraphWords(g *Graph, emit func(chunk []uint64) error) error {
 func writeGraph(w *wordWriter, g *Graph) {
 	w.put(uint64(g.N()))
 	w.put(uint64(g.M()))
-	for _, o := range g.offsets {
-		w.put(uint64(o))
-	}
-	for _, u := range g.adj {
-		w.put(uint64(u))
-	}
+	putRun(w, g.offsets)
+	putRun(w, g.adj)
 }
 
 // WriteInstanceWords streams the canonical encoding of inst — the same
@@ -88,9 +103,7 @@ func WriteInstanceWords(inst *Instance, emit func(chunk []uint64) error) error {
 	writeGraph(w, inst.G)
 	for _, pal := range inst.Palettes {
 		w.put(uint64(len(pal)))
-		for _, c := range pal {
-			w.put(uint64(c))
-		}
+		putRun(w, pal)
 	}
 	w.flush()
 	return w.err

@@ -2,59 +2,64 @@ package graph
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 // TestWriteWordsMatchesAppend pins the streaming encoders to the canonical
 // Append* encoding: the chunked stream, concatenated, must be word-for-word
 // identical, and the O(1) word counts must match the materialized lengths.
+// Every chunk but the last must hold exactly streamChunkWords words, the
+// last at least one; the second instance spans several chunks, with
+// offsets, adjacency and palettes crossing their boundaries.
 func TestWriteWordsMatchesAppend(t *testing.T) {
-	g, err := GNP(97, 0.1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := ListInstance(g, 4*97, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := AppendGraphWords(nil, g)
-	var got []uint64
-	if err := WriteGraphWords(g, func(chunk []uint64) error {
-		got = append(got, chunk...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(want)) != GraphWordCount(g) {
-		t.Fatalf("GraphWordCount = %d, encoding has %d words", GraphWordCount(g), len(want))
-	}
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d words, append produced %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("word %d: streamed %d, append %d", i, got[i], want[i])
+	stream := func(write func(func([]uint64) error) error) []uint64 {
+		t.Helper()
+		var got []uint64
+		var sizes []int
+		if err := write(func(chunk []uint64) error {
+			got = append(got, chunk...)
+			sizes = append(sizes, len(chunk))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
+		for i, k := range sizes {
+			if last := i == len(sizes)-1; (!last && k != streamChunkWords) || (last && (k < 1 || k > streamChunkWords)) {
+				t.Fatalf("chunk %d of %d holds %d words", i, len(sizes), k)
+			}
+		}
+		return got
 	}
-
-	wantI := AppendInstanceWords(nil, inst)
-	got = got[:0]
-	if err := WriteInstanceWords(inst, func(chunk []uint64) error {
-		got = append(got, chunk...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(wantI)) != InstanceWordCount(inst) {
-		t.Fatalf("InstanceWordCount = %d, encoding has %d words", InstanceWordCount(inst), len(wantI))
-	}
-	if len(got) != len(wantI) {
-		t.Fatalf("streamed %d words, append produced %d", len(got), len(wantI))
-	}
-	for i := range wantI {
-		if got[i] != wantI[i] {
-			t.Fatalf("word %d: streamed %d, append %d", i, got[i], wantI[i])
+	for _, c := range []struct {
+		n      int
+		p      float64
+		chunks int // at least, for the instance stream
+	}{{97, 0.1, 1}, {3000, 0.004, 4}} {
+		g, err := GNP(c.n, c.p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := ListInstance(g, 4*int64(c.n), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := AppendGraphWords(nil, g)
+		if int64(len(want)) != GraphWordCount(g) {
+			t.Fatalf("GraphWordCount = %d, encoding has %d words", GraphWordCount(g), len(want))
+		}
+		if got := stream(func(emit func([]uint64) error) error { return WriteGraphWords(g, emit) }); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: streamed %d graph words differ from the %d-word Append encoding", c.n, len(got), len(want))
+		}
+		want = AppendInstanceWords(nil, inst)
+		if int64(len(want)) != InstanceWordCount(inst) {
+			t.Fatalf("InstanceWordCount = %d, encoding has %d words", InstanceWordCount(inst), len(want))
+		}
+		if len(want) <= (c.chunks-1)*streamChunkWords {
+			t.Fatalf("n=%d: %d instance words span fewer than %d chunks", c.n, len(want), c.chunks)
+		}
+		if got := stream(func(emit func([]uint64) error) error { return WriteInstanceWords(inst, emit) }); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: streamed %d instance words differ from the %d-word Append encoding", c.n, len(got), len(want))
 		}
 	}
 }
