@@ -1,162 +1,27 @@
-// This file is the benchmark harness: one testing.B target per
-// reproduction experiment (the expt.Registry entries), each reporting
-// its domain metrics (model rounds, recursion depth, space) alongside
-// wall-clock, plus micro-benchmarks of the hot substrate paths.
+// This file is the solve-path benchmark harness: cold and warm facade
+// solves on every model, the set problems, the large-instance scaling
+// curve, the multicore delivery sweep and traced solves, each reporting its
+// domain metric (model rounds, set size, trace spans) alongside
+// wall-clock and allocations. CI's bench guard gates them against
+// BENCH_solve.json. Run them with:
 //
-// Run everything with:
+//	go test -run '^$' -bench BenchmarkSolve -benchmem .
 //
-//	go test -bench=. -benchmem
-//
+// The reproduction experiments' tables come from
+// go run ./cmd/ccbench -e all.
 // Absolute wall-clock is simulation speed, not the paper's testbed; the
 // claims live in the reported custom metrics.
 package ccolor_test
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"ccolor"
-	"ccolor/internal/baseline"
-	"ccolor/internal/cclique"
-	"ccolor/internal/core"
-	"ccolor/internal/expt"
 	"ccolor/internal/graph"
-	"ccolor/internal/lowspace"
-	"ccolor/internal/mis"
 	"ccolor/internal/scenario"
-	"ccolor/internal/server"
-	"ccolor/internal/verify"
 )
-
-// benchCfg keeps the harness fast enough for -bench=. while exercising
-// every code path; cmd/ccbench runs the full-scale tables.
-var benchCfg = expt.Config{Scale: 0.5, Seed: 2020}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := expt.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		tables, err := e.Run(benchCfg)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if i == 0 {
-			rows := 0
-			for _, t := range tables {
-				rows += len(t.Rows)
-			}
-			b.ReportMetric(float64(rows), "table-rows")
-		}
-	}
-}
-
-func BenchmarkE1RoundsVsN(b *testing.B)      { runExperiment(b, "E1") }
-func BenchmarkE2RecursionDepth(b *testing.B) { runExperiment(b, "E2") }
-func BenchmarkE3BadNodes(b *testing.B)       { runExperiment(b, "E3") }
-func BenchmarkE4Invariant(b *testing.B)      { runExperiment(b, "E4") }
-func BenchmarkE5DecaySeries(b *testing.B)    { runExperiment(b, "E5") }
-func BenchmarkE6MPCSpace(b *testing.B)       { runExperiment(b, "E6") }
-func BenchmarkE7LowSpace(b *testing.B)       { runExperiment(b, "E7") }
-func BenchmarkE8SeedSearch(b *testing.B)     { runExperiment(b, "E8") }
-func BenchmarkE9Bandwidth(b *testing.B)      { runExperiment(b, "E9") }
-func BenchmarkE10Families(b *testing.B)      { runExperiment(b, "E10") }
-
-func BenchmarkA1RandomVsDerand(b *testing.B) { runExperiment(b, "A1") }
-func BenchmarkA2BinExponent(b *testing.B)    { runExperiment(b, "A2") }
-func BenchmarkA3BatchWidth(b *testing.B)     { runExperiment(b, "A3") }
-
-// --- direct solver benchmarks (per-workload, with domain metrics) ---
-
-func benchSolve(b *testing.B, n, d int) {
-	b.Helper()
-	g, err := graph.RandomRegular(n, d, uint64(n+d))
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst := graph.DeltaPlus1Instance(g)
-	var rounds, depth int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw := cclique.New(n)
-		col, tr, err := core.Solve(nw, nw.MsgWords(), inst, core.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			b.Fatal(err)
-		}
-		rounds, depth = nw.Ledger().Rounds(), tr.MaxRecursionDepth()
-	}
-	b.ReportMetric(float64(rounds), "model-rounds")
-	b.ReportMetric(float64(depth), "recursion-depth")
-}
-
-func BenchmarkColorReduceN512D16(b *testing.B)  { benchSolve(b, 512, 16) }
-func BenchmarkColorReduceN1024D16(b *testing.B) { benchSolve(b, 1024, 16) }
-func BenchmarkColorReduceN1024D64(b *testing.B) { benchSolve(b, 1024, 64) }
-
-func BenchmarkRandTrialN1024D16(b *testing.B) {
-	g, err := graph.RandomRegular(1024, 16, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst := graph.DeltaPlus1Instance(g)
-	var rounds int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw := cclique.New(g.N())
-		if _, _, err := baseline.RandTrial(nw, nw.MsgWords(), inst, 7); err != nil {
-			b.Fatal(err)
-		}
-		rounds = nw.Ledger().Rounds()
-	}
-	b.ReportMetric(float64(rounds), "model-rounds")
-}
-
-func BenchmarkSeqGreedyN1024D16(b *testing.B) {
-	g, err := graph.RandomRegular(1024, 16, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst := graph.DeltaPlus1Instance(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := baseline.SeqGreedy(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLowSpaceN512(b *testing.B) {
-	g, err := graph.RandomRegular(512, 22, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := graph.DegPlus1Instance(g, 1<<20, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var crit int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		col, tr, err := lowspace.Solve(inst, lowspace.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			b.Fatal(err)
-		}
-		crit = tr.CriticalRounds
-	}
-	b.ReportMetric(float64(crit), "critical-rounds")
-}
 
 // --- cold-solve path (ccolor.Solve end to end; baseline in BENCH_solve.json) ---
 
@@ -490,93 +355,4 @@ func solveScenarioInstance(name string, n int, seed uint64) func() (*graph.Insta
 		}
 		return spec.Instance(n, seed)
 	}
-}
-
-// --- serving-layer throughput (internal/server; baseline in BENCH_serve.json) ---
-
-// benchServe pushes (Δ+1)-coloring jobs through the full service path —
-// admission, bounded queue, worker pool, content-addressed cache — at the
-// given client concurrency. Warm mode reuses one instance so every job
-// after the first is a cache hit; cold mode disables the cache and cycles
-// through distinct instances (seeded generation) so every job solves from
-// scratch — single-flight coalescing would otherwise collapse concurrent
-// identical jobs even with the cache off.
-func benchServe(b *testing.B, warm bool, clients int) {
-	b.Helper()
-	cacheEntries := 0 // default-on
-	specCount := 1
-	if !warm {
-		cacheEntries = -1
-		specCount = 256
-	}
-	srv := server.New(server.Config{Workers: 4, QueueDepth: 4096, CacheEntries: cacheEntries})
-	defer srv.Drain(context.Background())
-	specs := make([]server.Spec, specCount)
-	for i := range specs {
-		g, err := graph.RandomRegular(256, 16, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		specs[i] = server.Spec{Model: ccolor.ModelCClique, Inst: graph.DeltaPlus1Instance(g)}
-	}
-	if _, err := srv.Do(context.Background(), specs[0]); err != nil {
-		b.Fatal(err)
-	}
-	// A manual pool pins the client count exactly; b.RunParallel with
-	// SetParallelism would multiply by GOMAXPROCS. b.Fatal must not be
-	// called off the benchmark goroutine, hence b.Error + return.
-	var next, iters atomic.Uint64
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := iters.Add(1)
-				if i > uint64(b.N) {
-					return
-				}
-				spec := specs[next.Add(1)%uint64(len(specs))]
-				res, err := srv.Do(context.Background(), spec)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if warm && !res.Cached {
-					b.Error("warm run missed the cache")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	b.StopTimer()
-	snap := srv.Metrics()
-	ms := snap.PerModel[string(ccolor.ModelCClique)]
-	b.ReportMetric(ms.CacheHitRate, "cache-hit-rate")
-	b.ReportMetric(float64(snap.JobsTotal), "jobs")
-}
-
-func BenchmarkServeColorDeltaPlus1(b *testing.B) {
-	b.Run("warm", func(b *testing.B) { benchServe(b, true, 16) })
-	b.Run("cold", func(b *testing.B) { benchServe(b, false, 16) })
-}
-
-func BenchmarkMISDetN400(b *testing.B) {
-	g, err := graph.GNP(400, 0.03, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var phases int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw := cclique.New(g.N())
-		_, st, err := mis.SolveDet(nw, nw.MsgWords(), g, mis.DefaultParams())
-		if err != nil {
-			b.Fatal(err)
-		}
-		phases = st.Phases
-	}
-	b.ReportMetric(float64(phases), "mis-phases")
 }

@@ -27,11 +27,7 @@ import (
 	"strings"
 
 	"ccolor"
-	"ccolor/internal/cclique"
-	"ccolor/internal/core"
 	"ccolor/internal/graph"
-	"ccolor/internal/lowspace"
-	"ccolor/internal/mpc"
 	"ccolor/internal/scenario"
 	"ccolor/internal/verify"
 )
@@ -52,12 +48,12 @@ func run() error {
 		p        = flag.Float64("p", 0.02, "edge probability (gnp)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		list     = flag.Bool("list", false, "use random (Δ+1)-list palettes instead of {1..Δ+1}")
-		model    = flag.String("model", "clique", "execution model: clique|mpc|lowspace|all (all prints the cross-model agreement report)")
+		model    = flag.String("model", "clique", "execution model: clique|mpc|lowspace|all (all runs every backend into one agreement report)")
 		probName = flag.String("problem", "", "registry problem: coloring|mis|rulingset (default coloring)")
 		beta     = flag.Int("beta", 0, "ruling-set domination radius (0 = registry default 2; rulingset only)")
 		file     = flag.String("file", "", "read the graph from an edge-list file instead of generating (format: first line n, then 'u v' lines)")
 		dotOut   = flag.String("dot", "", "write the colored graph in Graphviz DOT format to this file")
-		verbose  = flag.Bool("v", false, "print the per-depth recursion trace")
+		verbose  = flag.Bool("v", false, "print each coloring solve's trace (per-depth recursion, or low-space rounds)")
 	)
 	flag.Parse()
 
@@ -71,123 +67,63 @@ func run() error {
 	if *beta != 0 && prob != ccolor.ProblemRulingSet {
 		return fmt.Errorf("-beta applies only to -problem rulingset")
 	}
-	if *scenName != "" || *model == "all" || prob != ccolor.ProblemColoring {
-		// Registry/differential path. With no -scenario the instance comes
-		// from the legacy flags (-file or -family, -list), same as below.
-		var inst *graph.Instance
-		label := *family
-		if *scenName == "" {
-			g, err := legacyGraph(*file, *family, *n, *d, *p, *seed)
-			if err != nil {
-				return err
-			}
-			if *file != "" {
-				label = *file
-			}
-			if *list {
-				inst, err = graph.ListInstance(g, int64(g.N())*int64(g.N()), *seed)
-				if err != nil {
-					return err
-				}
-			} else {
-				inst = graph.DeltaPlus1Instance(g)
-			}
-		}
-		return runRegistry(*scenName, label, inst, *n, *seed, *model, prob, *beta, *dotOut, *verbose)
-	}
-
-	g, err := legacyGraph(*file, *family, *n, *d, *p, *seed)
-	if err != nil {
-		return err
-	}
-	if *file != "" {
-		*family = *file
-	}
-	fmt.Printf("graph: %s n=%d m=%d Δ=%d\n", *family, g.N(), g.M(), g.MaxDegree())
-
-	if *model == "lowspace" {
-		inst, err := graph.DegPlus1Instance(g, int64(g.N())*int64(g.N()), *seed)
-		if err != nil {
-			return err
-		}
-		col, tr, err := lowspace.Solve(inst, lowspace.DefaultParams())
-		if err != nil {
-			return err
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			return err
-		}
-		fmt.Printf("low-space MPC: machines=%d 𝔰=%d τ=%d levels=%d\n",
-			tr.Machines, tr.SpaceWords, tr.Tau, tr.Levels)
-		fmt.Printf("rounds: partition=%d MIS=%d (phases=%d) critical=%d\n",
-			tr.PartitionRounds, tr.MISRounds, tr.MISPhases, tr.CriticalRounds)
-		fmt.Printf("peak machine words=%d (budget %d); pool=%d bad=%d\n",
-			tr.PeakMachineWords, tr.SpaceWords, tr.PoolNodes, tr.BadNodes)
-		fmt.Printf("colors used: %d — verified (deg+1)-list coloring ✓\n", verify.ColorCount(col))
-		return maybeDOT(*dotOut, g, col)
-	}
-
-	var inst *graph.Instance
-	if *list {
-		inst, err = graph.ListInstance(g, int64(g.N())*int64(g.N()), *seed)
-		if err != nil {
-			return err
-		}
-	} else {
-		inst = graph.DeltaPlus1Instance(g)
-	}
-
-	params := core.DefaultParams()
+	var models []ccolor.Model
 	switch *model {
-	case "clique":
-		nw := cclique.New(g.N())
-		col, tr, err := core.Solve(nw, nw.MsgWords(), inst, params)
-		if err != nil {
-			return err
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			return err
-		}
-		l := nw.Ledger()
-		fmt.Printf("CONGESTED CLIQUE: rounds=%d waves=%d depth=%d\n",
-			l.Rounds(), tr.Waves, tr.MaxRecursionDepth())
-		fmt.Printf("bandwidth: max send/node/round=%d max recv=%d (budget %d)\n",
-			l.MaxSendLoad(), l.MaxRecvLoad(), g.N()*nw.MsgWords())
-		fmt.Printf("colors used: %d — verified %s ✓\n", verify.ColorCount(col), kind(*list))
-		if *verbose {
-			fmt.Println(tr)
-			fmt.Println(l)
-		}
-		if err := maybeDOT(*dotOut, g, col); err != nil {
-			return err
-		}
-	case "mpc":
-		cl, err := mpc.NewLinear(g.N(), func(v int) int64 {
-			return int64(g.Degree(int32(v)) + len(inst.Palettes[v]) + 2)
-		}, 64)
-		if err != nil {
-			return err
-		}
-		col, tr, err := core.Solve(cl, 8, inst, params)
-		if err != nil {
-			return err
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			return err
-		}
-		fmt.Printf("linear-space MPC: machines=%d 𝔰=%d peak=%d rounds=%d depth=%d\n",
-			cl.Machines(), cl.Space(), cl.PeakMachineSpace(), cl.Ledger().Rounds(), tr.MaxRecursionDepth())
-		fmt.Printf("colors used: %d — verified %s ✓\n", verify.ColorCount(col), kind(*list))
-		if *verbose {
-			fmt.Println(tr)
-		}
-		if err := maybeDOT(*dotOut, g, col); err != nil {
-			return err
-		}
+	case "all":
+		models = []ccolor.Model{ccolor.ModelCClique, ccolor.ModelMPC, ccolor.ModelLowSpace}
+	case "clique", string(ccolor.ModelCClique):
+		models = []ccolor.Model{ccolor.ModelCClique}
+	case string(ccolor.ModelMPC):
+		models = []ccolor.Model{ccolor.ModelMPC}
+	case string(ccolor.ModelLowSpace):
+		models = []ccolor.Model{ccolor.ModelLowSpace}
 	default:
-		return fmt.Errorf("unknown model %q", *model)
+		return fmt.Errorf("unknown model %q (want clique, mpc, lowspace, or all)", *model)
 	}
-	return nil
+
+	// The instance comes from the registry with -scenario, and from -file
+	// or -family otherwise: -model lowspace colors a (deg+1)-list instance,
+	// -list draws (Δ+1)-list palettes, and the default is {1..Δ+1}.
+	var inst *graph.Instance
+	label := *family
+	if *scenName != "" {
+		spec, err := scenario.Lookup(*scenName)
+		if err != nil {
+			return err
+		}
+		if inst, err = spec.Instance(*n, *seed); err != nil {
+			return err
+		}
+		label = spec.Name
+		fmt.Printf("scenario: %s (%s; %s)\n", spec.Name, spec.Family, spec.Params)
+		fmt.Printf("stress: %s\n", spec.Stress)
+	} else {
+		g, err := legacyGraph(*file, *family, *n, *d, *p, *seed)
+		if err != nil {
+			return err
+		}
+		if *file != "" {
+			label = *file
+		}
+		universe := int64(g.N()) * int64(g.N())
+		switch {
+		case *model == string(ccolor.ModelLowSpace) && prob == ccolor.ProblemColoring:
+			inst, err = graph.DegPlus1Instance(g, universe, *seed)
+		case *list:
+			inst, err = graph.ListInstance(g, universe, *seed)
+		default:
+			inst = graph.DeltaPlus1Instance(g)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	fmt.Printf("graph: %s n=%d m=%d Δ=%d\n", label, inst.G.N(), inst.G.M(), inst.G.MaxDegree())
+
+	if ccolor.ProblemNeedsSet(prob) {
+		return runSetProblem(inst, models, prob, *beta, *dotOut)
+	}
+	return runColoring(inst, models, *dotOut, *verbose)
 }
 
 // legacyGraph builds the input graph from the pre-registry flags: an
@@ -204,45 +140,10 @@ func legacyGraph(path, family string, n, d int, p float64, seed uint64) (*graph.
 	return graph.ReadEdgeList(f)
 }
 
-// runRegistry is the scenario/differential/problem path: build one
-// canonical instance (from the registry when scenName is set; the caller
-// supplies it from the legacy flags otherwise) and solve the selected
-// registry problem on the selected backend(s) through the unified Solve
-// facade, finishing with the verifier's cross-model agreement report.
-func runRegistry(scenName, label string, inst *graph.Instance, n int, seed uint64, model string, prob ccolor.Problem, beta int, dotOut string, verbose bool) error {
-	if scenName != "" {
-		spec, err := scenario.Lookup(scenName)
-		if err != nil {
-			return err
-		}
-		inst, err = spec.Instance(n, seed)
-		if err != nil {
-			return err
-		}
-		label = spec.Name
-		fmt.Printf("scenario: %s (%s; %s)\n", spec.Name, spec.Family, spec.Params)
-		fmt.Printf("stress: %s\n", spec.Stress)
-	}
-	fmt.Printf("graph: %s n=%d m=%d Δ=%d\n", label, inst.G.N(), inst.G.M(), inst.G.MaxDegree())
-
-	var models []ccolor.Model
-	switch model {
-	case "all":
-		models = []ccolor.Model{ccolor.ModelCClique, ccolor.ModelMPC, ccolor.ModelLowSpace}
-	case "clique", string(ccolor.ModelCClique):
-		models = []ccolor.Model{ccolor.ModelCClique}
-	case string(ccolor.ModelMPC):
-		models = []ccolor.Model{ccolor.ModelMPC}
-	case string(ccolor.ModelLowSpace):
-		models = []ccolor.Model{ccolor.ModelLowSpace}
-	default:
-		return fmt.Errorf("unknown model %q (want clique, mpc, lowspace, or all)", model)
-	}
-
-	if ccolor.ProblemNeedsSet(prob) {
-		return runSetProblem(inst, models, prob, beta, dotOut, verbose)
-	}
-
+// runColoring solves the coloring instance on each selected model through
+// the Solve facade, which verifies every result, and prints the verifier's
+// cross-model agreement report.
+func runColoring(inst *graph.Instance, models []ccolor.Model, dotOut string, verbose bool) error {
 	runs := make([]verify.ModelColoring, 0, len(models))
 	var firstColoring graph.Coloring
 	for _, m := range models {
@@ -265,6 +166,11 @@ func runRegistry(scenName, label string, inst *graph.Instance, n int, seed uint6
 		if verbose && rep.Trace != nil {
 			fmt.Println(rep.Trace)
 		}
+		if verbose && rep.LowTrace != nil {
+			tr := rep.LowTrace
+			fmt.Printf("𝔰=%d τ=%d levels=%d rounds: partition=%d MIS=%d (phases=%d); pool=%d bad=%d\n",
+				tr.SpaceWords, tr.Tau, tr.Levels, tr.PartitionRounds, tr.MISRounds, tr.MISPhases, tr.PoolNodes, tr.BadNodes)
+		}
 		runs = append(runs, verify.ModelColoring{Model: string(m), Coloring: rep.Coloring})
 		if firstColoring == nil {
 			firstColoring = rep.Coloring
@@ -281,7 +187,7 @@ func runRegistry(scenName, label string, inst *graph.Instance, n int, seed uint6
 // runSetProblem solves a set-shaped registry problem (mis, rulingset) on
 // each selected model and prints the cross-model set-agreement report. With
 // -dot, set membership is rendered as a two-color DOT graph.
-func runSetProblem(inst *graph.Instance, models []ccolor.Model, prob ccolor.Problem, beta int, dotOut string, verbose bool) error {
+func runSetProblem(inst *graph.Instance, models []ccolor.Model, prob ccolor.Problem, beta int, dotOut string) error {
 	runs := make([]verify.ModelSet, 0, len(models))
 	var firstSet []bool
 	effBeta := 0
@@ -299,7 +205,6 @@ func runSetProblem(inst *graph.Instance, models []ccolor.Model, prob ccolor.Prob
 			fmt.Printf(" machines=%d peak-space=%d", rep.Machines, rep.PeakSpace)
 		}
 		fmt.Println()
-		_ = verbose
 		runs = append(runs, verify.ModelSet{Model: string(m), Set: rep.Set})
 		if firstSet == nil {
 			firstSet = rep.Set
@@ -345,13 +250,6 @@ func maybeDOT(path string, g *graph.Graph, col graph.Coloring) error {
 	}
 	fmt.Printf("wrote DOT to %s\n", path)
 	return nil
-}
-
-func kind(list bool) string {
-	if list {
-		return "(Δ+1)-list coloring"
-	}
-	return "(Δ+1)-coloring"
 }
 
 func makeGraph(family string, n, d int, p float64, seed uint64) (*graph.Graph, error) {

@@ -348,10 +348,13 @@ func buildColorResponse(res *server.Result, omitColoring bool) *ColorResponse {
 		Rounds:        rep.Rounds,
 		WordsMoved:    rep.WordsMoved,
 		MaxNodeLoad:   rep.MaxNodeLoad,
-		RoundsByPhase: rep.RoundsByPhase,
+		RoundsByPhase: make(map[string]int, len(rep.PhaseProfile)),
 		Machines:      rep.Machines,
 		Space:         rep.Space,
 		PeakSpace:     rep.PeakSpace,
+	}
+	for phase, ps := range rep.PhaseProfile {
+		out.RoundsByPhase[phase] = ps.Rounds
 	}
 	if !omitColoring {
 		out.Coloring = rep.Coloring

@@ -96,6 +96,19 @@ func TestColorEndpointAllModels(t *testing.T) {
 		if resp.Rounds <= 0 {
 			t.Fatalf("%s: no round telemetry: %+v", body, resp)
 		}
+		// On the clique and linear-space MPC every executed round belongs
+		// to a phase, so rounds_by_phase partitions rounds. (The low-space
+		// rounds figure is a critical path, not a sum of executed rounds.)
+		if resp.Model == "lowspace" {
+			continue
+		}
+		sum := 0
+		for _, r := range resp.RoundsByPhase {
+			sum += r
+		}
+		if len(resp.RoundsByPhase) == 0 || sum != resp.Rounds {
+			t.Fatalf("%s: rounds_by_phase %v sums to %d, want rounds %d", body, resp.RoundsByPhase, sum, resp.Rounds)
+		}
 	}
 }
 

@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"ccolor/internal/cclique"
-	"ccolor/internal/core"
+	"ccolor"
 	"ccolor/internal/graph"
-	"ccolor/internal/verify"
 )
 
 func main() {
@@ -22,52 +20,52 @@ func main() {
 	// Interference graph: stations interfere with geometric-ish neighbors;
 	// a preferential-attachment graph gives the skewed degrees of real
 	// deployments (dense urban hubs, sparse rural edges).
-	g, err := graph.PowerLaw(stations, 5, 7)
+	g, err := ccolor.PowerLaw(stations, 5, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
 	delta := g.MaxDegree()
 
 	// Each operator owns a different slice of spectrum: station v's palette
-	// is Δ+1 channels drawn from its operator's band.
+	// is Δ+1 channels drawn from its operator's band (with the library's
+	// seeded generator; ccolor itself exports none).
 	const bandWidth = 3000 // channels per operator band
 	rng := graph.NewRand(99)
-	palettes := make([]graph.Palette, stations)
+	palettes := make([]ccolor.Palette, stations)
 	for v := 0; v < stations; v++ {
-		operator := graph.Color(v % 4)
+		operator := ccolor.Color(v % 4)
 		base := operator * bandWidth
-		seen := make(map[graph.Color]struct{}, delta+1)
-		channels := make([]graph.Color, 0, delta+1)
+		seen := make(map[ccolor.Color]struct{}, delta+1)
+		channels := make([]ccolor.Color, 0, delta+1)
 		for len(channels) < delta+1 {
-			ch := base + graph.Color(rng.Intn(bandWidth))
+			ch := base + ccolor.Color(rng.Intn(bandWidth))
 			if _, dup := seen[ch]; dup {
 				continue
 			}
 			seen[ch] = struct{}{}
 			channels = append(channels, ch)
 		}
-		p, err := graph.NewPalette(channels)
+		p, err := ccolor.NewPalette(channels)
 		if err != nil {
 			log.Fatal(err)
 		}
 		palettes[v] = p
 	}
-	inst, err := graph.NewInstance(g, palettes)
+	inst, err := ccolor.NewInstance(g, palettes)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	nw := cclique.New(stations)
-	assignment, _, err := core.Solve(nw, nw.MsgWords(), inst, core.DefaultParams())
+	// Solve colors on the congested clique and verifies the assignment
+	// against every station's palette before it returns.
+	rep, err := ccolor.Solve(inst, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := verify.ListColoring(inst, assignment); err != nil {
-		log.Fatal(err)
-	}
+	assignment := rep.Coloring
 
 	fmt.Printf("%d stations, %d interference pairs, max interferers %d\n", stations, g.M(), delta)
-	fmt.Printf("assigned channels from per-operator palettes in %d model rounds\n", nw.Ledger().Rounds())
+	fmt.Printf("assigned channels from per-operator palettes in %d model rounds\n", rep.Rounds)
 	for v := 0; v < 5; v++ {
 		fmt.Printf("  station %d (operator %d): channel %d\n", v, v%4, assignment[v])
 	}

@@ -8,74 +8,48 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
-	"ccolor/internal/cclique"
-	"ccolor/internal/core"
-	"ccolor/internal/graph"
-	"ccolor/internal/mpc"
-	"ccolor/internal/verify"
+	"ccolor"
 )
 
 func main() {
-	g, err := graph.RandomRegular(800, 48, 5)
+	g, err := ccolor.RandomRegular(800, 48, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
-	inst := graph.DeltaPlus1Instance(g)
+	inst := ccolor.DeltaPlus1Instance(g)
 	fmt.Printf("workload: %d-regular, n=%d, palette storage if materialized: %d words\n\n",
 		g.MaxDegree(), g.N(), inst.PaletteMass())
 
-	// Deployment 1: CONGESTED CLIQUE (Theorem 1.1).
-	nw := cclique.New(g.N())
-	colClique, _, err := core.Solve(nw, nw.MsgWords(), inst, core.DefaultParams())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("congested clique:  rounds=%-4d maxLoad=%d words/node/round\n",
-		nw.Ledger().Rounds(), nw.Ledger().MaxRecvLoad())
-
-	// Deployment 2: linear-space MPC (Theorem 1.2) — same algorithm, space
-	// enforced per machine.
-	newCluster := func() *mpc.Cluster {
-		cl, err := mpc.NewLinear(g.N(), func(v int) int64 {
-			return int64(g.Degree(int32(v)) + len(inst.Palettes[v]) + 2)
-		}, 64)
+	// Every deployment's coloring is verified by Solve before it returns.
+	solve := func(opts *ccolor.Options) *ccolor.Report {
+		rep, err := ccolor.Solve(inst, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return cl
+		return rep
 	}
-	cl := newCluster()
-	colMPC, trMat, err := core.Solve(cl, 8, inst, core.DefaultParams())
-	if err != nil {
-		log.Fatal(err)
-	}
+
+	// Deployment 1: CONGESTED CLIQUE (Theorem 1.1).
+	clique := solve(&ccolor.Options{Model: ccolor.ModelCClique})
+	fmt.Printf("congested clique:  rounds=%-4d maxLoad=%d words/node/round\n",
+		clique.Rounds, clique.MaxNodeLoad)
+
+	// Deployment 2: linear-space MPC (Theorem 1.2) — same algorithm, space
+	// enforced per machine.
+	mat := solve(&ccolor.Options{Model: ccolor.ModelMPC})
 	fmt.Printf("linear-space MPC:  rounds=%-4d machines=%d 𝔰=%d peak=%d\n",
-		cl.Ledger().Rounds(), cl.Machines(), cl.Space(), cl.PeakMachineSpace())
+		mat.Rounds, mat.Machines, mat.Space, mat.PeakSpace)
 
 	// Deployment 3: compact palettes (Theorem 1.3) — identical run, O(𝔪+𝔫)
 	// palette storage.
-	p := core.DefaultParams()
+	p := ccolor.DefaultParams()
 	p.CompactPalettes = true
-	cl2 := newCluster()
-	colCompact, trCmp, err := core.Solve(cl2, 8, inst, p)
-	if err != nil {
-		log.Fatal(err)
-	}
+	compact := solve(&ccolor.Options{Model: ccolor.ModelMPC, Params: &p})
 	fmt.Printf("compact palettes:  palette words %d → %d (𝔪+𝔫 = %d)\n\n",
-		trMat.PeakPaletteWords, trCmp.PeakPaletteWords, g.M()+g.N())
+		mat.Trace.PeakPaletteWords, compact.Trace.PeakPaletteWords, g.M()+g.N())
 
-	for _, c := range []graph.Coloring{colClique, colMPC, colCompact} {
-		if err := verify.ListColoring(inst, c); err != nil {
-			log.Fatal(err)
-		}
-	}
-	same := true
-	for v := range colMPC {
-		if colMPC[v] != colCompact[v] {
-			same = false
-			break
-		}
-	}
-	fmt.Printf("all three deployments verified ✓ (compact ≡ materialized coloring: %v)\n", same)
+	fmt.Printf("all three deployments verified ✓ (compact ≡ materialized coloring: %v)\n",
+		slices.Equal(mat.Coloring, compact.Coloring))
 }

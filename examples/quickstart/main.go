@@ -7,37 +7,31 @@ import (
 	"fmt"
 	"log"
 
-	"ccolor/internal/cclique"
-	"ccolor/internal/core"
-	"ccolor/internal/graph"
-	"ccolor/internal/verify"
+	"ccolor"
 )
 
 func main() {
 	// 1. A workload: G(n, p) with n = 500 nodes.
-	g, err := graph.GNP(500, 0.04, 42)
+	g, err := ccolor.GNP(500, 0.04, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. The (Δ+1)-coloring instance: every node gets palette {1..Δ+1}.
-	inst := graph.DeltaPlus1Instance(g)
+	inst := ccolor.DeltaPlus1Instance(g)
 
-	// 3. A congested clique with one node-goroutine per graph node, and the
-	//    paper-faithful parameters.
-	nw := cclique.New(g.N())
-	coloring, trace, err := core.Solve(nw, nw.MsgWords(), inst, core.DefaultParams())
+	// 3. Solve on the default model, a congested clique with one worker per
+	//    graph node, with the paper-faithful parameters. Solve verifies the
+	//    coloring before it returns.
+	rep, err := ccolor.Solve(inst, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// 4. Verify and report.
-	if err := verify.ListColoring(inst, coloring); err != nil {
-		log.Fatal(err)
-	}
+	// 4. Report.
 	fmt.Printf("colored n=%d m=%d Δ=%d with %d colors\n",
-		g.N(), g.M(), g.MaxDegree(), verify.ColorCount(coloring))
+		g.N(), g.M(), g.MaxDegree(), rep.ColorsUsed)
 	fmt.Printf("model rounds: %d (recursion depth %d — Lemma 3.14 bounds it by 9)\n",
-		nw.Ledger().Rounds(), trace.MaxRecursionDepth())
-	fmt.Printf("node 0 → color %d, node 1 → color %d, …\n", coloring[0], coloring[1])
+		rep.Rounds, rep.Trace.MaxRecursionDepth())
+	fmt.Printf("node 0 → color %d, node 1 → color %d, …\n", rep.Coloring[0], rep.Coloring[1])
 }

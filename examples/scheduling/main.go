@@ -11,9 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"ccolor/internal/graph"
-	"ccolor/internal/lowspace"
-	"ccolor/internal/verify"
+	"ccolor"
 )
 
 func main() {
@@ -21,25 +19,24 @@ func main() {
 
 	// Conflict graph: a power-law-ish enrollment pattern (large intro
 	// courses conflict with many; seminars with few).
-	g, err := graph.PowerLaw(courses, 6, 11)
+	g, err := ccolor.PowerLaw(courses, 6, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Timeslot lists: course v may use deg(v)+1 slots out of the term's
 	// slot universe — the minimum that guarantees a feasible schedule.
-	inst, err := graph.DegPlus1Instance(g, 4096, 3)
+	inst, err := ccolor.DegPlus1Instance(g, 4096, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	schedule, tr, err := lowspace.Solve(inst, lowspace.DefaultParams())
+	// Solve verifies the schedule against every course's slot list.
+	rep, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelLowSpace})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := verify.ListColoring(inst, schedule); err != nil {
-		log.Fatal(err)
-	}
+	tr, schedule := rep.LowTrace, rep.Coloring
 
 	fmt.Printf("%d courses, %d conflict pairs, max conflicts %d\n", courses, g.M(), g.MaxDegree())
 	fmt.Printf("cluster: %d machines × %d words (𝔰 = 𝔫^ε); low-degree threshold τ=%d\n",

@@ -81,45 +81,3 @@ func TestDemotionNetPinned(t *testing.T) {
 		}
 	}
 }
-
-// TestDemoteUnderpaletted checks the bin-B safety net directly, since none
-// of the pinned solves above reaches it. Every fifth node of a call has
-// its palette cut to its in-call degree, so exactly those nodes must move
-// to G0, in node order, restamped, and counted as ExtraBad at the call's
-// depth.
-func TestDemoteUnderpaletted(t *testing.T) {
-	g, err := graph.GNP(64, 0.3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw := cclique.New(g.N())
-	s, err := newSolver(nw, nw.MsgWords(), graph.DeltaPlus1Instance(g), DefaultParams(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := s.runnable[0]
-	g0 := s.newCallAllowEmpty(roleG0, nil, c.ell, c.depth, c)
-	var want, keep []int32
-	for _, v := range c.nodes {
-		if v%5 != 0 {
-			keep = append(keep, v)
-			continue
-		}
-		for d := int(s.degreeIn(v, int32(c.id))); s.palSize(v) > d; {
-			s.palRemove(v, s.palFirstKInto(v, 1)[0])
-		}
-		want = append(want, v)
-	}
-	s.demoteUnderpaletted(c, g0)
-	if !slices.Equal(g0.nodes, want) || !slices.Equal(c.nodes, keep) {
-		t.Fatalf("G0 %v, call %v; want G0 %v", g0.nodes, c.nodes, want)
-	}
-	for _, v := range want {
-		if s.callOf[v] != int32(g0.id) {
-			t.Fatalf("demoted node %d carries stamp %d, want G0's %d", v, s.callOf[v], g0.id)
-		}
-	}
-	if got := s.trace.depth(c.depth).ExtraBad; got != len(want) {
-		t.Fatalf("ExtraBad %d, want %d", got, len(want))
-	}
-}

@@ -513,13 +513,28 @@ func (s *solver) onComplete(c *call) {
 // launchBinB opens the gate for the parent's bin-B child: its palettes have
 // been updated continuously as neighbors announced colors, so it is ready
 // to recurse (Algorithm 1's "Update color palettes of G_{ℓ^0.1}").
+//
+// Every live node v of bin B still has more colors than bin-B neighbors,
+// so bin B needs no demotion net. Write P for the partitioned call p, and
+// p(v), d_P(v) and d_B(v) for v's palette size at P's Partition and its
+// degrees within P and within bin B:
+//   - At P's Partition, auditCall failed the solve unless d_P(v) < p(v).
+//   - Until this launch, the only other calls that ran are P's phase-1
+//     subtrees and calls in other phase-1 color bins of a common ancestor.
+//     The latter color from bins disjoint from v's palette, and every
+//     ancestor's bin B and G0 wait.
+//   - Each P-neighbor colored in that time removes at most one color from
+//     v's palette and is not in bin B. With c(v) such neighbors, v keeps at
+//     least p(v) − c(v) colors, more than d_P(v) − c(v) ≥ d_B(v).
+//
+// Were this ever to fail, bin B's own auditCall or collect's
+// greedyListColor would return an error, so no wrong coloring can result.
 func (s *solver) launchBinB(p *call) {
 	b := p.binB
 	if b == nil {
 		s.launchG0(p)
 		return
 	}
-	s.demoteUnderpaletted(b, p.g0)
 	if len(b.nodes) == 0 || s.liveCount(b) == 0 {
 		s.onComplete(b)
 		return
@@ -550,33 +565,4 @@ func (s *solver) liveCount(c *call) int {
 		}
 	}
 	return n
-}
-
-// demoteUnderpaletted moves nodes whose current palette no longer strictly
-// exceeds their within-call degree into the parent's G0 (runtime safety net
-// for the finite-scale regime; counted as ExtraBad in the trace). As in
-// demoteForRestriction, one pass suffices: a removal only lowers the kept
-// nodes' degrees. Every partitioned call has its G0 before its bin B.
-func (s *solver) demoteUnderpaletted(c *call, g0 *call) {
-	start := len(g0.nodes)
-	for _, v := range c.nodes {
-		if s.color[v] == graph.NoColor && s.palSize(v) <= int(s.degreeIn(v, int32(c.id))) {
-			g0.nodes = append(g0.nodes, v)
-		}
-	}
-	demoted := g0.nodes[start:]
-	if len(demoted) == 0 {
-		return
-	}
-	s.trace.depth(c.depth).ExtraBad += len(demoted)
-	for _, v := range demoted {
-		s.callOf[v] = int32(g0.id)
-	}
-	kept := c.nodes[:0]
-	for _, v := range c.nodes {
-		if s.callOf[v] != int32(g0.id) {
-			kept = append(kept, v)
-		}
-	}
-	c.nodes = kept
 }

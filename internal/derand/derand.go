@@ -7,11 +7,12 @@
 // to dominate E[𝔮] (paper Lemma 3.8 / Lemma 4.4). Candidates are drawn in a
 // fixed order from the families and evaluated in batches of width 𝔫^δ: per
 // batch, every worker computes its exact local contribution for every
-// candidate and one O(1)-round vector aggregation (fabric.AggregateVec)
-// sums them; the first candidate at or below target is fixed and
-// broadcast. Where the cost has no a-priori target (Definition 4.1 chunk
-// badness at finite scale, the MIS phase potential), the same batches run
-// over a fixed budget and the argmin is fixed instead.
+// candidate and one O(1)-round vector aggregation
+// (fabric.VecScratch.AggregateVec) sums them; the first candidate at or
+// below target is fixed and broadcast. Where the cost has no a-priori
+// target (Definition 4.1 chunk badness at finite scale, the MIS phase
+// potential), the same batches run over a fixed budget and the argmin is
+// fixed instead.
 //
 // There is one selector, VecSelector, and one batch shape: a Prepare hook
 // tabulates the batch's hash values once, and one local callback per

@@ -119,12 +119,9 @@ type Report struct {
 	// MaxNodeLoad is the maximum words any worker sent or received in one
 	// round.
 	MaxNodeLoad int64
-	// RoundsByPhase attributes executed rounds to algorithm phases. For
-	// ModelLowSpace it merges the main cluster with every MIS pool cluster
-	// incarnation.
-	RoundsByPhase map[string]int
-	// PhaseProfile extends RoundsByPhase with per-phase words moved and
-	// peak per-round loads.
+	// PhaseProfile attributes executed rounds, words moved and peak
+	// per-round loads to algorithm phases. For ModelLowSpace it merges the
+	// main cluster with every MIS pool cluster incarnation.
 	PhaseProfile map[string]fabric.PhaseStats
 
 	// Machines / Space / PeakSpace are MPC-family telemetry (zero for
@@ -206,17 +203,15 @@ type Session struct {
 	cw core.Workspace
 
 	// lowspace keeps its own session (solver-persistent slabs, pool
-	// workspace, recycled clusters).
+	// workspace, recycled clusters, and the chunk placement the
+	// sublinear-space set problems pack node data with).
 	ls *lowspace.Session
 
-	// Set-problem state: the derandomized-MIS and ruling-set workspaces
-	// plus the chunk-placement scratch the sublinear-space backend packs
-	// node data with. Retained like the coloring workspaces so warm
-	// set-problem solves allocate nothing on the solver path.
-	misWS      mis.Workspace
-	rsWS       mis.RulingWorkspace
-	setAssign  []int
-	setMachine []int64
+	// Set-problem state: the derandomized-MIS and ruling-set workspaces,
+	// retained like the coloring workspaces so warm set-problem solves
+	// allocate nothing on the solver path.
+	misWS mis.Workspace
+	rsWS  mis.RulingWorkspace
 
 	colorScratch []graph.Color // countColors sort buffer
 
@@ -357,13 +352,12 @@ func traceLedger(led *fabric.Ledger, o *Options) *telemetry.Recorder {
 func (s *Session) fabricReport(kind problem.Kind, f fabric.Fabric, rec *telemetry.Recorder) *Report {
 	led := f.Ledger()
 	rep := &Report{
-		Model:         s.model,
-		Problem:       kind,
-		Rounds:        led.Rounds(),
-		WordsMoved:    led.WordsMoved(),
-		MaxNodeLoad:   max(led.MaxSendLoad(), led.MaxRecvLoad()),
-		RoundsByPhase: led.ByPhase(),
-		PhaseProfile:  led.PhaseProfile(),
+		Model:        s.model,
+		Problem:      kind,
+		Rounds:       led.Rounds(),
+		WordsMoved:   led.WordsMoved(),
+		MaxNodeLoad:  max(led.MaxSendLoad(), led.MaxRecvLoad()),
+		PhaseProfile: led.PhaseProfile(),
 		Memory: MemoryBudget{
 			PeakRoundWords:       led.PeakRoundWords(),
 			DeliveryScratchWords: led.PeakScratchWords(),
@@ -432,18 +426,17 @@ func (s *Session) solveLowSpace(inst *graph.Instance, o *Options) (*Report, erro
 		return nil, fmt.Errorf("ccolor: internal verification failed: %w", err)
 	}
 	return &Report{
-		Model:         ModelLowSpace,
-		Problem:       problem.Coloring,
-		Coloring:      col,
-		ColorsUsed:    s.countColors(col),
-		Rounds:        tr.CriticalRounds,
-		WordsMoved:    tr.WordsMoved,
-		MaxNodeLoad:   tr.PeakMachineWords,
-		RoundsByPhase: phaseRounds(tr.Phases),
-		PhaseProfile:  tr.Phases,
-		Machines:      tr.Machines,
-		Space:         tr.SpaceWords,
-		PeakSpace:     tr.PeakMachineWords,
+		Model:        ModelLowSpace,
+		Problem:      problem.Coloring,
+		Coloring:     col,
+		ColorsUsed:   s.countColors(col),
+		Rounds:       tr.CriticalRounds,
+		WordsMoved:   tr.WordsMoved,
+		MaxNodeLoad:  tr.PeakMachineWords,
+		PhaseProfile: tr.Phases,
+		Machines:     tr.Machines,
+		Space:        tr.SpaceWords,
+		PeakSpace:    tr.PeakMachineWords,
 		Memory: MemoryBudget{
 			InstanceWords:    graph.InstanceWordCount(inst),
 			WorkspaceWords:   s.ls.MemoryWords(),
@@ -455,18 +448,6 @@ func (s *Session) solveLowSpace(inst *graph.Instance, o *Options) (*Report, erro
 		LowTrace:  tr,
 		Telemetry: rec.Finish(string(ModelLowSpace)),
 	}, nil
-}
-
-// phaseRounds projects a phase profile down to the RoundsByPhase shape.
-func phaseRounds(prof map[string]fabric.PhaseStats) map[string]int {
-	if len(prof) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(prof))
-	for k, ps := range prof {
-		out[k] = ps.Rounds
-	}
-	return out
 }
 
 // countColors counts distinct colors by sorting a session-retained scratch

@@ -6,6 +6,7 @@ import (
 
 	"ccolor/internal/fabric"
 	"ccolor/internal/graph"
+	"ccolor/internal/lowspace"
 	"ccolor/internal/mis"
 	"ccolor/internal/mpc"
 	"ccolor/internal/problem"
@@ -80,10 +81,9 @@ func (s *Session) solveSet(spec *problem.Spec, inst *graph.Instance, o *Options)
 }
 
 // placeLowSpace arms the session's cluster for a sublinear-space set solve
-// over g: 𝔰 = max(√𝔫, 4τ+64) words per machine with τ = 𝔫^0.49, node data
-// of deg(v)+2 words split into ≤2τ-word chunks packed first-fit; a node's
-// home machine is where its first chunk lands (the lowspace coloring
-// placement, minus palettes).
+// over g: 𝔰 = max(√𝔫, 4τ+64) words per machine with τ = 𝔫^0.49, and node
+// data of deg(v)+2 words placed in chunks as the low-space coloring places
+// its own (lowspace.Session.Place), minus palettes.
 func (s *Session) placeLowSpace(g *graph.Graph) (*mpc.Cluster, error) {
 	n := g.N()
 	tau := int(math.Ceil(math.Pow(float64(n), 0.49)))
@@ -94,44 +94,13 @@ func (s *Session) placeLowSpace(g *graph.Graph) (*mpc.Cluster, error) {
 	if floor := int64(4*tau + 64); space < floor {
 		space = floor
 	}
-	assign := s.setAssign[:0]
-	perMachine := append(s.setMachine[:0], 0)
-	m := 0
-	for v := 0; v < n; v++ {
-		w := int64(g.Degree(int32(v)) + 2)
-		first := true
-		for rem := w; rem > 0; {
-			chunk := int64(2 * tau)
-			if chunk > rem {
-				chunk = rem
-			}
-			if perMachine[m]+chunk > space {
-				m++
-				perMachine = append(perMachine, 0)
-			}
-			if first {
-				assign = append(assign, m)
-				first = false
-			}
-			perMachine[m] += chunk
-			rem -= chunk
-		}
+	if s.ls == nil {
+		s.ls = lowspace.NewSession()
 	}
-	s.setAssign, s.setMachine = assign, perMachine
-	machines := m + 1
-	if s.cl == nil {
-		cl, err := mpc.New(assign, machines, space)
-		if err != nil {
-			return nil, err
-		}
-		s.cl = cl
-	} else if err := s.cl.Reset(assign, machines, space); err != nil {
+	cl, err := s.ls.Place(s.cl, n, func(v int) int64 { return int64(g.Degree(int32(v)) + 2) }, tau, space)
+	if err != nil {
 		return nil, err
 	}
-	for mm := 0; mm < machines; mm++ {
-		if err := s.cl.AdjustResidentMachine(mm, perMachine[mm]); err != nil {
-			return nil, err
-		}
-	}
-	return s.cl, nil
+	s.cl = cl
+	return cl, nil
 }

@@ -33,8 +33,8 @@ func sameReport(t *testing.T, label string, got, want *engine.Report) {
 		t.Errorf("%s: machine telemetry (%d, %d, %d) != (%d, %d, %d)", label,
 			got.Machines, got.Space, got.PeakSpace, want.Machines, want.Space, want.PeakSpace)
 	}
-	if !maps.Equal(got.RoundsByPhase, want.RoundsByPhase) {
-		t.Errorf("%s: RoundsByPhase %v != %v", label, got.RoundsByPhase, want.RoundsByPhase)
+	if !maps.Equal(got.PhaseProfile, want.PhaseProfile) {
+		t.Errorf("%s: PhaseProfile %v != %v", label, got.PhaseProfile, want.PhaseProfile)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"ccolor/internal/baseline"
 	"ccolor/internal/cclique"
 	"ccolor/internal/core"
+	"ccolor/internal/fabric"
 	"ccolor/internal/graph"
 	"ccolor/internal/lowspace"
 	"ccolor/internal/mpc"
@@ -52,7 +53,7 @@ type coreRun struct {
 	maxRecv  int64
 	trace    *core.Trace
 	coloring graph.Coloring
-	byPhase  map[string]int
+	byPhase  map[string]fabric.PhaseStats
 	wall     time.Duration
 }
 
@@ -73,7 +74,7 @@ func runCore(inst *graph.Instance, p core.Params) (coreRun, error) {
 		maxRecv:  l.MaxRecvLoad(),
 		trace:    tr,
 		coloring: col,
-		byPhase:  l.ByPhase(),
+		byPhase:  l.PhaseProfile(),
 		wall:     time.Since(start),
 	}, nil
 }
@@ -437,7 +438,7 @@ func runE9(cfg Config) ([]*Table, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		t2.AddRow(k, cr.byPhase[k])
+		t2.AddRow(k, cr.byPhase[k].Rounds)
 	}
 	return []*Table{t, t2}, nil
 }

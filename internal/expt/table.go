@@ -111,9 +111,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig is the full-suite configuration.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 2020} }
-
 func (c Config) scaled(n int) int {
 	s := int(float64(n) * c.Scale)
 	if s < 16 {

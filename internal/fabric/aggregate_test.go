@@ -11,6 +11,13 @@ import (
 	"ccolor/internal/mpc"
 )
 
+// ledgerString renders a ledger's totals, loads and phase profile for a
+// failure message.
+func ledgerString(l *fabric.Ledger) string {
+	return fmt.Sprintf("rounds=%d words=%d maxSend=%d maxRecv=%d peakRound=%d phases=%v",
+		l.Rounds(), l.WordsMoved(), l.MaxSendLoad(), l.MaxRecvLoad(), l.PeakRoundWords(), l.PhaseProfile())
+}
+
 // referenceAggregateTree is the grouped AggregateVec as it ran on reading
 // rounds, with each reduction level's inboxes read back through
 // fabrictest.Inboxes and summed by the leader: per-group combining into
@@ -204,7 +211,7 @@ func TestAggregateTreeMatchesReference(t *testing.T) {
 				gl.PeakRoundWords() != rl.PeakRoundWords() ||
 				!reflect.DeepEqual(gl.PhaseProfile(), rl.PhaseProfile()) ||
 				got.PeakMachineSpace() != ref.PeakMachineSpace() {
-				t.Fatalf("ledger\n%s\nreference\n%s", gl, rl)
+				t.Fatalf("ledger\n%s\nreference\n%s", ledgerString(gl), ledgerString(rl))
 			}
 			if reps > 1 && gl.WordsMoved() == 0 {
 				t.Fatal("no cross-machine traffic was charged")

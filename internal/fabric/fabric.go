@@ -12,12 +12,7 @@
 // gather (Cor. 3.10, Lemma 3.14) placing rounds.
 package fabric
 
-import (
-	"fmt"
-	"sort"
-
-	"ccolor/internal/telemetry"
-)
+import "ccolor/internal/telemetry"
 
 // Msg is one frame as a sender staged it: Words is the payload, counted in
 // O(log 𝔫)-bit machine words against the model's bandwidth/space budget.
@@ -202,18 +197,6 @@ func (l *Ledger) ObserveScratch(words int64) { l.peakScratch = max(l.peakScratch
 // combining accumulators.
 func (l *Ledger) PeakScratchWords() int64 { return l.peakScratch }
 
-// ByPhase returns a copy of the per-phase round counts. Phases that ran no
-// rounds (including entries zeroed by Reset) are omitted.
-func (l *Ledger) ByPhase() map[string]int {
-	out := make(map[string]int, len(l.byLabel))
-	for k, ps := range l.byLabel {
-		if ps.Rounds > 0 {
-			out[k] = ps.Rounds
-		}
-	}
-	return out
-}
-
 // VisitPhases calls fn for every phase that ran at least one round —
 // PhaseProfile without the copy, for callers that fold many ledger
 // incarnations into one accumulator. Iteration order is unspecified.
@@ -235,23 +218,4 @@ func (l *Ledger) PhaseProfile() map[string]PhaseStats {
 		}
 	}
 	return out
-}
-
-// String renders a compact multi-line summary.
-func (l *Ledger) String() string {
-	keys := make([]string, 0, len(l.byLabel))
-	for k, ps := range l.byLabel {
-		if ps.Rounds > 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	s := fmt.Sprintf("rounds=%d words=%d maxSend/round=%d maxRecv/round=%d",
-		l.rounds, l.wordsMoved, l.maxSendLoad, l.maxRecvLoad)
-	for _, k := range keys {
-		ps := l.byLabel[k]
-		s += fmt.Sprintf("\n  %-24s rounds=%-5d words=%-10d maxSend=%-8d maxRecv=%d",
-			k, ps.Rounds, ps.Words, ps.MaxSend, ps.MaxRecv)
-	}
-	return s
 }

@@ -359,7 +359,7 @@ func TestGatherManyMatchesReference(t *testing.T) {
 					gl.MaxSendLoad() != rl.MaxSendLoad() || gl.MaxRecvLoad() != rl.MaxRecvLoad() ||
 					gl.PeakRoundWords() != rl.PeakRoundWords() ||
 					!reflect.DeepEqual(gl.PhaseProfile(), rl.PhaseProfile()) {
-					t.Fatalf("%s: ledger\n%s\noracle\n%s", what, gl, rl)
+					t.Fatalf("%s: ledger\n%s\noracle\n%s", what, ledgerString(gl), ledgerString(rl))
 				}
 				release(ref.Fabric)
 				release(got.Fabric)

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"strings"
 	"testing"
 
 	"ccolor/internal/telemetry"
@@ -41,10 +40,6 @@ func TestLedgerPhaseProfile(t *testing.T) {
 	if len(seen) != 2 || seen["partition"].Words != 50 {
 		t.Fatalf("VisitPhases saw %v", seen)
 	}
-
-	if s := l.String(); !strings.Contains(s, "maxSend") || !strings.Contains(s, "partition") {
-		t.Fatalf("String() missing per-phase load columns:\n%s", s)
-	}
 }
 
 func TestLedgerResetClearsPhaseStatsAndRecorder(t *testing.T) {
@@ -57,7 +52,7 @@ func TestLedgerResetClearsPhaseStatsAndRecorder(t *testing.T) {
 	if l.Recorder() != nil {
 		t.Fatal("Reset did not detach the recorder")
 	}
-	if len(l.ByPhase()) != 0 || len(l.PhaseProfile()) != 0 {
+	if len(l.PhaseProfile()) != 0 {
 		t.Fatalf("Reset left phase stats: %v", l.PhaseProfile())
 	}
 	if l.Rounds() != 0 || l.WordsMoved() != 0 {

@@ -22,13 +22,8 @@ func TestLedgerPhaseAttribution(t *testing.T) {
 	if l.MaxSendLoad() != 40 || l.MaxRecvLoad() != 12 {
 		t.Fatalf("maxSend=%d maxRecv=%d, want 40/12", l.MaxSendLoad(), l.MaxRecvLoad())
 	}
-	by := l.ByPhase()
-	if by["partition"] != 2 || by["collect"] != 1 || len(by) != 2 {
-		t.Fatalf("ByPhase = %v, want partition:2 collect:1", by)
-	}
-	// ByPhase returns a copy: mutating it must not leak back.
-	by["collect"] = 99
-	if l.ByPhase()["collect"] != 1 {
-		t.Fatalf("ByPhase exposed internal state")
+	prof := l.PhaseProfile()
+	if prof["partition"].Rounds != 2 || prof["collect"].Rounds != 1 || len(prof) != 2 {
+		t.Fatalf("PhaseProfile = %v, want partition:2 collect:1 rounds", prof)
 	}
 }

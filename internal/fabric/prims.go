@@ -24,10 +24,10 @@ import (
 // GatherMany's spread and delivery rounds, whose receivers store each
 // frame where it names, are placing rounds (PlaceFrames): the fabric hands
 // every frame to the primitive's store during delivery.
-// Broadcast, AggregateVec and GatherMany are VecScratch methods with
-// package-level wrappers: a grouped broadcast walks its tree down the same
-// retained representative tables the grouped aggregation builds, so a warm
-// broadcast allocates no per-worker table and reads no map.
+// Broadcast, AggregateVec and GatherMany are VecScratch methods: a grouped
+// broadcast walks its tree down the same retained representative tables
+// the grouped aggregation builds, so a warm broadcast allocates no
+// per-worker table and reads no map.
 //
 // The multi-target gather below is the restricted routing pattern the
 // coloring algorithm needs (per-sender blocks of ≤ O(𝔫) words, per-target
@@ -70,15 +70,8 @@ func maxGroupID(n int, g Grouped) int {
 // most pairWords words it takes 1 round; for payloads up to 𝔫·pairWords it
 // takes 2 (distribute chunks, then all-to-all chunk exchange). On grouped
 // fabrics only group representatives are addressed, down a fan-out-bounded
-// tree; members share locally.
-func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
-	var ws VecScratch
-	return ws.Broadcast(f, pairWords, src, words)
-}
-
-// Broadcast is the scratch-reusing form: identical rounds and frames as the
-// package-level function, with a grouped fabric's representative tables
-// drawn from (and retained in) ws, so a warm broadcast allocates no
+// tree; members share locally. A grouped fabric's representative tables
+// are drawn from (and retained in) ws, so a warm broadcast allocates no
 // per-worker table. words is read during the rounds' staging.
 func (ws *VecScratch) Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 	n := f.Workers()
@@ -192,6 +185,17 @@ func (ws *VecScratch) MemoryWords() int64 {
 	return words + int64(i32)/2
 }
 
+// VecLenError reports a local vector handed to AggregateVec whose length
+// is not the aggregate's.
+type VecLenError struct {
+	Worker    int
+	Len, Want int
+}
+
+func (e *VecLenError) Error() string {
+	return fmt.Sprintf("fabric: worker %d's local vector has length %d, want %d", e.Worker, e.Len, e.Want)
+}
+
 // AggregateVec computes the element-wise sum over all workers of the
 // length-vlen int64 vector local(w), and makes the result known to all
 // workers, in 2 rounds. Element j is owned by the j mod R-th group
@@ -206,26 +210,8 @@ func (ws *VecScratch) MemoryWords() int64 {
 // across invocations); on ungrouped fabrics it runs inside the round's
 // parallel staging and must be safe for concurrent calls with distinct w.
 // A local vector whose length is not vlen fails the call with a
-// *VecLenError naming the lowest such worker.
-func AggregateVec(f Fabric, pairWords int, vlen int, local func(w int) []int64) ([]int64, error) {
-	var ws VecScratch
-	return ws.AggregateVec(f, pairWords, vlen, local)
-}
-
-// VecLenError reports a local vector handed to AggregateVec whose length
-// is not the aggregate's.
-type VecLenError struct {
-	Worker    int
-	Len, Want int
-}
-
-func (e *VecLenError) Error() string {
-	return fmt.Sprintf("fabric: worker %d's local vector has length %d, want %d", e.Worker, e.Len, e.Want)
-}
-
-// AggregateVec is the scratch-reusing form: identical rounds, message
-// content, and result as the package-level function, with the internal
-// tables drawn from (and retained in) ws.
+// *VecLenError naming the lowest such worker. The internal tables are
+// drawn from (and retained in) ws.
 func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func(w int) []int64) ([]int64, error) {
 	n := f.Workers()
 	if g, ok := f.(Grouped); ok {

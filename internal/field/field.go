@@ -28,14 +28,6 @@ func Add(a, b uint64) uint64 {
 	return s
 }
 
-// Sub returns (a - b) mod P for a, b < P.
-func Sub(a, b uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return a + P - b
-}
-
 // Mul returns (a * b) mod P for a, b < P, using a 128-bit product followed
 // by Mersenne folding.
 func Mul(a, b uint64) uint64 {
@@ -85,11 +77,6 @@ func Pow(a uint64, e uint64) uint64 {
 		e >>= 1
 	}
 	return result
-}
-
-// Inv returns the multiplicative inverse of a (a ≠ 0) via Fermat.
-func Inv(a uint64) uint64 {
-	return Pow(a, P-2)
 }
 
 // EvalPoly evaluates the polynomial Σ coeffs[i]·x^i at x by Horner's rule.

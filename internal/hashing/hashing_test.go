@@ -69,37 +69,6 @@ func TestMemberDeterminism(t *testing.T) {
 	}
 }
 
-func TestSeedBits(t *testing.T) {
-	fam, err := NewFamily(8, 1000, 10, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fam.SeedBits(); got != 8*61 {
-		t.Fatalf("SeedBits = %d, want %d", got, 8*61)
-	}
-}
-
-func TestFromCoefficients(t *testing.T) {
-	fam, err := NewFamily(3, 1000, 4, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fam.FromCoefficients([]uint64{1, 2}); err == nil {
-		t.Fatal("wrong coefficient count accepted")
-	}
-	h, err := fam.FromCoefficients([]uint64{7, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Constant polynomial: every point maps to the same bin.
-	want := h.Eval(0)
-	for x := int64(1); x < 50; x++ {
-		if h.Eval(x) != want {
-			t.Fatal("constant polynomial not constant")
-		}
-	}
-}
-
 // TestMarginalUniformity checks that, over many family members, each
 // point's bin distribution is near-uniform — the c-wise independent
 // family's 1-wise marginal (§2.3 allows O(𝔫⁻³)-scale bias).
@@ -150,19 +119,6 @@ func TestPairwiseIndependence(t *testing.T) {
 	}
 	if len(counts) != rng*rng {
 		t.Fatalf("only %d of %d bin pairs observed", len(counts), rng*rng)
-	}
-}
-
-func TestEval64MatchesEval(t *testing.T) {
-	fam, err := NewFamily(5, 1<<30, 16, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fam.Member(7)
-	for x := int64(0); x < 1000; x += 13 {
-		if h.Eval(x) != h.Eval64(uint64(x)) {
-			t.Fatalf("Eval and Eval64 disagree at %d", x)
-		}
 	}
 }
 

@@ -172,7 +172,7 @@ type poolScratch struct {
 	colorBins []int32
 
 	red    mis.Reduction // reduction scratch (implicit-clique CSR layout)
-	mis    mis.Workspace // SolveDet scratch
+	mis    mis.Workspace // SolveDetReduction scratch
 	col    graph.Coloring
 	assign []int
 
@@ -236,6 +236,53 @@ func (ss *Session) MemoryWords() int64 {
 	return words + ws.red.MemoryWords() + ws.mis.MemoryWords() + s.sel.MemoryWords()
 }
 
+// Place arms cl for n nodes whose data weigh weight(v) words each and
+// returns it, building a new cluster when cl is nil. A node's data is split
+// into chunks of at most 2τ words (the paper's M_v^N / M_v^C machine sets),
+// packed first-fit onto machines of space words. The node's home machine —
+// its virtual worker's location for traffic accounting — is where its
+// first chunk lands, and every machine is charged its chunks as resident
+// words. The assignment and per-machine totals live in session scratch.
+// The low-space coloring and the engine's low-space set problems both
+// place their node data this way; each computes its own τ and space.
+func (ss *Session) Place(cl *mpc.Cluster, n int, weight func(v int) int64, tau int, space int64) (*mpc.Cluster, error) {
+	s := &ss.s
+	home := graph.Grow(s.machine, n)
+	load := append(s.perMachine[:0], 0)
+	m := 0
+	for v := 0; v < n; v++ {
+		first := true
+		for rem := weight(v); rem > 0; {
+			chunk := min(int64(2*tau), rem)
+			if load[m]+chunk > space {
+				m++
+				load = append(load, 0)
+			}
+			if first {
+				home[v] = m
+				first = false
+			}
+			load[m] += chunk
+			rem -= chunk
+		}
+	}
+	s.machine, s.perMachine = home, load
+	if cl == nil {
+		var err error
+		if cl, err = mpc.New(home, len(load), space); err != nil {
+			return nil, fmt.Errorf("lowspace: cluster: %w", err)
+		}
+	} else if err := cl.Reset(home, len(load), space); err != nil {
+		return nil, fmt.Errorf("lowspace: cluster: %w", err)
+	}
+	for mm, words := range load {
+		if err := cl.AdjustResidentMachine(mm, words); err != nil {
+			return nil, fmt.Errorf("lowspace: resident: %w", err)
+		}
+	}
+	return cl, nil
+}
+
 // Solve colors the instance in the low-space MPC model and returns the
 // coloring plus telemetry. The package-level function runs on a transient
 // session and releases it; use a Session to amortize setup across repeated
@@ -272,55 +319,18 @@ func (ss *Session) Solve(inst *graph.Instance, p Params) (graph.Coloring, *Trace
 		space = floor // chunks of ≤ 2τ entries must fit with headroom
 	}
 
-	// Place node data chunk-by-chunk onto machines: a node's neighbor list
-	// and palette split into pieces of ≤ 2τ words (the paper's M_v^N /
-	// M_v^C machine sets), packed first-fit. The node's home machine — its
-	// virtual worker's location for traffic accounting — is where its first
-	// chunk lands. The assignment and per-machine totals live in session
-	// scratch.
+	// A node's data is its neighbor list, its palette and four bookkeeping
+	// words. One main cluster per session, recycled in place across solves.
 	s := &ss.s
-	machineOf := graph.Grow(s.machine, n)
-	m := 0
-	perMachine := append(s.perMachine[:0], 0)
-	for v := 0; v < n; v++ {
-		w := int64(inst.G.Degree(int32(v)) + len(inst.Palettes[v]) + 4)
-		first := true
-		for rem := w; rem > 0; {
-			chunk := int64(2 * tau)
-			if chunk > rem {
-				chunk = rem
-			}
-			if perMachine[m]+chunk > space {
-				m++
-				perMachine = append(perMachine, 0)
-			}
-			if first {
-				machineOf[v] = m
-				first = false
-			}
-			perMachine[m] += chunk
-			rem -= chunk
-		}
+	cluster, err := ss.Place(s.cluster, n, func(v int) int64 {
+		return int64(inst.G.Degree(int32(v)) + len(inst.Palettes[v]) + 4)
+	}, tau, space)
+	if err != nil {
+		return nil, nil, err
 	}
-	s.machine, s.perMachine = machineOf, perMachine
-	machines := m + 1
-	// One main cluster per session, recycled in place across solves.
-	if s.cluster == nil {
-		cluster, err := mpc.New(machineOf, machines, space)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lowspace: cluster: %w", err)
-		}
-		s.cluster = cluster
-	} else if err := s.cluster.Reset(machineOf, machines, space); err != nil {
-		return nil, nil, fmt.Errorf("lowspace: cluster: %w", err)
-	}
-	cluster := s.cluster
-	cluster.Ledger().SetRecorder(s.rec) // after Reset, which detaches
-	for mm := 0; mm < machines; mm++ {
-		if err := cluster.AdjustResidentMachine(mm, perMachine[mm]); err != nil {
-			return nil, nil, fmt.Errorf("lowspace: resident: %w", err)
-		}
-	}
+	s.cluster = cluster
+	cluster.Ledger().SetRecorder(s.rec) // after Place's Reset, which detaches
+	machines := cluster.Machines()
 
 	s.p = p
 	s.g = inst.G

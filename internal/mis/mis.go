@@ -1,12 +1,11 @@
 // Package mis is the maximal-independent-set substrate the paper's
 // low-space MPC result relies on (§4.1): the Luby reduction from
-// (deg+1)-list coloring to MIS, and MIS algorithms — a sequential greedy
-// baseline and a deterministic fabric-based variant whose per-phase
-// randomness is a c-wise independent seed fixed by the same
-// derandomization engine as the coloring algorithm. The deterministic
-// variant stands in for the Czumaj–Davies–Parter SPAA'20 algorithm [7]: it
-// exposes the same interface and a measured round envelope the Theorem 1.4
-// experiment fits against.
+// (deg+1)-list coloring to MIS, and a deterministic fabric-based MIS
+// algorithm whose per-phase randomness is a c-wise independent seed fixed
+// by the same derandomization engine as the coloring algorithm. It stands
+// in for the Czumaj–Davies–Parter SPAA'20 algorithm [7]: it exposes the
+// same interface and a measured round envelope the Theorem 1.4 experiment
+// fits against.
 //
 // Each phase scores a batch of seed candidates through one per-batch
 // priority table (tabulate): every live node's priority is evaluated once
@@ -24,44 +23,6 @@ import (
 	"ccolor/internal/graph"
 	"ccolor/internal/hashing"
 )
-
-// Greedy returns the lexicographically-first MIS (sequential baseline).
-func Greedy(g *graph.Graph) []bool {
-	in := make([]bool, g.N())
-	blocked := make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
-		if blocked[v] {
-			continue
-		}
-		in[v] = true
-		for _, u := range g.Neighbors(int32(v)) {
-			blocked[u] = true
-		}
-	}
-	return in
-}
-
-// Verify checks independence and maximality.
-func Verify(g *graph.Graph, in []bool) error {
-	if len(in) != g.N() {
-		return fmt.Errorf("mis: set has %d entries for %d nodes", len(in), g.N())
-	}
-	for v := 0; v < g.N(); v++ {
-		hasInNeighbor := false
-		for _, u := range g.Neighbors(int32(v)) {
-			if in[u] {
-				hasInNeighbor = true
-				if in[v] {
-					return fmt.Errorf("mis: adjacent nodes %d and %d both in set", v, u)
-				}
-			}
-		}
-		if !in[v] && !hasInNeighbor {
-			return fmt.Errorf("mis: node %d not in set and not dominated", v)
-		}
-	}
-	return nil
-}
 
 // Stats reports a distributed MIS run.
 type Stats struct {
@@ -83,7 +44,7 @@ func DefaultParams() Params {
 	return Params{Independence: 8, BatchWidth: 8, MaxBatches: 256}
 }
 
-// topology abstracts the adjacency structure SolveDet runs over. Neighbors
+// topology abstracts the adjacency structure solveDet runs over. Neighbors
 // come in two parts: an implicit clique block [lo, hi) of consecutive node
 // IDs containing v (empty for plain graphs), and an explicit list. The
 // split is what lets the §4.1 reduction skip materializing its O(p(v)²)
@@ -101,7 +62,7 @@ func (t graphTopo) N() int                             { return t.g.N() }
 func (t graphTopo) CliqueBlock(v int32) (lo, hi int32) { return v, v }
 func (t graphTopo) Conflicts(v int32) []int32          { return t.g.Neighbors(v) }
 
-// Workspace holds reusable SolveDet scratch so repeated solves (the
+// Workspace holds reusable solveDet scratch so repeated solves (the
 // low-space pool path runs one MIS per pool) allocate nothing in steady
 // state. The zero value is ready for use.
 type Workspace struct {
@@ -281,20 +242,16 @@ func anySet(row []uint64) bool {
 	return false
 }
 
-// SolveDet computes an MIS deterministically over the fabric (one virtual
-// worker per node). Each phase draws priorities from a c-wise independent
-// hash; a node joins when its priority is a strict minimum among live
-// neighbors (ties broken by ID). The phase seed is selected by batched
-// derandomization against the potential Σ_{v joins}(d_live(v)+1), with a
-// geometrically relaxed target so a productive seed always exists; the
-// selected seed's realized progress is what the round envelope experiment
-// measures.
-func SolveDet(f fabric.Fabric, pairWords int, g *graph.Graph, p Params) ([]bool, Stats, error) {
-	return solveDet(f, pairWords, graphTopo{g}, nil, p, nil)
-}
-
-// SolveDetSubset runs SolveDet restricted to the nodes with active[v] true:
-// inactive nodes never participate, and the returned set is a maximal
+// SolveDetSubset computes an MIS deterministically over the fabric (one
+// virtual worker per node), restricted to the nodes with active[v] true.
+// Each phase draws priorities from a c-wise independent hash; a node joins
+// when its priority is a strict minimum among live neighbors (ties broken
+// by ID). The phase seed is selected by batched derandomization against
+// the potential Σ_{v joins}(d_live(v)+1), with a geometrically relaxed
+// target so a productive seed always exists; the selected seed's realized
+// progress is what the round envelope experiment measures.
+//
+// Inactive nodes never participate, and the returned set is a maximal
 // independent set of the induced subgraph on the active nodes. The fabric
 // still has one worker per node of the full topology. active may be nil
 // (all nodes active); ws may be nil. When ws is non-nil the returned set

@@ -8,6 +8,41 @@ import (
 	"ccolor/internal/verify"
 )
 
+// greedy returns the lexicographically-first MIS: the sequential oracle
+// the reduction tests color through.
+func greedy(g *graph.Graph) []bool {
+	in := make([]bool, g.N())
+	blocked := make([]bool, g.N())
+	for v := 0; v < g.N(); v++ {
+		if blocked[v] {
+			continue
+		}
+		in[v] = true
+		for _, u := range g.Neighbors(int32(v)) {
+			blocked[u] = true
+		}
+	}
+	return in
+}
+
+// materialize builds the reduction graph explicitly, clique edges
+// included: the reference rendering of the implicit topology the
+// distributed solver reads.
+func materialize(r *Reduction) (*graph.Graph, error) {
+	adj := make([][]int32, r.N())
+	for x := range adj {
+		lo, hi := r.CliqueBlock(int32(x))
+		l := make([]int32, 0, r.Degree(int32(x)))
+		for y := lo; y < hi; y++ {
+			if y != int32(x) {
+				l = append(l, y)
+			}
+		}
+		adj[x] = append(l, r.Conflicts(int32(x))...)
+	}
+	return graph.NewGraph(adj)
+}
+
 func TestGreedyMIS(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -24,7 +59,7 @@ func TestGreedyMIS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(g, Greedy(g)); err != nil {
+			if err := verify.MIS(g, greedy(g)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -37,11 +72,11 @@ func TestSolveDet(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := cclique.New(g.N())
-	in, st, err := SolveDet(nw, nw.MsgWords(), g, DefaultParams())
+	in, st, err := SolveDetSubset(nw, nw.MsgWords(), g, nil, DefaultParams(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(g, in); err != nil {
+	if err := verify.MIS(g, in); err != nil {
 		t.Fatal(err)
 	}
 	if st.Phases < 1 {
@@ -60,13 +95,12 @@ func TestReductionColoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	red := BuildReduction(inst)
-	rg, err := red.Materialize()
+	rg, err := materialize(red)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := Greedy(rg)
-	col, err := red.ExtractColoring(in, g.N())
-	if err != nil {
+	col := graph.NewColoring(g.N())
+	if err := red.ExtractColoringInto(greedy(rg), col); err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.ListColoring(inst, col); err != nil {
@@ -89,8 +123,8 @@ func TestReductionDetMIS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := red.ExtractColoring(in, g.N())
-	if err != nil {
+	col := graph.NewColoring(g.N())
+	if err := red.ExtractColoringInto(in, col); err != nil {
 		t.Fatal(err)
 	}
 	if err := verify.ListColoring(inst, col); err != nil {

@@ -168,42 +168,10 @@ func (r *Reduction) Build(adj [][]int32, pals []graph.Palette) {
 	}
 }
 
-// Materialize builds the explicit reduction graph — clique edges included —
-// as a *graph.Graph. It is the reference rendering used by tests and
-// sequential baselines; the distributed solver never materializes it.
-func (r *Reduction) Materialize() (*graph.Graph, error) {
-	total := r.N()
-	adj := make([][]int32, total)
-	for x := int32(0); x < int32(total); x++ {
-		l := make([]int32, 0, r.Degree(x))
-		lo, hi := r.CliqueBlock(x)
-		for y := lo; y < hi; y++ {
-			if y != x {
-				l = append(l, y)
-			}
-		}
-		l = append(l, r.Conflicts(x)...)
-		adj[x] = l
-	}
-	g, err := graph.NewGraph(adj)
-	if err != nil {
-		return nil, fmt.Errorf("mis: reduction graph: %w", err)
-	}
-	return g, nil
-}
-
-// ExtractColoring reads the coloring off an MIS of the reduction graph.
-func (r *Reduction) ExtractColoring(in []bool, n int) (graph.Coloring, error) {
-	col := graph.NewColoring(n)
-	if err := r.ExtractColoringInto(in, col); err != nil {
-		return nil, err
-	}
-	return col, nil
-}
-
-// ExtractColoringInto is ExtractColoring writing into a caller-provided
-// vector (len = original node count, all entries NoColor on entry), so a
-// pooled scratch coloring can be reused across extractions.
+// ExtractColoringInto reads the coloring off an MIS of the reduction graph
+// into a caller-provided vector (len = original node count, all entries
+// NoColor on entry), so a pooled scratch coloring can be reused across
+// extractions.
 func (r *Reduction) ExtractColoringInto(in []bool, col graph.Coloring) error {
 	if len(in) != r.N() {
 		return fmt.Errorf("mis: MIS has %d entries for %d reduction nodes", len(in), r.N())

@@ -14,7 +14,8 @@ import (
 // G^{p_i} induced on the survivors of iteration i−1; maximality moves every
 // surviving candidate within p_i hops of the new set, so the domination
 // radii add while the pairwise independence distance strictly grows. All
-// communication runs through the same fabric derandomization as SolveDet.
+// communication runs through the same fabric derandomization as
+// SolveDetSubset.
 
 // RulingParams configures the deterministic ruling-set construction.
 type RulingParams struct {

@@ -152,7 +152,7 @@ func TestResetRecyclesCluster(t *testing.T) {
 	if c.Ledger().Rounds() != 0 || c.Ledger().WordsMoved() != 0 {
 		t.Fatalf("ledger not reset: rounds=%d words=%d", c.Ledger().Rounds(), c.Ledger().WordsMoved())
 	}
-	if len(c.Ledger().ByPhase()) != 0 {
+	if len(c.Ledger().PhaseProfile()) != 0 {
 		t.Fatal("phase attribution not reset")
 	}
 	if c.PeakMachineSpace() != 0 {

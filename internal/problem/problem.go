@@ -179,7 +179,3 @@ func Lookup(name string) (*Spec, error) {
 	}
 	return nil, fmt.Errorf("unknown problem %q (known: %s)", name, strings.Join(Names(), ", "))
 }
-
-// Default returns the coloring spec — the problem every legacy entry point
-// resolves to.
-func Default() *Spec { return registry[0] }

@@ -64,17 +64,6 @@ func IsDeltaPlus1(inst *graph.Instance) bool {
 	return true
 }
 
-// IsDegPlus1 reports whether every node has exactly deg(v)+1 colors — the
-// tight (deg+1)-list coloring problem (Theorem 1.4's native form).
-func IsDegPlus1(inst *graph.Instance) bool {
-	for v := 0; v < inst.G.N(); v++ {
-		if len(inst.Palettes[v]) != inst.G.Degree(int32(v))+1 {
-			return false
-		}
-	}
-	return true
-}
-
 // Full is the complete oracle: instance well-formedness, completeness,
 // properness over all edges, palette membership, and — when the palette
 // discipline implies one — the explicit color bound. The bound checks are
@@ -98,8 +87,8 @@ func Full(inst *graph.Instance, c graph.Coloring) error {
 		}
 	}
 	// For (deg+1)-list instances the bound *is* membership in a palette of
-	// exactly deg(v)+1 colors: IsDegPlus1 established the tight sizing and
-	// ListColoring the membership, so no further check exists to make.
+	// exactly deg(v)+1 colors, which ListColoring checked, so no further
+	// check exists to make.
 	return nil
 }
 

@@ -62,14 +62,3 @@ func ColorCount(c graph.Coloring) int {
 	}
 	return len(seen)
 }
-
-// MaxColor returns the largest color used, or NoColor if none.
-func MaxColor(c graph.Coloring) graph.Color {
-	maxc := graph.NoColor
-	for _, x := range c {
-		if x > maxc {
-			maxc = x
-		}
-	}
-	return maxc
-}

@@ -59,15 +59,12 @@ func TestListColoring(t *testing.T) {
 	}
 }
 
-func TestColorCountAndMax(t *testing.T) {
+func TestColorCount(t *testing.T) {
 	c := graph.Coloring{5, 1, 5, 2}
 	if ColorCount(c) != 3 {
 		t.Fatalf("count = %d, want 3", ColorCount(c))
 	}
-	if MaxColor(c) != 5 {
-		t.Fatalf("max = %d, want 5", MaxColor(c))
-	}
-	if MaxColor(graph.NewColoring(2)) != graph.NoColor {
-		t.Fatal("empty coloring max should be NoColor")
+	if n := ColorCount(graph.NewColoring(2)); n != 0 {
+		t.Fatalf("uncolored count = %d, want 0", n)
 	}
 }
