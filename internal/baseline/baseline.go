@@ -89,11 +89,18 @@ func RandTrial(f fabric.Fabric, pairWords int, inst *graph.Instance, seed uint64
 			if pick[v] == graph.NoColor {
 				return
 			}
-			for _, u := range g.Neighbors(v) {
+			nbrs := g.Neighbors(v)
+			word, dests := sb.BeginFan(len(nbrs), 1)
+			word[0] = uint64(pick[v])
+			// Every neighbor is written and only uncolored ones are kept.
+			k := 0
+			for _, u := range nbrs {
+				dests[k] = u
 				if col[u] == graph.NoColor {
-					sb.Put(int(u), uint64(pick[v]))
+					k++
 				}
 			}
+			sb.CommitFan(k)
 		}); err != nil {
 			return nil, st, fmt.Errorf("baseline: propose: %w", err)
 		}
@@ -119,9 +126,7 @@ func RandTrial(f fabric.Fabric, pairWords int, inst *graph.Instance, seed uint64
 			if !keep[v] {
 				return
 			}
-			for _, u := range g.Neighbors(v) {
-				sb.Put(int(u), uint64(pick[v]))
-			}
+			sb.Fan(g.Neighbors(v), uint64(pick[v]))
 		}); err != nil {
 			return nil, st, fmt.Errorf("baseline: commit: %w", err)
 		}

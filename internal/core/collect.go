@@ -142,8 +142,9 @@ func (s *solver) collectAndColor(calls []*call) error {
 	}
 
 	// Notify: every newly colored node announces its color to all its graph
-	// neighbors (one word/pair); uncolored receivers drop the color from
-	// their palettes — Algorithm 1's "update color palettes" steps.
+	// neighbors (one word/pair, one fan frame per node); uncolored receivers
+	// drop the color from their palettes — Algorithm 1's "update color
+	// palettes" steps.
 	s.fab.Ledger().SetPhase("collect:notify")
 	if err := fabric.SendFrames(s.fab, func(w int, sb *fabric.SendBuf) {
 		v := int32(w)
@@ -151,9 +152,7 @@ func (s *solver) collectAndColor(calls []*call) error {
 		if !ok || s.color[v] == graph.NoColor {
 			return
 		}
-		for _, u := range s.g.Neighbors(v) {
-			sb.Put(int(u), uint64(col))
-		}
+		sb.Fan(s.g.Neighbors(v), uint64(col))
 	}); err != nil {
 		return fmt.Errorf("notify: %w", err)
 	}

@@ -105,19 +105,27 @@ func (s *solver) partition(x *call) error {
 	ds.BadNodes += len(g0Nodes)
 
 	// Announce badness and bin to in-call neighbors (one round, one word
-	// per pair) so every node knows its neighbors' destinations.
+	// per pair) so every node knows its neighbors' destinations: one fan
+	// frame per node.
 	s.fab.Ledger().SetPhase("partition:announce")
 	if err := fabric.SendFrames(s.fab, func(wk int, sb *fabric.SendBuf) {
 		v := int32(wk)
 		if s.callOf[v] != id {
 			return
 		}
-		word := uint64(verdict[v]>>1) | uint64(verdict[v]&1)<<32
-		for _, u := range s.g.Neighbors(v) {
+		nbrs := s.g.Neighbors(v)
+		word, dests := sb.BeginFan(len(nbrs), 1)
+		word[0] = uint64(verdict[v]>>1) | uint64(verdict[v]&1)<<32
+		// Every neighbor is written and only in-call ones are kept: a
+		// conditional increment in place of a hard-to-predict branch.
+		k := 0
+		for _, u := range nbrs {
+			dests[k] = u
 			if s.callOf[u] == id {
-				sb.Put(int(u), word)
+				k++
 			}
 		}
+		sb.CommitFan(k)
 	}); err != nil {
 		return fmt.Errorf("announce round: %w", err)
 	}

@@ -91,10 +91,13 @@ type Options struct {
 }
 
 // Report is the unified, model-independent result of a Solve call: the
-// verified coloring plus the full cost ledger of the run. Every field is a
-// deterministic function of (instance, options) — the serving layer relies
-// on this to cache and replay results byte-for-byte — and none of it
-// aliases session state, so a Report outlives the session that produced it.
+// verified coloring plus the full cost ledger of the run. Every field but
+// two is a deterministic function of (instance, options) — the serving
+// layer relies on this to cache and replay results byte-for-byte — and none
+// of it aliases session state, so a Report outlives the session that
+// produced it. The two exceptions are memory readings, not results:
+// Memory.WorkspaceWords depends on what the session solved before, and
+// Memory.DeliveryScratchWords on the pool width.
 type Report struct {
 	Model Model
 	// Problem is the registry problem this report answers (never empty;
@@ -159,7 +162,10 @@ type MemoryBudget struct {
 	// graph.
 	InstanceWords int64
 	// WorkspaceWords is the coloring solver's retained workspace after the
-	// solve — the dominant resident term of coloring runs. For
+	// solve — the dominant resident term of coloring runs. It is read at
+	// capacity, so it is not a function of (instance, options) alone: a
+	// warm session that solved a larger instance before reports more than
+	// a fresh one. For
 	// ModelCClique/ModelMPC it is the core workspace (palette slabs,
 	// candidate masks, aggregation buffers, the collect gather's tables
 	// and slabs); for ModelLowSpace the low-space session's adjacency and
@@ -173,8 +179,9 @@ type MemoryBudget struct {
 	// DeliveryScratchWords is the largest scratch any single round's
 	// delivery used: the sender blocks' per-destination and per-group rows
 	// and combining accumulators. It grows with the pool width, one row set
-	// per block. Zero for ModelLowSpace coloring, whose pool clusters do
-	// not report it.
+	// per block, so it is not a function of (instance, options) alone.
+	// Zero for ModelLowSpace coloring, whose pool clusters do not report
+	// it.
 	DeliveryScratchWords int64
 	// MachineSpace and PeakMachineWords are the MPC-family per-machine
 	// budget and measured peak per-machine residency (zero for

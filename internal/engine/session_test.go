@@ -36,6 +36,14 @@ func sameReport(t *testing.T, label string, got, want *engine.Report) {
 	if !maps.Equal(got.PhaseProfile, want.PhaseProfile) {
 		t.Errorf("%s: PhaseProfile %v != %v", label, got.PhaseProfile, want.PhaseProfile)
 	}
+	// Memory's deterministic fields; WorkspaceWords and DeliveryScratchWords
+	// depend on the session's history and the pool width.
+	gm, wm := got.Memory, want.Memory
+	gm.WorkspaceWords, wm.WorkspaceWords = 0, 0
+	gm.DeliveryScratchWords, wm.DeliveryScratchWords = 0, 0
+	if gm != wm {
+		t.Errorf("%s: Memory %+v != %+v (workspace and delivery scratch not compared)", label, gm, wm)
+	}
 }
 
 // TestSessionCrossInstanceIsolation is the stale-workspace leak detector:

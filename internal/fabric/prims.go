@@ -81,13 +81,8 @@ func (ws *VecScratch) Broadcast(f Fabric, pairWords int, src int, words []uint64
 	}
 	if len(words) <= pairWords {
 		return SendFrames(f, func(w int, sb *SendBuf) {
-			if w != src {
-				return
-			}
-			for t := 0; t < n; t++ {
-				if t != src {
-					sb.Put(t, words...)
-				}
+			if w == src {
+				copy(fanOthers(sb, n, src, len(words)), words)
 			}
 		})
 	}
@@ -117,20 +112,26 @@ func (ws *VecScratch) Broadcast(f Fabric, pairWords int, src int, words []uint64
 		return err
 	}
 	// Round 2: every chunk holder sends its chunk to everyone.
-	err := SendFrames(f, func(w int, sb *SendBuf) {
-		ch := chunks[w]
-		if len(ch) == 0 {
-			return
-		}
-		sb.Reserve(n-1, (n-1)*len(ch))
-		for t := 0; t < n; t++ {
-			if t == w {
-				continue
-			}
-			sb.Put(t, ch...)
+	return SendFrames(f, func(w int, sb *SendBuf) {
+		if ch := chunks[w]; len(ch) > 0 {
+			copy(fanOthers(sb, n, w, len(ch)), ch)
 		}
 	})
-	return err
+}
+
+// fanOthers stages one fan frame from worker self to each of the other
+// n−1 workers in ascending order, and returns its k-word payload for the
+// caller to fill before its next frame.
+func fanOthers(sb *SendBuf, n, self, k int) []uint64 {
+	payload, dests := sb.BeginFan(n-1, k)
+	for t := range self {
+		dests[t] = int32(t)
+	}
+	for t := self + 1; t < n; t++ {
+		dests[t-1] = int32(t)
+	}
+	sb.CommitFan(n - 1)
+	return payload
 }
 
 // VecScratch holds the flat worker/group tables, accumulator and receive
@@ -295,21 +296,16 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 	if err != nil {
 		return nil, err
 	}
-	// Round 2: each owner broadcasts its summed elements to all workers.
+	// Round 2: each owner broadcasts its summed elements to all workers, as
+	// one fan frame.
 	if err := SendFrames(f, func(w int, sb *SendBuf) {
 		k := slots(w)
 		if w >= r || k == 0 {
 			return
 		}
-		sb.Reserve(n-1, (n-1)*k)
-		for t := 0; t < n; t++ {
-			if t == w {
-				continue
-			}
-			payload := sb.Begin(t, k)
-			for s := 0; s < k; s++ {
-				payload[s] = uint64(res[w+s*r])
-			}
+		payload := fanOthers(sb, n, w, k)
+		for s := range payload {
+			payload[s] = uint64(res[w+s*r])
 		}
 	}); err != nil {
 		return nil, err

@@ -9,15 +9,19 @@ import (
 // Flat-buffer round fabric: instead of materializing one Msg (and one Words
 // slice) per message per round, a round's outgoing traffic is staged in
 // per-worker contiguous []uint64 arenas (one per sender, so the sender is
-// implied by the arena) as length-prefixed frames
+// implied by the arena) as length-prefixed frames of two shapes:
 //
-//	header, payload...
+//	single:  header, payload...
+//	fan:     header, payload..., destinations (packed int32s, two a word)
 //
-// where the single header word packs the destination in its low half and
-// the payload length in its high half (see packHeader). Delivery validates
-// and charges the frames in sender blocks (see Deliver), then sums or
-// places them when the round's Sink asks for it; nothing is copied out of
-// the arenas. Each fabric owns one RoundBuffer for life and resets it every
+// A single frame's header packs its destination in the low half and its
+// payload length in the high half (see packHeader). A fan frame carries one
+// payload to d receivers: its header sets fanFlag and packs d in the low
+// half, and the payload is staged once, however many receivers read it.
+// Delivery validates and charges the frames in sender blocks (see Deliver),
+// expanding a fan frame into one frame per destination, then sums or places
+// them when the round's Sink asks for it; nothing is copied out of the
+// arenas. Each fabric owns one RoundBuffer for life and resets it every
 // round, so the arenas keep their capacity and the steady-state round
 // executes with no heap allocation on the fabric side.
 
@@ -30,6 +34,13 @@ import (
 // width is the dominant arena traffic — 1 word instead of 3 halves it.
 const frameHeader = 1
 
+// fanFlag sets the sign bit of both halves of a fan frame's header. The
+// word's sign tells a fan frame from a single frame, whose payload length
+// stays below 2³¹, and the low half's sign puts a fan frame's destination
+// out of range, so delivery's range check on a single frame's destination
+// is also its test for a fan frame.
+const fanFlag = 1<<63 | 1<<31
+
 func packHeader(to, n int) uint64 {
 	return uint64(uint32(int32(to))) | uint64(uint32(n))<<32
 }
@@ -38,25 +49,52 @@ func unpackHeader(h uint64) (to, n int) {
 	return int(int32(uint32(h))), int(h >> 32)
 }
 
+// packFan is a fan frame's header: d destinations, an n-word payload.
+func packFan(d, n int) uint64 {
+	return fanFlag | packHeader(d, n)
+}
+
+// fanDests views the d destinations packed from the start of w.
+func fanDests(w []uint64, d int) []int32 {
+	return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(w))), d)
+}
+
+// frameAt decodes the frame whose header is buf[i]: a single frame's
+// destination to and a nil fan, or a fan frame's destinations fan; the end
+// of its payload, buf[i+frameHeader:end]; and the index of the next frame.
+func frameAt(buf []uint64, i int) (to int, fan []int32, end, next int) {
+	h := buf[i]
+	d, n := unpackHeader(h &^ fanFlag) // d counts a fan frame's destinations
+	end = i + frameHeader + n
+	if int64(h) >= 0 {
+		return int(int32(uint32(h))), nil, end, end
+	}
+	return 0, fanDests(buf[end:], d), end, end + (d+1)/2
+}
+
 // SendBuf stages one worker's outgoing frames for one round in a contiguous
 // arena. It is handed to staging callbacks by FrameRound; the zero value is
 // ready for use after reset.
 type SendBuf struct {
-	buf  []uint64
-	nmsg int
+	buf   []uint64
+	words int64 // payload words charged: a fan frame's once per destination
+	// gap is the arena words fan frames save over single frames, and fan
+	// the open fan frame's header index + 1 (0 when none is open). Both
+	// are int32 to keep SendBuf at 40 bytes, one per worker.
+	gap, fan int32
 }
 
 func (sb *SendBuf) reset() {
 	sb.buf = sb.buf[:0]
-	sb.nmsg = 0
+	sb.words, sb.gap, sb.fan = 0, 0, 0
 }
 
 // Begin reserves a frame addressed to `to` with an n-word payload and
 // returns the payload slice for the caller to fill in place. The slice
-// must be filled before the next Begin/Put on the same SendBuf: a later
-// reservation may grow the arena and reallocate it, detaching earlier
-// payload slices. Destination validation happens at delivery, in staging
-// order.
+// must be filled before the next Begin, Put or BeginFan on the same
+// SendBuf: a later reservation may grow the arena and reallocate it,
+// detaching earlier payload slices. Destination validation happens at
+// delivery, in staging order.
 func (sb *SendBuf) Begin(to, n int) []uint64 {
 	sb.buf = append(sb.buf, packHeader(to, n))
 	l := len(sb.buf)
@@ -66,7 +104,7 @@ func (sb *SendBuf) Begin(to, n int) []uint64 {
 		sb.buf = grown
 	}
 	sb.buf = sb.buf[:l+n]
-	sb.nmsg++
+	sb.words += int64(n)
 	return sb.buf[l : l+n]
 }
 
@@ -75,6 +113,77 @@ func (sb *SendBuf) Begin(to, n int) []uint64 {
 func (sb *SendBuf) Put(to int, words ...uint64) {
 	copy(sb.Begin(to, len(words)), words)
 }
+
+// BeginFan opens a fan frame: one n-word payload for up to d receivers,
+// staged once. It returns the payload, for the caller to fill in place,
+// and room for d destinations. The caller writes the receivers into
+// dests[:k], in the order they are to be charged, and commits the frame
+// with CommitFan(k) before its next Begin, Put or BeginFan on the same
+// SendBuf; the payload, like Begin's, must be filled before then too.
+// Delivery treats the committed frame exactly as the k frames
+// Put(dests[j], payload...), j = 0, …, k−1, staged in that order: the same
+// checks in the same order, the same charges, sums and errors. A placing
+// round hands each of them the same payload slice.
+func (sb *SendBuf) BeginFan(d, n int) (payload []uint64, dests []int32) {
+	if sb.fan != 0 {
+		panic("fabric: BeginFan with a fan frame open")
+	}
+	l, m := len(sb.buf), frameHeader+n+(d+1)/2
+	if cap(sb.buf)-l < m {
+		// Double what is staged and add exactly this frame: a fan frame is
+		// usually its sender's only frame of the round, and Begin's slack
+		// would stay unused in every such arena (list-lowspace's peak RSS
+		// read 3–4 MB higher with it).
+		grown := make([]uint64, l, 2*l+m)
+		copy(grown, sb.buf)
+		sb.buf = grown
+	}
+	sb.buf = sb.buf[:l+m]
+	sb.buf[l] = packFan(d, n)
+	sb.fan = int32(l + 1)
+	p := l + frameHeader
+	return sb.buf[p : p+n : p+n], fanDests(sb.buf[p+n:], d)
+}
+
+// CommitFan closes the fan frame BeginFan opened with its first k
+// receivers, 0 ≤ k ≤ d. With k = 0 the frame is dropped: nothing is
+// staged, as when no Put is made.
+func (sb *SendBuf) CommitFan(k int) {
+	l := int(sb.fan) - 1
+	if l < 0 {
+		panic("fabric: CommitFan without an open fan frame")
+	}
+	d, n := unpackHeader(sb.buf[l] &^ fanFlag)
+	if len(sb.buf) != l+frameHeader+n+(d+1)/2 {
+		panic("fabric: frame staged while a fan frame is open")
+	}
+	if k < 0 || k > d {
+		panic(fmt.Sprintf("fabric: fan frame committed with %d of %d receivers", k, d))
+	}
+	sb.fan = 0
+	if k == 0 {
+		sb.buf = sb.buf[:l]
+		return
+	}
+	sb.buf[l] = packFan(k, n)
+	sb.buf = sb.buf[:l+frameHeader+n+(k+1)/2]
+	sb.words += int64(k) * int64(n)
+	sb.gap += int32(k*(frameHeader+n) - (frameHeader + n + (k+1)/2))
+}
+
+// Fan stages words to every receiver in to, in order: the frames of
+// Put(t, words...) for each t in to, staged as one fan frame.
+func (sb *SendBuf) Fan(to []int32, words ...uint64) {
+	payload, dests := sb.BeginFan(len(to), len(words))
+	copy(payload, words)
+	copy(dests, to)
+	sb.CommitFan(len(to))
+}
+
+// staged is the arena length the sender's frames would take staged one
+// by one, each fan frame as one single frame per destination: Deliver's
+// measure of a sender's delivery work.
+func (sb *SendBuf) staged() int { return len(sb.buf) + int(sb.gap) }
 
 // Reserve pre-grows the arena so the next `words` payload words (plus
 // frame headers) stage without any reallocation checks succeeding
@@ -103,8 +212,10 @@ type Sink struct {
 	// Place, when non-nil, makes the round a placing round: once the whole
 	// round has passed validation, every frame is handed to Place(from, to,
 	// payload), where payload aliases the staging arena and is valid until
-	// the next round. One sender's frames are placed in staging order by one
-	// goroutine; frames of different senders may be placed concurrently.
+	// the next round; a fan frame's receivers share one payload slice, so
+	// Place must not write to it. One sender's frames are placed in staging
+	// order by one goroutine; frames of different senders may be placed
+	// concurrently.
 	Place func(from, to int, payload []uint64)
 }
 
@@ -210,13 +321,18 @@ type DeliverOpts struct {
 // next Deliver, and valid only at the indices listed in Groups — the groups
 // that moved charged traffic this round (every other group's load is zero,
 // but its array entry may hold a stale value from an earlier round).
+//
+// Groups is ascending for grouped rounds (DeliverOpts.GroupOf set), so a
+// backend walking it meets the lowest offending group first. For ungrouped
+// rounds it is an unordered set, and its order may depend on the block
+// count; the congested clique reads only the total and the two maxima.
 type RoundStats struct {
 	TotalWords  int64
 	MaxSendLoad int64
 	MaxRecvLoad int64
 	SendLoad    []int64
 	RecvLoad    []int64
-	Groups      []int32 // groups with nonzero charged traffic, ascending
+	Groups      []int32 // groups with nonzero charged traffic
 	// ScratchWords is the delivery scratch the round used, in 64-bit
 	// words: the sender blocks' destination rows, group rows and combining
 	// accumulators.
@@ -280,7 +396,9 @@ const (
 
 // DeliverParallelMinWords is the staged-word total below which Deliver
 // runs a round as one block whatever DeliverOpts.Pool says: waking parked
-// workers costs more than a small round's validation pass.
+// workers costs more than a small round's validation pass. A fan frame
+// counts as the single frames it stands for, since delivery validates
+// each of them.
 // BenchmarkDeliver's charge-only announce rounds bracket it. Over six
 // runs on a 2-vCPU box (GOMAXPROCS 2), splitting over two workers lost on
 // the 2k-word round at n=64 in five (medians 16.6 vs 12.0 µs) and won on
@@ -318,7 +436,8 @@ func grow[T any](s []T, n int) []T {
 
 // Deliver validates and charges the staged frames, then hands them to the
 // round's Sink. It splits the senders into blocks of contiguous senders
-// with about equal staged words, at most one per pool worker:
+// with about equal staged words (a fan frame counting as its single
+// frames), at most one per pool worker:
 //
 //  1. one scan of the arenas lists the senders that staged anything;
 //  2. each block validates its frames in staging order, stopping at its
@@ -359,9 +478,12 @@ func (rb *RoundBuffer) deliver() (RoundStats, error) {
 	staged := 0
 	rb.live = rb.live[:0]
 	for w := range rb.send[:n] {
-		if l := len(rb.send[w].buf); l > 0 {
+		if sb := &rb.send[w]; len(sb.buf) > 0 {
+			if sb.fan != 0 {
+				panic("fabric: round delivered with a fan frame open")
+			}
 			rb.live = append(rb.live, int32(w))
-			staged += l
+			staged += sb.staged()
 		}
 	}
 	nb := 1
@@ -410,7 +532,7 @@ func (rb *RoundBuffer) splitBlocks(nb, staged, groups, sumLen int) int64 {
 	}
 	b, acc := 0, 0
 	for i, w := range rb.live {
-		acc += len(rb.send[w].buf)
+		acc += rb.send[w].staged()
 		for ; b+1 < nb && acc*nb >= (b+1)*staged; b++ {
 			rb.blocks[b].hi = i + 1
 		}
@@ -444,7 +566,9 @@ func (rb *RoundBuffer) splitBlocks(nb, staged, groups, sumLen int) int64 {
 }
 
 // count is step 2 for block b: validate its frames in staging order, up to
-// the first violation, and count them into the block's rows.
+// the first violation, and count them into the block's rows. A fan frame
+// is its destinations' frames in list order, each checked and charged as
+// a single frame.
 func (rb *RoundBuffer) count(b int) {
 	blk := &rb.blocks[b]
 	n, base, ep := rb.n, rb.base, rb.epoch
@@ -467,12 +591,65 @@ senders:
 			gw = groupOf[w]
 		}
 		for i := 0; i < len(buf); {
-			to, nw := unpackHeader(buf[i])
+			h := buf[i]
+			to, nw := unpackHeader(h)
 			p := i + frameHeader
 			i = p + nw
 			if to < 0 || to >= n {
-				blk.err = &RouteError{OutOfRange: true, From: w, To: to}
-				break senders
+				if int64(h) >= 0 {
+					blk.err = &RouteError{OutOfRange: true, From: w, To: to}
+					break senders
+				}
+				// A fan frame (fanFlag fails the range check): the single
+				// frame's checks and charges below, repeated for each
+				// destination in list order. Single frames keep their own
+				// loop-free path: one loop over a destination list for both
+				// shapes cost single frames 20–55% more time each in
+				// BenchmarkDeliver's aggregate and announce rounds.
+				d, fw := unpackHeader(h &^ fanFlag)
+				i = p + fw + (d+1)/2
+				for _, t := range fanDests(buf[p+fw:], d) {
+					to := int(t)
+					if to < 0 || to >= n {
+						blk.err = &RouteError{OutOfRange: true, From: w, To: to}
+						break senders
+					}
+					if perDest {
+						sl := &slots[to]
+						if sl.stamp != st {
+							if sl.stamp <= base {
+								sl.recv = 0
+								touch = append(touch, t)
+							}
+							sl.stamp, sl.pair = st, 0
+						}
+						if pairWords > 0 {
+							pw := int64(sl.pair) + int64(fw)
+							if pw > pairWords {
+								blk.err = &RouteError{From: w, To: to, Words: int(pw), Budget: int(pairWords)}
+								break senders
+							}
+							sl.pair = int32(pw)
+						}
+						sl.recv += int64(fw)
+					}
+					if sumLen >= 0 {
+						if fw > 0 && to+(fw-1)*n >= sumLen {
+							blk.err = &SumError{From: w, To: to, Words: fw, Len: sumLen}
+							break senders
+						}
+						for s, x := range buf[p : p+fw] {
+							acc[to+s*n] += int64(x)
+						}
+					}
+					if groupOf != nil {
+						if gt := groupOf[to]; !free || gt != gw {
+							blk.group(gw, ep).send += int64(fw)
+							blk.group(gt, ep).recv += int64(fw)
+						}
+					}
+				}
+				continue
 			}
 			if perDest {
 				sl := &slots[to]
@@ -525,7 +702,8 @@ func (blk *deliverBlock) group(g int, ep int64) *groupSlot {
 
 // mergeLoads folds the blocks' rows into the round's group loads and
 // returns the round's charged total. Ungrouped, every frame is charged, so
-// a sender's load is exactly its arena's payload words.
+// a sender's load is exactly the payload words it staged, and the charged
+// groups stay unsorted (see RoundStats.Groups).
 func (rb *RoundBuffer) mergeLoads(nb int) int64 {
 	var total int64
 	if rb.opts.GroupOf != nil {
@@ -539,6 +717,9 @@ func (rb *RoundBuffer) mergeLoads(nb int) int64 {
 				total += gs.send
 			}
 		}
+		if !slices.IsSorted(rb.tgroups) {
+			slices.Sort(rb.tgroups)
+		}
 	} else {
 		for b := range nb {
 			blk := &rb.blocks[b]
@@ -548,15 +729,11 @@ func (rb *RoundBuffer) mergeLoads(nb int) int64 {
 			}
 		}
 		for _, w := range rb.live {
-			sb := &rb.send[w]
-			words := int64(len(sb.buf) - sb.nmsg*frameHeader)
+			words := rb.send[w].words
 			rb.chargeGroup(w)
 			rb.sendLoad[w] = words
 			total += words
 		}
-	}
-	if !slices.IsSorted(rb.tgroups) {
-		slices.Sort(rb.tgroups)
 	}
 	return total
 }
@@ -590,7 +767,7 @@ func (rb *RoundBuffer) stats(total, scratch int64) RoundStats {
 }
 
 // place hands block b's frames to the placing round's callback, each
-// sender's in staging order.
+// sender's in staging order and a fan frame's in destination order.
 func (rb *RoundBuffer) place(b int) {
 	blk := &rb.blocks[b]
 	place := rb.opts.Sink.Place
@@ -598,10 +775,15 @@ func (rb *RoundBuffer) place(b int) {
 		w := int(w32)
 		buf := rb.send[w].buf
 		for i := 0; i < len(buf); {
-			to, nw := unpackHeader(buf[i])
-			p := i + frameHeader
-			i = p + nw
-			place(w, to, buf[p:i:i])
+			to, fan, end, next := frameAt(buf, i)
+			payload := buf[i+frameHeader : end : end]
+			if fan == nil {
+				place(w, to, payload)
+			}
+			for _, t := range fan {
+				place(w, int(t), payload)
+			}
+			i = next
 		}
 	}
 }

@@ -8,18 +8,23 @@ import (
 )
 
 // BenchmarkDeliver times RoundBuffer.Deliver alone on staged rounds of
-// three shapes. Deliver only reads the arenas, so each round is staged once
+// four shapes. Deliver only reads the arenas, so each round is staged once
 // and delivered b.N times, as one block (no pool) and split over a pool of
-// GOMAXPROCS workers whatever the round's size.
+// GOMAXPROCS workers whatever the round's size. Every case reports
+// ns/frame, a fan frame counting one frame per receiver.
 //
 //   - announce: every node of an n-node clique sends a 1-word frame to n/4
 //     random distinct nodes, the dense solve's announce round, charge-only.
-//     n=2048 is about a million frames. n=256 (32k staged words) and n=64
-//     (2k words) bracket DeliverParallelMinWords: a round below it runs as
-//     one block because one block wins there.
+//     n=2048 is about a million frames; announce2048/fan stages the same
+//     receivers as one fan frame per sender, as the solve does. n=256 (32k
+//     staged words) and n=64 (2k words) bracket DeliverParallelMinWords: a
+//     round below it runs as one block because one block wins there.
 //   - aggregate: 2¹⁶ senders each send a 1-word frame to each of 24 owners,
 //     the first round of AggregateVec in a sparse solve's seed selection,
 //     combined.
+//   - broadcast: 24 owners each send one word to the other 2¹⁶−1 workers,
+//     the second round of that AggregateVec, charge-only; staged as single
+//     frames and as one fan frame per owner.
 //   - spread: every odd one of 2¹⁶ senders ships 5–17 three-word (target,
 //     rank, word) frames to consecutive intermediates, the spread round of
 //     a sparse solve's collect gather, placed into a slab by rank.
@@ -55,15 +60,27 @@ func BenchmarkDeliver(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		rb := new(RoundBuffer)
 		rb.Reset(n)
+		dests := make([][]int32, n)
 		for w := 0; w < n; w++ {
 			sb := rb.Sender(w)
 			for _, to := range rng.Perm(n)[:fanout] {
 				sb.Put(to, uint64(w))
+				dests[w] = append(dests[w], int32(to))
 			}
 		}
 		b.Run(fmt.Sprintf("announce%d/charge-only", n), func(b *testing.B) {
 			run(b, rb, n*fanout, DeliverOpts{PairWords: 4})
 		})
+		if n == 2048 {
+			fan := new(RoundBuffer)
+			fan.Reset(n)
+			for w, to := range dests {
+				fan.Sender(w).Fan(to, uint64(w))
+			}
+			b.Run(fmt.Sprintf("announce%d/fan", n), func(b *testing.B) {
+				run(b, fan, n*fanout, DeliverOpts{PairWords: 4})
+			})
+		}
 	}
 
 	const senders, owners = 1 << 16, 24
@@ -80,6 +97,26 @@ func BenchmarkDeliver(b *testing.B) {
 	}
 	b.Run("aggregate64k/combine", func(b *testing.B) {
 		run(b, rb, senders*owners, DeliverOpts{PairWords: 4, Sink: Sink{Sum: make([]int64, owners)}})
+	})
+
+	bc, bcFan := new(RoundBuffer), new(RoundBuffer)
+	bc.Reset(senders)
+	bcFan.Reset(senders)
+	for o := 0; o < owners; o++ {
+		sb := bc.Sender(o)
+		sb.Reserve(senders-1, senders-1)
+		for t := 0; t < senders; t++ {
+			if t != o {
+				sb.Put(t, uint64(o))
+			}
+		}
+		fanOthers(bcFan.Sender(o), senders, o, 1)[0] = uint64(o)
+	}
+	b.Run("broadcast65536/charge-only", func(b *testing.B) {
+		run(b, bc, owners*(senders-1), DeliverOpts{PairWords: 4})
+	})
+	b.Run("broadcast65536/fan", func(b *testing.B) {
+		run(b, bcFan, owners*(senders-1), DeliverOpts{PairWords: 4})
 	})
 
 	spread := new(RoundBuffer)

@@ -19,9 +19,10 @@ type referenceRound struct {
 }
 
 // referenceDeliver is Deliver's test oracle, written without its sender
-// blocks or stamps: it reads every sender's frames in staging order, stops
-// at the first violation, and sums loads (and a combining round's payload)
-// directly. Its frames are what a placing round must place.
+// blocks or stamps: it reads every sender's frames in staging order, a fan
+// frame as one frame per destination in list order, stops at the first
+// violation, and sums loads (and a combining round's payload) directly.
+// Its frames are what a placing round must place.
 func referenceDeliver(rb *RoundBuffer, opts DeliverOpts) (referenceRound, error) {
 	n := rb.n
 	r := referenceRound{frames: make([][]Msg, n), send: map[int]int64{}, recv: map[int]int64{}}
@@ -91,7 +92,9 @@ func sameFrames(a, b [][]Msg) bool {
 // on the same staged round: the error, or else every RoundStats field, a
 // placing round's frames (log, nil for the other kinds) sender by sender
 // in staging order, and a combining round's sums. A failed round must
-// leave its sum as it was (all zero here) and place nothing.
+// leave its sum as it was (all zero here) and place nothing. Groups is
+// compared as a list for grouped rounds and as a set for ungrouped ones,
+// whose order RoundStats leaves open.
 func checkAgainstReference(t *testing.T, what string, opts DeliverOpts,
 	log placeLog, st RoundStats, err error, ref referenceRound, referr error) {
 	t.Helper()
@@ -118,7 +121,11 @@ func checkAgainstReference(t *testing.T, what string, opts DeliverOpts,
 	if st.TotalWords != ref.total || st.MaxSendLoad != maxSend || st.MaxRecvLoad != maxRecv {
 		t.Fatalf("%s: stats %+v, reference total %d send %d recv %d", what, st, ref.total, maxSend, maxRecv)
 	}
-	if !slices.Equal(st.Groups, groups) {
+	got := st.Groups
+	if opts.GroupOf == nil {
+		got = slices.Sorted(slices.Values(got))
+	}
+	if !slices.Equal(got, groups) {
 		t.Fatalf("%s: groups %v, reference %v", what, st.Groups, groups)
 	}
 	for _, g := range groups {
@@ -148,6 +155,27 @@ func putAll(bufs []*RoundBuffer, w, to int, words []uint64) {
 	}
 }
 
+func fanAll(bufs []*RoundBuffer, w int, to []int32, words []uint64) {
+	for _, rb := range bufs {
+		rb.Sender(w).Fan(to, words...)
+	}
+}
+
+// stageRandomFrame stages one random frame from w in every buffer: one
+// time in four a fan frame to one to four destinations drawn by to, which
+// may repeat, and otherwise a single frame to one of them.
+func stageRandomFrame(rng *rand.Rand, bufs []*RoundBuffer, w int, to func() int) {
+	if rng.Intn(4) != 0 {
+		putAll(bufs, w, to(), randomWords(rng))
+		return
+	}
+	dests := make([]int32, 1+rng.Intn(4))
+	for i := range dests {
+		dests[i] = int32(to())
+	}
+	fanAll(bufs, w, dests, randomWords(rng))
+}
+
 // randomWords draws a payload of up to three words from a tiny alphabet, so
 // equal-sender equal-destination runs with duplicate payloads (the
 // tie-break sort's hard case) occur often.
@@ -160,26 +188,29 @@ func randomWords(rng *rand.Rand) []uint64 {
 }
 
 // stageRandomRound fills every buffer with the identical random traffic:
-// per sender a handful of frames to random destinations.
+// per sender a handful of frames, single and fan, to random destinations.
 func stageRandomRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
 	resetSenders(n, bufs)
+	to := func() int { return rng.Intn(n) }
 	for w := 0; w < n; w++ {
 		for f := rng.Intn(8); f > 0; f-- {
-			putAll(bufs, w, rng.Intn(n), randomWords(rng))
+			stageRandomFrame(rng, bufs, w, to)
 		}
 	}
 }
 
-// stageSkewedRound: every sender stages one to three frames, each to one of
-// three owners, so every owner receives frames from every sender block —
-// the shape of AggregateVec's first round and of GatherMany's collector
-// rounds, which uniform random traffic never produces.
+// stageSkewedRound: every sender stages one to three frames, single or
+// fan, each to one of three owners, so every owner receives frames from
+// every sender block — the shape of AggregateVec's first round and of
+// GatherMany's collector rounds, which uniform random traffic never
+// produces.
 func stageSkewedRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
 	resetSenders(n, bufs)
 	owners := [3]int{0, n / 2, n - 1}
+	to := func() int { return owners[rng.Intn(len(owners))] }
 	for w := 0; w < n; w++ {
 		for f := 1 + rng.Intn(3); f > 0; f-- {
-			putAll(bufs, w, owners[rng.Intn(len(owners))], randomWords(rng))
+			stageRandomFrame(rng, bufs, w, to)
 		}
 	}
 }
@@ -188,12 +219,13 @@ func stageSkewedRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
 // arenas are empty and blocks are cut over the few live senders.
 func stageSparseRound(rng *rand.Rand, n int, bufs ...*RoundBuffer) {
 	resetSenders(n, bufs)
+	to := func() int { return rng.Intn(n) }
 	for w := 0; w < n; w++ {
 		if rng.Intn(10) != 0 {
 			continue
 		}
 		for f := 1 + rng.Intn(6); f > 0; f-- {
-			putAll(bufs, w, rng.Intn(n), randomWords(rng))
+			stageRandomFrame(rng, bufs, w, to)
 		}
 	}
 }
@@ -513,6 +545,139 @@ func TestPlacingRoundMatchesReadingRound(t *testing.T) {
 					}
 					st, err := rb.Deliver(opts)
 					checkAgainstReference(t, what, opts, log, st, err, ref, referr)
+				}
+			}
+		}
+		pool.Stop()
+	}
+}
+
+// fanTwins stages the same traffic into two buffers: into fan with fan
+// frames, and into puts as the single frames they stand for.
+type fanTwins struct{ fan, puts *RoundBuffer }
+
+func (tw fanTwins) put(w, to int, words ...uint64) {
+	putAll([]*RoundBuffer{tw.fan, tw.puts}, w, to, words)
+}
+
+// fanOut stages words from w to dests[:k] as one fan frame that reserved
+// room for all of dests, and as k single frames.
+func (tw fanTwins) fanOut(w int, dests []int32, k int, words ...uint64) {
+	sb := tw.fan.Sender(w)
+	payload, room := sb.BeginFan(len(dests), len(words))
+	copy(payload, words)
+	copy(room, dests)
+	sb.CommitFan(k)
+	for _, to := range dests[:k] {
+		tw.puts.Sender(w).Put(int(to), words...)
+	}
+}
+
+// TestDeliverParallelFanMatchesPuts: a fan frame delivers exactly as the
+// single frames it stands for. Every sender but 0 stages a fan frame and a
+// single frame of background traffic, and sender n/2 adds one case:
+// repeated destinations in one fan; a fan, then a single frame to the same
+// receiver, that together break the pair budget; an out-of-range
+// destination in the middle of a fan's list; a fan whose payload lands
+// past a combining round's sum; or fans committed with no receivers, one
+// from sender 0, which then stages nothing. At block counts 1, 2, 4 and 8,
+// in charge-only, combining and placing rounds, ungrouped with a pair
+// budget and grouped with and without free intra-group traffic, the round
+// staged with fans must give the error, stats, sums and placed frames of
+// the round staged as single frames, and both the oracle's.
+func TestDeliverParallelFanMatchesPuts(t *testing.T) {
+	defer splitEveryRound()()
+	const n, s = 64, 32
+	// Background payloads are at most 2 words and every pair carries at
+	// most 2 words of it, so the 4-word pair budget and the 3.5n-word sum
+	// hold unless a case breaks them. No frame is addressed to worker 0,
+	// so an ungrouped round charges it only if it is a live sender.
+	const sumLen = 4*n - n/2
+	to := func(w, k int) int32 { return int32(1 + (w+k)%(n-1)) }
+	cases := []struct {
+		name  string
+		stage func(tw fanTwins)
+		// fails reports whether the case's round must fail.
+		fails func(opts DeliverOpts, combine bool) bool
+	}{
+		{"repeated-dests", func(tw fanTwins) {
+			tw.fanOut(s, []int32{7, 7, 20, 7}, 4, 5)
+		}, func(DeliverOpts, bool) bool { return false }},
+		{"fan-then-put-breaks-budget", func(tw fanTwins) {
+			tw.fanOut(s, []int32{9, 12, 9}, 3, 1, 2)
+			tw.put(s, 9, 3)
+		}, func(opts DeliverOpts, _ bool) bool { return opts.PairWords > 0 }},
+		{"out-of-range-mid-list", func(tw fanTwins) {
+			tw.fanOut(s, []int32{3, n + 5, -2, 4}, 4, 6)
+		}, func(DeliverOpts, bool) bool { return true }},
+		{"payload-past-sum", func(tw fanTwins) {
+			// A 4-word payload to d reaches d+3n: inside the sum for d < n/2.
+			tw.fanOut(s, []int32{1, 3, n - 1}, 3, 1, 2, 3, 4)
+		}, func(_ DeliverOpts, combine bool) bool { return combine }},
+		{"no-receivers", func(tw fanTwins) {
+			tw.fanOut(0, []int32{1, 2, 3}, 0, 8)
+			tw.fanOut(s, []int32{4, 5}, 0, 8, 9)
+			tw.put(s, 6, 1)
+			tw.fanOut(s, nil, 0, 8)
+		}, func(DeliverOpts, bool) bool { return false }},
+	}
+	stage := func(tw fanTwins, extra func(fanTwins)) {
+		resetSenders(n, []*RoundBuffer{tw.fan, tw.puts})
+		for w := 1; w < n; w++ {
+			if w == s {
+				extra(tw)
+			}
+			tw.fanOut(w, []int32{to(w, 1), to(w, 5), to(w, 11)}, 3, uint64(w), 1)
+			tw.put(w, int(to(w, 2)), uint64(w))
+		}
+	}
+	groupOf := make([]int, n)
+	for i := range groupOf {
+		groupOf[i] = i % 7
+	}
+	modes := []struct {
+		name string
+		opts DeliverOpts
+	}{
+		{"pair-budget", DeliverOpts{PairWords: 4}},
+		{"grouped-free", DeliverOpts{GroupOf: groupOf, Groups: 7, FreeIntraGroup: true}},
+		{"grouped-charged", DeliverOpts{GroupOf: groupOf, Groups: 7}},
+	}
+	kinds := []struct {
+		name string
+		sink func() (Sink, placeLog)
+	}{
+		{"charge-only", func() (Sink, placeLog) { return Sink{}, nil }},
+		{"combine", func() (Sink, placeLog) { return Sink{Sum: make([]int64, sumLen)}, nil }},
+		{"place", func() (Sink, placeLog) {
+			log := newPlaceLog(n)
+			return Sink{Place: log.place}, log
+		}},
+	}
+	for _, width := range []int{1, 2, 4, 8} {
+		pool := NewWorkPool(width)
+		tw := fanTwins{new(RoundBuffer), new(RoundBuffer)}
+		for _, tc := range cases {
+			for _, mode := range modes {
+				for _, kind := range kinds {
+					what := fmt.Sprintf("%s width %d %s (%s)", tc.name, width, mode.name, kind.name)
+					stage(tw, tc.stage)
+					fopts, popts := mode.opts, mode.opts
+					fopts.Pool, popts.Pool = pool, pool
+					var flog, plog placeLog
+					fopts.Sink, flog = kind.sink()
+					popts.Sink, plog = kind.sink()
+					ref, referr := referenceDeliver(tw.puts, popts)
+					if (referr != nil) != tc.fails(mode.opts, kind.name == "combine") {
+						t.Fatalf("%s: oracle err %v", what, referr)
+					}
+					fst, ferr := tw.fan.Deliver(fopts)
+					checkAgainstReference(t, what+" fan", fopts, flog, fst, ferr, ref, referr)
+					pst, perr := tw.puts.Deliver(popts)
+					checkAgainstReference(t, what+" puts", popts, plog, pst, perr, ref, referr)
+					if ferr == nil && fst.ScratchWords != pst.ScratchWords {
+						t.Fatalf("%s: scratch %d words, single frames %d", what, fst.ScratchWords, pst.ScratchWords)
+					}
 				}
 			}
 		}

@@ -364,7 +364,8 @@ func solveDet[T topology](f fabric.Fabric, pairWords int, t T, active []bool, p 
 			joined[v] = tb.joined(v, col)
 		}
 
-		// Apply the phase: joiners announce to neighbors (one round).
+		// Apply the phase: joiners announce to neighbors (one round, one fan
+		// frame per joiner).
 		f.Ledger().SetPhase("mis:announce")
 		if err := fabric.SendFrames(f, func(w int, sb *fabric.SendBuf) {
 			v := int32(w)
@@ -372,16 +373,24 @@ func solveDet[T topology](f fabric.Fabric, pairWords int, t T, active []bool, p 
 				return
 			}
 			lo, hi := t.CliqueBlock(v)
+			conflicts := t.Conflicts(v)
+			word, dests := sb.BeginFan(int(hi-lo)+len(conflicts), 1)
+			word[0] = 1
+			// Every candidate is written and only live ones are kept.
+			k := 0
 			for u := lo; u < hi; u++ {
+				dests[k] = u
 				if u != v && live[u] {
-					sb.Put(int(u), 1)
+					k++
 				}
 			}
-			for _, u := range t.Conflicts(v) {
+			for _, u := range conflicts {
+				dests[k] = u
 				if live[u] {
-					sb.Put(int(u), 1)
+					k++
 				}
 			}
+			sb.CommitFan(k)
 		}); err != nil {
 			return nil, st, fmt.Errorf("mis: announce: %w", err)
 		}

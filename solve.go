@@ -75,9 +75,11 @@ func ProblemNeedsSet(p Problem) bool {
 type Options = engine.Options
 
 // Report is the unified, model-independent result of a Solve call: the
-// verified coloring plus the full cost ledger of the run. Every field is a
-// deterministic function of (instance, options) — the serving layer relies
-// on this to cache and replay results byte-for-byte.
+// verified coloring plus the full cost ledger of the run. Every field but
+// two is a deterministic function of (instance, options) — the serving
+// layer relies on this to cache and replay results byte-for-byte. The two
+// exceptions are memory readings: Memory.WorkspaceWords depends on what the
+// session solved before, and Memory.DeliveryScratchWords on the pool width.
 type Report = engine.Report
 
 // SolverSession is a reusable per-model solver (internal/engine.Session):
